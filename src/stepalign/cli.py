@@ -22,14 +22,13 @@ from .config import (ConfigError, RunConfig, build_section, load_run_config,
 from .corpus import (Corpus, CorpusError, LabelSource, VideoRecord,
                      batch_iter, generate_synthetic, read_corpus,
                      split_corpus, write_corpus)
-from .encoder import (ModelConfig, ModelError, forward, load_checkpoint,
-                      params_from_arrays)
+from .encoder import ModelConfig, ModelError, forward
 from .evalkit import (EvalError, blob_detect, evaluate_predictions,
                       evaluate_video, merge_reports, read_predictions)
 from .pseudolabel import PseudoError
 from .taskselect import TaskSelectError, assign_articles
 from .tensorio import FormatError
-from .trainer import TrainError, train
+from .trainer import TrainError, load_train_checkpoint, train
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -61,14 +60,11 @@ def _read_corpus(path: str) -> Corpus:
 
 
 def _load_model(path: str) -> tuple[dict, ModelConfig]:
-    arrays, meta = load_checkpoint(path)
+    params, _, meta = load_train_checkpoint(path)
     raw = meta.get("model_config")
     if raw is None:
         raise ProtocolError(f"checkpoint {path} carries no model_config metadata")
-    model_config = build_section(ModelConfig, raw, f"{path} model_config")
-    params = params_from_arrays(
-        {k: v for k, v in arrays.items() if not k.startswith("opt.")})
-    return params, model_config
+    return params, build_section(ModelConfig, raw, f"{path} model_config")
 
 
 def _check_dims(model_config: ModelConfig, corpus: Corpus, where: str) -> None:
@@ -76,17 +72,6 @@ def _check_dims(model_config: ModelConfig, corpus: Corpus, where: str) -> None:
         raise ProtocolError(
             f"{where}: model expects feature dims {model_config.feature_dims}, "
             f"corpus provides {corpus.dims}")
-
-
-def _assignment(corpus: Corpus, strategy: str, seed: int):
-    if strategy == "metadata":
-        missing = [v.id for v in corpus.videos if v.task_id is None]
-        if missing:
-            raise ProtocolError(
-                f"{len(missing)} videos have no task metadata (first: "
-                f"{missing[0]}); use --task-strategy top1")
-        return None  # batching reads video.task_id directly
-    return assign_articles(corpus, strategy, seed=seed)
 
 
 def _strip_narrations(corpus: Corpus) -> Corpus:
@@ -128,7 +113,7 @@ def cmd_train(args) -> int:
     config = _load_config(args)
     corpus = _read_corpus(args.corpus)
     model_config = dataclasses.replace(config.model, feature_dims=corpus.dims)
-    assignment = _assignment(corpus, args.task_strategy, config.train.seed)
+    assignment = assign_articles(corpus, args.task_strategy, seed=config.train.seed)
     eval_corpus = _read_corpus(args.eval_corpus) if args.eval_corpus else None
 
     workdir = Path(args.workdir)
@@ -154,7 +139,7 @@ def _eval_model(args, corpus: Corpus) -> dict:
     _check_dims(model_config, corpus, args.checkpoint)
     if args.no_narrations:
         corpus = _strip_narrations(corpus)
-    assignment = _assignment(corpus, args.task_strategy, 0)
+    assignment = assign_articles(corpus, args.task_strategy)
     if not any(v.gt_step_segments for v in corpus.videos):
         raise ProtocolError("corpus carries no step ground truth to score against")
 

@@ -14,7 +14,7 @@ from typing import Iterator, Mapping, Optional
 
 import numpy as np
 
-from .records import Corpus, CorpusError, Segment, VideoRecord
+from .records import Corpus, CorpusError, VideoRecord
 
 
 class LabelSource(str, enum.Enum):
@@ -52,15 +52,11 @@ class Batch:
         return len(self.video_ids)
 
 
-def _clip_span(span: Segment, t: int) -> Optional[Segment]:
-    return span.clipped(t)
-
-
 def _video_slices(video: VideoRecord, max_frames: int):
     t = min(video.num_frames, max_frames)
     keep, spans = [], []
     for n, span in enumerate(video.narration_spans):
-        clipped = _clip_span(span, t)
+        clipped = span.clipped(t)
         if clipped is not None:
             keep.append(n)
             spans.append(clipped)
@@ -145,7 +141,7 @@ def batch_iter(
                         label = pseudo_store.get((video.id, row))
                         if label is None or not label.kept:
                             continue
-                        seg = _clip_span(label.segment, t)
+                        seg = label.segment.clipped(t)
                         if seg is None:
                             continue  # fully truncated: train as unsupervised
                         y_sv[i, row, seg.start:seg.end + 1] = 1.0

@@ -149,9 +149,12 @@ class Corpus:
     videos: tuple[VideoRecord, ...]
     articles: dict[str, Article]
     dims: tuple[int, int, int]  # (D_v, D_n, D_s)
+    _by_id: dict[str, VideoRecord] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "videos", tuple(self.videos))
+        # built in reverse so the first of any repeated id wins, as in a scan
+        object.__setattr__(self, "_by_id", {v.id: v for v in reversed(self.videos)})
         d_v, d_n, d_s = self.dims
         for video in self.videos:
             if video.frame_features.shape[1] != d_v:
@@ -166,10 +169,7 @@ class Corpus:
                 raise CorpusError(f"article {article.task_id}: D_s != {d_s}")
 
     def video_by_id(self, video_id: str) -> VideoRecord:
-        for video in self.videos:
-            if video.id == video_id:
-                return video
-        raise KeyError(video_id)
+        return self._by_id[video_id]
 
     def __len__(self) -> int:
         return len(self.videos)

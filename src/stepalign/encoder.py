@@ -18,6 +18,7 @@ when the step text itself matches the frames poorly.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Optional
@@ -386,51 +387,53 @@ def forward(params, config: ModelConfig, batch: Batch,
 
 def save_checkpoint(path: str | Path, arrays: Mapping[str, "Tensor | np.ndarray"],
                     meta: Optional[dict] = None) -> None:
-    """Write named matrices as concatenated binary blocks plus a JSON sidecar."""
+    """Write named matrices and metadata as one file, replacing ``path`` atomically.
+
+    Layout: one JSON header line ``{"format_version": 2, "tensors": [[name,
+    dtype], ...], "meta": {...}}``, then one tensorio block per tensor in the
+    caller's order. The file is written to ``<path>.tmp`` and renamed over
+    ``path``, so a kill mid-save leaves the previous checkpoint intact.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    entries, blobs, offset = [], [], 0
-    for name in sorted(arrays):
-        value = arrays[name]
+    tensors, blocks = [], []
+    for name, value in arrays.items():
         mat = value.data if isinstance(value, Tensor) else np.asarray(value)
         dtype = "float64" if mat.dtype == np.float64 else "float32"
-        block = tensorio.pack_block(mat, dtype=dtype)
-        entries.append({"name": name, "rows": int(mat.shape[0]),
-                        "cols": int(mat.shape[1]), "dtype": dtype,
-                        "offset": offset})
-        blobs.append(block)
-        offset += len(block)
-    with open(path, "wb") as f:
-        for blob in blobs:
-            f.write(blob)
-    sidecar = {"format_version": 1, "tensors": entries, "meta": meta or {}}
-    with open(path.with_suffix(path.suffix + ".json"), "w") as f:
-        json.dump(sidecar, f, indent=2)
-        f.write("\n")
+        tensors.append([name, dtype])
+        blocks.append(tensorio.pack_block(mat, dtype=dtype))
+    header = {"format_version": 2, "tensors": tensors, "meta": meta or {}}
+    tmp = path.with_name(path.name + ".tmp")
+    with open(tmp, "wb") as f:
+        f.write(json.dumps(header).encode("utf-8") + b"\n")
+        for block in blocks:
+            f.write(block)
+    os.replace(tmp, path)
 
 
 def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
-    """Read arrays and metadata saved by save_checkpoint."""
+    """Read arrays (in saved order) and metadata written by save_checkpoint."""
     path = Path(path)
-    sidecar_path = path.with_suffix(path.suffix + ".json")
-    if not path.exists() or not sidecar_path.exists():
-        raise tensorio.FormatError(f"checkpoint incomplete: need {path} and {sidecar_path}")
-    with open(sidecar_path) as f:
-        sidecar = json.load(f)
-    if sidecar.get("format_version") != 1:
-        raise tensorio.FormatError(
-            f"{sidecar_path}: unsupported format_version {sidecar.get('format_version')!r}")
-    buf = path.read_bytes()
+    try:
+        buf = path.read_bytes()
+    except OSError as exc:
+        raise tensorio.FormatError(f"{path}: {exc}") from exc
+    end = buf.find(b"\n")
+    try:
+        header = json.loads(buf[:max(end, 0)])
+    except ValueError as exc:
+        raise tensorio.FormatError(f"{path}: unreadable header ({exc})") from exc
+    if not isinstance(header, dict) or header.get("format_version") != 2:
+        raise tensorio.FormatError(f"{path}: not a format_version 2 checkpoint")
     arrays: dict[str, np.ndarray] = {}
-    for entry in sidecar["tensors"]:
-        mat, _ = tensorio.unpack_block(buf, offset=int(entry["offset"]),
-                                       dtype=entry["dtype"], source=str(path))
-        if mat.shape != (entry["rows"], entry["cols"]):
-            raise tensorio.FormatError(
-                f"{path}: tensor {entry['name']} has shape {mat.shape}, "
-                f"sidecar says ({entry['rows']}, {entry['cols']})")
-        arrays[entry["name"]] = mat
-    return arrays, sidecar.get("meta", {})
+    offset = end + 1
+    for name, dtype in header["tensors"]:
+        arrays[name], offset = tensorio.unpack_block(buf, offset, dtype,
+                                                     source=str(path))
+    if offset != len(buf):
+        raise tensorio.FormatError(
+            f"{path}: {len(buf) - offset} trailing bytes after the last tensor")
+    return arrays, header["meta"]
 
 
 def params_from_arrays(arrays: Mapping[str, np.ndarray]) -> dict[str, Tensor]:

@@ -6,8 +6,8 @@ Block layout (16-byte header, little-endian):
     bytes 8..11  rows (uint32)
     bytes 12..15 cols (uint32)
 followed by rows*cols IEEE-754 floats, row-major. Feature files hold exactly
-one float32 block; checkpoint files concatenate several blocks (dtype per
-block recorded in the JSON sidecar, see checkpoints in the encoder module).
+one float32 block; a checkpoint file is a one-line JSON header naming each
+block and its dtype, then those blocks (see checkpoints in the encoder module).
 """
 
 from __future__ import annotations

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Mapping, Optional
@@ -257,7 +258,20 @@ def train(corpus: Corpus, model_config: ModelConfig, train_cfg: TrainConfig,
         ckpt = workdir / "last.ckpt"
         if not ckpt.exists():
             raise TrainError(f"resume requested but {ckpt} does not exist")
-        params, state, meta = _load_train_checkpoint(ckpt)
+        params, state, meta = load_train_checkpoint(ckpt)
+        saved = meta.get("model_config") or {}
+        expected = json.loads(json.dumps(asdict(model_config)))  # meta is JSON
+        differ = [f"{k} {saved.get(k)} != {v}" for k, v in expected.items()
+                  if saved.get(k) != v]
+        if differ:
+            raise TrainError(f"{ckpt} was saved with another model_config "
+                             f"(checkpoint != this run): {', '.join(differ)}")
+        # drop log lines of an epoch that was killed before its checkpoint
+        log_size = log_path.stat().st_size if log_path.exists() else 0
+        if log_size < meta["log_bytes"]:
+            raise TrainError(f"{log_path} holds {log_size} bytes, but {ckpt} "
+                             f"was saved after {meta['log_bytes']}")
+        os.truncate(log_path, meta["log_bytes"])
         start_epoch = int(meta["next_epoch"])
         labels_file = meta.get("labels_file", "")
         if labels_file:
@@ -319,6 +333,7 @@ def train(corpus: Corpus, model_config: ModelConfig, train_cfg: TrainConfig,
                 "next_epoch": epoch + 1,
                 "labels_file": labels_file,
                 "model_config": asdict(model_config),
+                "log_bytes": log_path.stat().st_size,
             })
 
     return TrainResult(params=params, model_config=model_config,
@@ -341,7 +356,8 @@ def _save_train_checkpoint(path: Path, params, state: OptimizerState,
     save_checkpoint(path, arrays, meta={**meta, "opt_step": state.step})
 
 
-def _load_train_checkpoint(path: Path):
+def load_train_checkpoint(path: str | Path):
+    """Split a checkpoint into (params, optimizer state, meta)."""
     arrays, meta = load_checkpoint(path)
     params = params_from_arrays(
         {k: v for k, v in arrays.items() if not k.startswith("opt.")})

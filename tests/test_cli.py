@@ -2,6 +2,8 @@
 
 import csv
 import json
+import shlex
+import shutil
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -109,7 +111,8 @@ def test_generate_holdout_split(tmp_path, ws):
 
 def test_train_artifacts(ws):
     assert ws.ckpt.exists()
-    assert (ws.workdir / "last.ckpt.json").exists()
+    assert not (ws.workdir / "last.ckpt.json").exists()
+    assert not (ws.workdir / "last.ckpt.tmp").exists()
     assert (ws.workdir / "pseudo" / "initial.jsonl").exists()
     log = (ws.workdir / "train_log.jsonl").read_text().splitlines()
     entries = [json.loads(l) for l in log]
@@ -124,6 +127,18 @@ def test_train_resume_without_checkpoint_fails(tmp_path, ws):
     assert main(["train", "--corpus", str(ws.corpus), "--workdir",
                  str(tmp_path / "fresh"), "--config", str(ws.config),
                  "--resume"]) == 1
+
+
+def test_train_resume_with_other_model_config_fails(tmp_path, ws, capsys):
+    workdir = tmp_path / "run"
+    shutil.copytree(ws.workdir, workdir)
+    wider = tmp_path / "wider.json"
+    wider.write_text(json.dumps(
+        {**TINY_CONFIG, "model": {**TINY_CONFIG["model"], "ffn_dim": 64}}))
+    assert main(["train", "--corpus", str(ws.corpus), "--workdir", str(workdir),
+                 "--config", str(wider), "--seed", "5", "--resume"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "model_config" in err
 
 
 def test_train_missing_corpus_is_data_error(tmp_path, ws):
@@ -218,6 +233,9 @@ def no_gt_corpus(tmp_path):
 
 def test_eval_without_ground_truth_is_protocol_error(ws, tmp_path, capsys):
     path = no_gt_corpus(tmp_path)
+    # the default metadata strategy rejects its video, which has no task_id
+    assert main(["eval", "--corpus", str(path), "--checkpoint", str(ws.ckpt)]) == 3
+    assert "task_id" in capsys.readouterr().err
     assert main(["eval", "--corpus", str(path), "--checkpoint", str(ws.ckpt),
                  "--task-strategy", "top1"]) == 3
 
@@ -353,3 +371,29 @@ def test_usage_error_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["train", "--corpus", "somewhere"])  # --workdir missing
     assert exc.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# documentation
+
+
+def test_readme_quick_start_runs(tmp_path, monkeypatch, capsys):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Quick start", 1)[1].split("```sh\n", 1)[1]
+    block = block.split("```", 1)[0].replace("\\\n", " ")
+    commands = [shlex.split(line) for line in block.splitlines()
+                if line.strip() and not line.lstrip().startswith("#")]
+    assert [c[:2] for c in commands] == [
+        ["stepalign", cmd] for cmd in ("generate", "train", "eval", "infer")]
+
+    monkeypatch.chdir(tmp_path)
+    Path("tiny.json").write_text(json.dumps(TINY_CONFIG))
+    for argv in commands:
+        argv = argv[1:]
+        if argv[0] in ("generate", "train"):
+            argv += ["--config", "tiny.json"]
+        if "<video-id>" in argv:
+            corpus = Path(argv[argv.index("--corpus") + 1])
+            manifest = json.loads((corpus / "manifest.json").read_text())
+            argv[argv.index("<video-id>")] = manifest["videos"][0]["id"]
+        assert main(argv) == 0, argv

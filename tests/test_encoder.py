@@ -449,8 +449,10 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
     extra = {"opt.m.mlp_v.l1.w": np.random.default_rng(0).normal(size=(4, 6))}
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, {**params, **extra}, meta={"epoch": 3})
+    assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
     arrays, meta = load_checkpoint(path)
     assert meta == {"epoch": 3}
+    assert list(arrays) == list({**params, **extra})  # the caller's order
     for k, p in params.items():
         assert arrays[k].tobytes() == p.data.tobytes()
         assert arrays[k].dtype == np.float32
@@ -467,13 +469,18 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
         assert np.array_equal(x.a_fused, y.a_fused)
 
 
-def test_checkpoint_missing_sidecar(tmp_path):
+def test_checkpoint_truncated_file(tmp_path):
     from stepalign.tensorio import FormatError
     path = tmp_path / "model.ckpt"
-    save_checkpoint(path, {"w": np.ones((1, 1), dtype=np.float32)})
-    path.with_suffix(".ckpt.json").unlink()
-    with pytest.raises(FormatError, match="incomplete"):
-        load_checkpoint(path)
+    save_checkpoint(path, {"w": np.ones((2, 3), dtype=np.float32)})
+    whole = path.read_bytes()
+    for cut, match in [(whole[:-1], "truncated"), (whole[:20], "header"),
+                       (whole + b"\0", "trailing")]:
+        path.write_bytes(cut)
+        with pytest.raises(FormatError, match=match):
+            load_checkpoint(path)
+    with pytest.raises(FormatError):
+        load_checkpoint(tmp_path / "missing.ckpt")
 
 
 def test_detach_params_shares_values_but_not_graph():

@@ -3,6 +3,7 @@
 import json
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -218,9 +219,9 @@ def test_history_schedule_and_structure(tmp_path):
 
 
 def test_checkpoint_reproduces_forward_pass(tmp_path):
-    from stepalign.trainer import _load_train_checkpoint
+    from stepalign.trainer import load_train_checkpoint
     result = run_tiny(seed=2, workdir=tmp_path)
-    params, state, meta = _load_train_checkpoint(tmp_path / "last.ckpt")
+    params, state, meta = load_train_checkpoint(tmp_path / "last.ckpt")
     assert meta["next_epoch"] == 5
     assert state.step == result.opt_state.step
     corpus = tiny_corpus()
@@ -258,6 +259,73 @@ def test_resume_matches_uninterrupted_run(tmp_path):
     for name in straight.params:
         assert np.array_equal(straight.params[name].data,
                               resumed.params[name].data)
+
+
+class Interrupted(Exception):
+    pass
+
+
+def _kill_at_rename(monkeypatch, epoch):
+    """os.replace fails on the given main epoch's checkpoint."""
+    from stepalign import encoder
+    real, calls = encoder.os.replace, []
+
+    def replace_(src, dst):
+        assert (Path(src).name, Path(dst).name) == ("last.ckpt.tmp", "last.ckpt")
+        calls.append(dst)
+        if len(calls) == epoch + 1:
+            raise Interrupted
+        real(src, dst)
+    monkeypatch.setattr(encoder.os, "replace", replace_)
+
+
+def _kill_before_save(monkeypatch, epoch):
+    """The given main epoch logs its line, then dies before its checkpoint."""
+    from stepalign import trainer
+    real = trainer.save_checkpoint
+
+    def save(path, arrays, meta=None):
+        if meta["next_epoch"] == epoch + 1:
+            raise Interrupted
+        real(path, arrays, meta=meta)
+    monkeypatch.setattr(trainer, "save_checkpoint", save)
+
+
+@pytest.mark.parametrize("kill", [_kill_at_rename, _kill_before_save])
+def test_killed_run_resumes_byte_identical(tmp_path, monkeypatch, kill):
+    from stepalign.trainer import load_train_checkpoint
+    straight = run_tiny(seed=4, workdir=tmp_path / "straight")
+    part = tmp_path / "part"
+    kill(monkeypatch, epoch=3)
+    with pytest.raises(Interrupted):
+        run_tiny(seed=4, workdir=part)
+    monkeypatch.undo()
+    # the previous epoch's checkpoint survives and loads
+    assert load_train_checkpoint(part / "last.ckpt")[2]["next_epoch"] == 3
+
+    resumed = run_tiny(seed=4, workdir=part, resume=True)
+    assert ((part / "train_log.jsonl").read_bytes()
+            == (tmp_path / "straight" / "train_log.jsonl").read_bytes())
+    for name, p in straight.params.items():
+        assert p.data.tobytes() == resumed.params[name].data.tobytes()
+
+
+def test_resume_rejects_other_model_config_and_short_log(tmp_path):
+    corpus = tiny_corpus()
+    mc = tiny_model(corpus.dims)
+    cfg = tiny_train_cfg(epochs=2, teacher_pre_epochs=1)
+    pcfg = PseudoConfig(burn_in_epochs=2, refresh_every=2)
+    train(corpus, mc, cfg, LossConfig(), pcfg, workdir=tmp_path)
+    log = tmp_path / "train_log.jsonl"
+    before = log.read_bytes()
+    for change in [dict(ffn_dim=64), dict(dropout=0.1), dict(num_layers=2)]:
+        with pytest.raises(TrainError, match="model_config"):
+            train(corpus, replace(mc, **change), cfg, LossConfig(), pcfg,
+                  workdir=tmp_path, resume=True)
+    assert log.read_bytes() == before
+    log.write_bytes(before[:-1])
+    with pytest.raises(TrainError, match="bytes"):
+        train(corpus, mc, cfg, LossConfig(), pcfg, workdir=tmp_path, resume=True)
 
 
 def test_resume_without_checkpoint_rejected(tmp_path):
