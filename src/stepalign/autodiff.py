@@ -3,7 +3,11 @@
 A Tensor wraps an ndarray and records enough of the expression graph to run
 backpropagation: each op closes over its inputs and knows how to push a
 gradient back through itself. backward() seeds the output gradient and walks
-the graph once in reverse topological order.
+the graph once in reverse topological order, consuming it as it goes: once a
+node has pushed its gradient back, it drops that gradient, its parents and its
+closure, so each activation is freed as soon as nothing downstream needs it.
+Leaves keep their .grad. A graph can therefore be backpropagated only once; a
+second backward() through it raises GradientError.
 
 Kept deliberately small: broadcasting binary ops, matmul, shape ops, the few
 pointwise functions the model needs, and a numerically safe softmax. Anything
@@ -25,6 +29,11 @@ class GradientError(RuntimeError):
     """Raised when a gradient is requested that the graph cannot provide."""
 
 
+def _released(grad) -> None:
+    """Stands in for the closure of a node an earlier backward() consumed."""
+    raise GradientError("graph already released by an earlier backward()")
+
+
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum grad down to shape, undoing numpy broadcasting."""
     if grad.shape == shape:
@@ -39,7 +48,8 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward",
+                 "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data)
@@ -77,6 +87,12 @@ class Tensor:
         self.grad = grad if self.grad is None else self.grad + grad
 
     def backward(self, grad=None) -> None:
+        """Accumulate d(self)/d(leaf) into every leaf's .grad, consuming the graph.
+
+        Each non-leaf node releases its gradient, parents and closure once its
+        closure has run, so the graph cannot be walked a second time: calling
+        backward() again through any part of it raises GradientError.
+        """
         if not self.requires_grad:
             raise GradientError("backward() on a tensor with no recorded graph")
         if grad is None:
@@ -105,9 +121,11 @@ class Tensor:
                     stack.append((p, False))
 
         self._accum(grad)
-        for node in reversed(order):
+        while order:
+            node = order.pop()
             if node._backward is not None:
                 node._backward(node.grad)
+                node.grad, node._parents, node._backward = None, (), _released
 
     # ---- binary ops ----
 

@@ -118,8 +118,11 @@ def cmd_train(args) -> int:
 
     workdir = Path(args.workdir)
     workdir.mkdir(parents=True, exist_ok=True)
-    resolved = dataclasses.replace(config, model=model_config)
-    save_run_config(resolved, workdir / "run_config.json")
+    if not args.resume:
+        # a resume keeps the run_config.json of the run it continues; train()
+        # rejects a model, train, loss or pseudo config other than its checkpoint's
+        resolved = dataclasses.replace(config, model=model_config)
+        save_run_config(resolved, workdir / "run_config.json")
 
     result = train(corpus, model_config, config.train, config.loss,
                    config.pseudo, assignment=assignment,

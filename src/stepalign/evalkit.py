@@ -14,7 +14,6 @@ from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .corpus.records import Segment, VideoRecord
 from .encoder import AlignmentSet
@@ -145,18 +144,23 @@ def narration_recall_at_1(a_nv: np.ndarray,
 def alignability_auc(scores: Sequence[float], labels: Sequence[bool]) -> float:
     """ROC-AUC via the rank statistic; tied scores count half.
 
-    Needs at least one positive and one negative, otherwise the quantity is
-    undefined and we refuse to guess.
+    Needs finite scores and at least one positive and one negative, otherwise
+    the quantity is undefined and we refuse to guess.
     """
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels, dtype=bool)
     if scores.shape != labels.shape or scores.ndim != 1:
         raise EvalError("scores and labels must be equal-length vectors")
+    if not np.isfinite(scores).all():
+        raise EvalError("AUC undefined for non-finite scores")
     n_pos = int(labels.sum())
     n_neg = labels.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise EvalError(f"AUC undefined with {n_pos} positives, {n_neg} negatives")
-    ranks = rankdata(scores)  # average ranks implement the tie = 1/2 convention
+    # average ranks implement the tie = 1/2 convention: a group of c tied
+    # scores ending at rank e (1-based) shares rank e - (c - 1) / 2
+    _, group, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    ranks = (np.cumsum(counts) - (counts - 1) / 2.0)[group]
     u = ranks[labels].sum() - n_pos * (n_pos + 1) / 2.0
     return float(u / (n_pos * n_neg))
 

@@ -246,6 +246,9 @@ def train(corpus: Corpus, model_config: ModelConfig, train_cfg: TrainConfig,
             with open(log_path, "a") as f:
                 f.write(json.dumps(entry) + "\n")
 
+    # recorded in every checkpoint; a resume must match all four
+    configs = {"model_config": model_config, "train_config": train_cfg,
+               "loss_config": loss_cfg, "pseudo_config": pseudo_cfg}
     steps_per_epoch = math.ceil(len(corpus.videos) / train_cfg.batch_size)
     main_total = train_cfg.epochs * steps_per_epoch
 
@@ -259,12 +262,14 @@ def train(corpus: Corpus, model_config: ModelConfig, train_cfg: TrainConfig,
         if not ckpt.exists():
             raise TrainError(f"resume requested but {ckpt} does not exist")
         params, state, meta = load_train_checkpoint(ckpt)
-        saved = meta.get("model_config") or {}
-        expected = json.loads(json.dumps(asdict(model_config)))  # meta is JSON
-        differ = [f"{k} {saved.get(k)} != {v}" for k, v in expected.items()
-                  if saved.get(k) != v]
+        differ = []
+        for key, cfg in configs.items():
+            saved = meta.get(key) or {}
+            expected = json.loads(json.dumps(asdict(cfg)))  # meta is JSON
+            differ += [f"{key}.{k} {saved.get(k)} != {v}"
+                       for k, v in expected.items() if saved.get(k) != v]
         if differ:
-            raise TrainError(f"{ckpt} was saved with another model_config "
+            raise TrainError(f"{ckpt} was saved with other configs "
                              f"(checkpoint != this run): {', '.join(differ)}")
         # drop log lines of an epoch that was killed before its checkpoint
         log_size = log_path.stat().st_size if log_path.exists() else 0
@@ -332,7 +337,7 @@ def train(corpus: Corpus, model_config: ModelConfig, train_cfg: TrainConfig,
             _save_train_checkpoint(workdir / "last.ckpt", params, state, {
                 "next_epoch": epoch + 1,
                 "labels_file": labels_file,
-                "model_config": asdict(model_config),
+                **{key: asdict(cfg) for key, cfg in configs.items()},
                 "log_bytes": log_path.stat().st_size,
             })
 

@@ -1,5 +1,7 @@
 """Reverse-mode engine: closed-form gradients, finite differences, broadcasting."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -157,3 +159,48 @@ def test_deep_chain_avoids_recursion_limit():
         y = y + 0.001
     y.sum().backward()
     assert x.grad.tolist() == [1.0]
+
+
+def test_backward_releases_intermediates():
+    x = Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
+    w = Tensor(np.array([0.5, 0.25, 2.0]), requires_grad=True)
+    hidden = gelu(x * w)
+    probe = weakref.ref(hidden)
+    loss = (hidden * hidden).sum()
+    del hidden
+    assert probe() is not None  # the graph still holds it before backward
+    loss.backward()
+    assert probe() is None
+
+
+def test_release_keeps_leaf_gradients():
+    rng = np.random.default_rng(3)
+    a_data, b_data = rng.normal(size=(4, 3)), rng.normal(size=(3, 5))
+    a = Tensor(a_data.copy(), requires_grad=True)
+    b = Tensor(b_data.copy(), requires_grad=True)
+    grads = []
+    for _ in range(2):  # leaves outlive each graph, like parameters across steps
+        a.grad = b.grad = None
+        (softmax(a @ b, axis=-1) * (a @ b)).sum().backward()
+        grads.append((a.grad, b.grad))
+    assert all(np.array_equal(g, h) for g, h in zip(*grads))
+    # closed form of the same expression, written out by hand
+    z = a_data @ b_data
+    p = np.exp(z - z.max(axis=-1, keepdims=True))
+    p /= p.sum(axis=-1, keepdims=True)
+    dz = p + p * (z - (p * z).sum(axis=-1, keepdims=True))
+    np.testing.assert_allclose(a.grad, dz @ b_data.T, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(b.grad, a_data.T @ dz, rtol=1e-12, atol=1e-12)
+
+
+def test_second_backward_raises():
+    x = Tensor(np.array([2.0, 3.0]), requires_grad=True)
+    y = x * x
+    loss = y.sum()
+    loss.backward()
+    assert x.grad.tolist() == [4.0, 6.0]
+    with pytest.raises(GradientError, match="already released"):
+        loss.backward()
+    # a new loss built on a released node is refused too, not zero-filled
+    with pytest.raises(GradientError, match="already released"):
+        (y * 2.0).sum().backward()

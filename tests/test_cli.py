@@ -141,6 +141,20 @@ def test_train_resume_with_other_model_config_fails(tmp_path, ws, capsys):
     assert err.startswith("error:") and "model_config" in err
 
 
+@pytest.mark.parametrize("seed, ffn_dim", [("6", 32), ("5", 64)])
+def test_rejected_resume_leaves_run_config(tmp_path, ws, capsys, seed, ffn_dim):
+    workdir = tmp_path / "run"
+    shutil.copytree(ws.workdir, workdir)
+    before = (workdir / "run_config.json").read_bytes()
+    other = tmp_path / "other.json"
+    other.write_text(json.dumps(
+        {**TINY_CONFIG, "model": {**TINY_CONFIG["model"], "ffn_dim": ffn_dim}}))
+    assert main(["train", "--corpus", str(ws.corpus), "--workdir", str(workdir),
+                 "--config", str(other), "--seed", seed, "--resume"]) == 1
+    assert "checkpoint != this run" in capsys.readouterr().err
+    assert (workdir / "run_config.json").read_bytes() == before
+
+
 def test_train_missing_corpus_is_data_error(tmp_path, ws):
     assert main(["train", "--corpus", str(tmp_path / "nowhere"),
                  "--workdir", str(tmp_path / "w"),

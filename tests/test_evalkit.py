@@ -1,10 +1,15 @@
 """Grounding metrics: IoU, blob proposals, recalls, AUC, and aggregation."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import stepalign
 from stepalign.corpus import Segment
 from stepalign.encoder import AlignmentSet
 from stepalign.evalkit import (
@@ -258,6 +263,36 @@ def test_auc_closed_forms():
     assert alignability_auc([0.9, 0.7, 0.4, 0.2], [1, 0, 1, 0]) == 0.75
     assert alignability_auc([0.1, 0.2], [0, 1]) == 1.0
     assert alignability_auc([0.2, 0.1], [0, 1]) == 0.0
+
+
+def test_auc_ranks_match_scipy_rankdata():
+    from scipy.stats import rankdata
+    rng = np.random.default_rng(11)
+    for n in (2, 7, 40):
+        scores = rng.integers(0, 4, size=n).astype(float)  # heavy ties
+        ranks = rankdata(scores)
+        # one positive at i gives AUC = (rank_i - 1) / n_neg, so every rank shows
+        for i in range(n):
+            labels = np.arange(n) == i
+            assert alignability_auc(scores, labels) == (ranks[i] - 1) / (n - 1)
+        labels = rng.random(n) < 0.5
+        labels[:2] = [True, False]
+        n_pos = labels.sum()
+        u = ranks[labels].sum() - n_pos * (n_pos + 1) / 2.0
+        assert alignability_auc(scores, labels) == u / (n_pos * (n - n_pos))
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    code = "import stepalign, sys; assert 'scipy.stats' not in sys.modules"
+    src = Path(stepalign.__file__).resolve().parent.parent
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env={**os.environ, "PYTHONPATH": str(src)})
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_auc_non_finite_scores_rejected(bad):
+    with pytest.raises(EvalError, match="non-finite"):
+        alignability_auc([0.1, bad, 0.3], [1, 0, 0])
 
 
 def test_auc_single_class_rejected():

@@ -183,6 +183,19 @@ def test_same_seed_runs_are_identical():
         assert a.params[name].data.tobytes() == b.params[name].data.tobytes()
 
 
+def test_fresh_runs_agree_bit_for_bit_with_dropout():
+    # backward frees the graph while it walks it; the updates must not move
+    corpus = tiny_corpus()
+    mc = replace(tiny_model(corpus.dims), dropout=0.1)
+    runs = [train(corpus, mc, tiny_train_cfg(epochs=2, teacher_pre_epochs=1, seed=8),
+                  LossConfig(), PseudoConfig(burn_in_epochs=1, refresh_every=1))
+            for _ in range(2)]
+    assert runs[0].opt_state.step == runs[1].opt_state.step > 0
+    for name, p in runs[0].params.items():
+        assert np.array_equal(p.data, runs[1].params[name].data)
+        assert np.array_equal(runs[0].opt_state.v[name], runs[1].opt_state.v[name])
+
+
 def test_loss_decreases_on_noiseless_corpus():
     ok = 0
     for seed in range(5):
@@ -326,6 +339,28 @@ def test_resume_rejects_other_model_config_and_short_log(tmp_path):
     log.write_bytes(before[:-1])
     with pytest.raises(TrainError, match="bytes"):
         train(corpus, mc, cfg, LossConfig(), pcfg, workdir=tmp_path, resume=True)
+
+
+def test_resume_rejects_other_train_loss_or_pseudo_config(tmp_path):
+    corpus = tiny_corpus()
+    mc = tiny_model(corpus.dims)
+    cfg = tiny_train_cfg(epochs=2, teacher_pre_epochs=1, seed=5)
+    pcfg = PseudoConfig(burn_in_epochs=2, refresh_every=2)
+    train(corpus, mc, cfg, LossConfig(), pcfg, workdir=tmp_path)
+    log = tmp_path / "train_log.jsonl"
+    before = log.read_bytes()
+    others = [(replace(cfg, seed=6), LossConfig(), pcfg, "train_config.seed 5 != 6"),
+              (replace(cfg, eval_every=2), LossConfig(), pcfg, "train_config.eval_every"),
+              (cfg, LossConfig(eta=0.5), pcfg, "loss_config.eta"),
+              (cfg, LossConfig(), replace(pcfg, zeta=0.5), "pseudo_config.zeta")]
+    for train_cfg, loss_cfg, pseudo_cfg, field_name in others:
+        with pytest.raises(TrainError, match=field_name):
+            train(corpus, mc, train_cfg, loss_cfg, pseudo_cfg, workdir=tmp_path,
+                  resume=True)
+    assert log.read_bytes() == before
+    # the same configs resume: nothing is left to run, nothing is logged
+    done = train(corpus, mc, cfg, LossConfig(), pcfg, workdir=tmp_path, resume=True)
+    assert done.history == [] and log.read_bytes() == before
 
 
 def test_resume_without_checkpoint_rejected(tmp_path):
