@@ -1,17 +1,17 @@
 """Reverse-mode automatic differentiation over numpy arrays.
 
 A Tensor wraps an ndarray and records enough of the expression graph to run
-backpropagation: each op closes over its inputs and knows how to push a
-gradient back through itself. backward() seeds the output gradient and walks
-the graph once in reverse topological order, consuming it as it goes: once a
-node has pushed its gradient back, it drops that gradient, its parents and its
-closure, so each activation is freed as soon as nothing downstream needs it.
-Leaves keep their .grad. A graph can therefore be backpropagated only once; a
-second backward() through it raises GradientError.
+backpropagation: each op closes over its inputs and pushes a gradient back
+only into those that require one. backward() seeds the output gradient and
+walks the graph once in reverse topological order, consuming it: once a node
+has pushed its gradient back, it drops that gradient, its parents and its
+closure, so each activation is freed once nothing downstream needs it. Leaves
+keep their .grad; a second backward() through a graph raises GradientError.
 
-Kept deliberately small: broadcasting binary ops, matmul, shape ops, the few
-pointwise functions the model needs, and a numerically safe softmax. Anything
-fancier belongs in the calling code.
+Kept deliberately small: broadcasting binary ops (subtraction is one, not an
+add of a negation), matmul, shape ops, the few pointwise functions the model
+needs, and a numerically safe softmax. Anything fancier belongs in the
+calling code.
 """
 
 from __future__ import annotations
@@ -129,13 +129,19 @@ class Tensor:
 
     # ---- binary ops ----
 
+    def _binary(self, other: "Tensor", data, grad_self, grad_other) -> "Tensor":
+        """Node for a binary op; grad_self/grad_other map the output gradient to
+        that operand's, and run only for an operand that requires a gradient."""
+        def back(g):
+            if self.requires_grad:
+                self._accum(_unbroadcast(grad_self(g), self.shape))
+            if other.requires_grad:
+                other._accum(_unbroadcast(grad_other(g), other.shape))
+        return Tensor._result(data, (self, other), back)
+
     def __add__(self, other):
         other = as_tensor(other)
-
-        def back(g):
-            self._accum(_unbroadcast(g, self.shape))
-            other._accum(_unbroadcast(g, other.shape))
-        return Tensor._result(self.data + other.data, (self, other), back)
+        return self._binary(other, self.data + other.data, lambda g: g, lambda g: g)
 
     __radd__ = __add__
 
@@ -145,28 +151,24 @@ class Tensor:
         return Tensor._result(-self.data, (self,), back)
 
     def __sub__(self, other):
-        return self + (-as_tensor(other))
+        other = as_tensor(other)
+        return self._binary(other, self.data - other.data, lambda g: g, np.negative)
 
     def __rsub__(self, other):
-        return as_tensor(other) + (-self)
+        return as_tensor(other) - self
 
     def __mul__(self, other):
         other = as_tensor(other)
-
-        def back(g):
-            self._accum(_unbroadcast(g * other.data, self.shape))
-            other._accum(_unbroadcast(g * self.data, other.shape))
-        return Tensor._result(self.data * other.data, (self, other), back)
+        return self._binary(other, self.data * other.data,
+                            lambda g: g * other.data, lambda g: g * self.data)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         other = as_tensor(other)
-
-        def back(g):
-            self._accum(_unbroadcast(g / other.data, self.shape))
-            other._accum(_unbroadcast(-g * self.data / (other.data ** 2), other.shape))
-        return Tensor._result(self.data / other.data, (self, other), back)
+        return self._binary(other, self.data / other.data,
+                            lambda g: g / other.data,
+                            lambda g: -g * self.data / (other.data ** 2))
 
     def __rtruediv__(self, other):
         return as_tensor(other) / self
@@ -183,11 +185,9 @@ class Tensor:
         other = as_tensor(other)
         if self.ndim < 2 or other.ndim < 2:
             raise GradientError("matmul needs operands with at least 2 dims")
-
-        def back(g):
-            self._accum(_unbroadcast(g @ other.data.swapaxes(-1, -2), self.shape))
-            other._accum(_unbroadcast(self.data.swapaxes(-1, -2) @ g, other.shape))
-        return Tensor._result(self.data @ other.data, (self, other), back)
+        return self._binary(other, self.data @ other.data,
+                            lambda g: g @ other.data.swapaxes(-1, -2),
+                            lambda g: self.data.swapaxes(-1, -2) @ g)
 
     # ---- shape ops ----
 
@@ -265,7 +265,8 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
 
     def back(g):
         for t, piece in zip(tensors, np.split(g, splits, axis=axis)):
-            t._accum(piece)
+            if t.requires_grad:
+                t._accum(piece)
     return Tensor._result(np.concatenate([t.data for t in tensors], axis=axis),
                           tensors, back)
 
@@ -285,6 +286,5 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Shift-stabilized softmax; the subtracted max is a constant, which is
     exact because softmax is invariant to a per-row shift."""
     x = as_tensor(x)
-    shifted = x - Tensor(np.max(x.data, axis=axis, keepdims=True))
-    e = shifted.exp()
+    e = (x - np.max(x.data, axis=axis, keepdims=True)).exp()
     return e / e.sum(axis=axis, keepdims=True)

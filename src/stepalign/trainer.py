@@ -154,11 +154,12 @@ def label_corpus(params, model_config: ModelConfig, corpus: Corpus,
     return generate_pseudolabels(sets, pseudo_config, meta=meta)
 
 
-def _epoch_eval(params, model_config, corpus, batch_size, max_frames,
-                assignment) -> dict[str, float]:
+def _epoch_eval(params, model_config, corpus, batch_size) -> dict[str, float]:
+    """Score corpus the way `stepalign eval` does: whole videos up to the
+    model's max_frames, articles from the task metadata."""
     reports = []
-    for batch in batch_iter(corpus, batch_size, max_frames, None,
-                            LabelSource.ASR_TIMESTAMPS, assignment=assignment):
+    for batch in batch_iter(corpus, batch_size, model_config.max_frames, None,
+                            LabelSource.ASR_TIMESTAMPS):
         for alignment in forward(params, model_config, batch):
             video = corpus.video_by_id(alignment.video_id)
             if video.gt_step_segments is None:
@@ -328,8 +329,7 @@ def train(corpus: Corpus, model_config: ModelConfig, train_cfg: TrainConfig,
                  "pseudo_coverage": labels.coverage(), **stats}
         if eval_corpus is not None and (epoch + 1) % train_cfg.eval_every == 0:
             metrics = _epoch_eval(params, model_config, eval_corpus,
-                                  train_cfg.batch_size, train_cfg.max_frames,
-                                  None)
+                                  train_cfg.batch_size)
             entry.update({f"eval_{k}": v for k, v in metrics.items()})
         emit(entry)
 

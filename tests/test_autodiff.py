@@ -6,6 +6,10 @@ import numpy as np
 import pytest
 
 from stepalign.autodiff import GradientError, Tensor, concat, gelu, softmax
+from stepalign.corpus import SynthConfig, generate_synthetic
+from stepalign.corpus.batching import LabelSource, batch_iter
+from stepalign.encoder import ModelConfig, forward_batch, init_params
+from stepalign.objective import LossConfig, gradients, total_loss
 
 
 def numeric_grad(f, x, eps=1e-6):
@@ -204,3 +208,61 @@ def test_second_backward_raises():
     # a new loss built on a released node is refused too, not zero-filled
     with pytest.raises(GradientError, match="already released"):
         (y * 2.0).sum().backward()
+
+
+@pytest.mark.parametrize("build", [
+    lambda x, c: x + c,
+    lambda x, c: x * c,
+    lambda x, c: x / c,
+    lambda x, c: x @ c,
+    lambda x, c: concat([x, c], axis=1),
+], ids=["add", "mul", "div", "matmul", "concat"])
+def test_constant_operand_gets_no_gradient(build):
+    x = Tensor(np.ones((3, 3)), requires_grad=True)
+    c = Tensor(np.full((3, 3), 2.0))
+    build(x, c).sum().backward()
+    assert x.grad is not None
+    assert c.grad is None
+
+
+def test_training_step_accumulates_only_into_tensors_that_require_grad(monkeypatch):
+    # curriculum sizes: masks, attention biases, dropout keeps, loss weights
+    # and the input features all enter the graph as constant operands
+    corpus = generate_synthetic(SynthConfig(num_tasks=4, videos_per_task=25, seed=7))
+    mc = ModelConfig(feature_dims=corpus.dims, model_dim=64, num_layers=2,
+                     num_heads=4, dropout=0.1)
+    params = init_params(mc, 7)
+    batch = next(batch_iter(corpus, 8, 128, 7, LabelSource.ASR_TIMESTAMPS))
+    calls = {True: 0, False: 0}
+    accum = Tensor._accum
+
+    def counting_accum(self, grad):
+        calls[bool(self.requires_grad)] += 1
+        accum(self, grad)
+    monkeypatch.setattr(Tensor, "_accum", counting_accum)
+    alignments = forward_batch(params, mc, batch,
+                               dropout_rng=np.random.default_rng(7))
+    loss, _ = total_loss(alignments, batch, LossConfig())
+    gradients(loss, params)
+    assert calls[True] > 0 and calls[False] == 0
+    assert all(p.grad is not None for p in params.values())
+
+
+def test_subtraction_is_one_node_with_exact_gradients(monkeypatch):
+    rng = np.random.default_rng(4)
+    a = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    b = Tensor(rng.normal(size=(3, 1)), requires_grad=True)
+    nodes = []
+    make = Tensor._result.__func__
+
+    def counting_result(cls, data, parents, backward):
+        nodes.append(data.shape)
+        return make(cls, data, parents, backward)
+    monkeypatch.setattr(Tensor, "_result", classmethod(counting_result))
+    out = a - b
+    monkeypatch.undo()
+    assert nodes == [(3, 4)] and np.array_equal(out.data, a.data - b.data)
+    seed = rng.normal(size=(3, 4))
+    out.backward(seed)
+    assert np.array_equal(a.grad, seed)
+    assert np.array_equal(b.grad, -seed.sum(axis=1, keepdims=True))

@@ -10,6 +10,10 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
+from stepalign.autodiff import Tensor
+
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
 
@@ -39,3 +43,18 @@ def test_benchmark_bindings_resolve():
         if cls is None or meth not in vars(cls):
             missing.append(f"{m}.{c}.{meth}")
     assert not missing, f"perfbench binds names that no longer exist: {missing}"
+
+
+def test_tracer_counts_every_autodiff_node():
+    # the tracer counts nodes through Tensor._result and matmuls through
+    # Tensor.__matmul__, so every op must still build its node through them
+    tracer = _load_tracer()
+    rng = np.random.default_rng(0)
+    a = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    b = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
+    c = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
+    with tracer.Tracer() as t:
+        (a @ b - c).sum().backward()
+    assert t.counts["matmuls"] == 1
+    assert t.counts["nodes"] == 3  # matmul, subtraction, sum
+    assert a.grad.shape == (3, 4) and c.grad.shape == (3, 2)

@@ -178,6 +178,35 @@ def test_eval_reports_metrics(ws, capsys):
         assert ratio.startswith("(") and "/" in ratio
 
 
+def test_train_log_eval_matches_cli_eval(tmp_path, capsys):
+    # eval videos longer than train.max_frames: the per-epoch eval in the log
+    # must score them whole, as `stepalign eval` does on the same checkpoint
+    long_videos = {
+        **TINY_CONFIG,
+        "corpus": {**TINY_CONFIG["corpus"], "frames_range": [150, 220]},
+        "model": {**TINY_CONFIG["model"], "max_frames": 256},
+        "train": {**TINY_CONFIG["train"], "epochs": 1},
+        "pseudo": {"burn_in_epochs": 1, "refresh_every": 1},
+    }
+    cfg = tmp_path / "long.json"
+    cfg.write_text(json.dumps(long_videos))
+    data, workdir = tmp_path / "data", tmp_path / "run"
+    assert main(["generate", "--out", str(data), "--config", str(cfg),
+                 "--seed", "3", "--holdout-fraction", "0.5"]) == 0
+    assert main(["train", "--corpus", str(data / "train"), "--workdir",
+                 str(workdir), "--config", str(cfg),
+                 "--eval-corpus", str(data / "eval")]) == 0
+    capsys.readouterr()
+    assert main(["eval", "--corpus", str(data / "eval"), "--checkpoint",
+                 str(workdir / "last.ckpt"), "--batch-size",
+                 str(long_videos["train"]["batch_size"])]) == 0
+    printed = {l.split()[0]: l.split()[1]
+               for l in capsys.readouterr().out.splitlines() if l}
+    logged = json.loads((workdir / "train_log.jsonl").read_text().splitlines()[-1])
+    assert "step_r1" in printed
+    assert printed == {name: f"{logged['eval_' + name]:.6f}" for name in printed}
+
+
 def test_eval_deterministic_and_matrix_choice(ws, capsys):
     args = ["eval", "--corpus", str(ws.corpus), "--checkpoint", str(ws.ckpt)]
     assert main(args) == 0
@@ -391,9 +420,11 @@ def test_usage_error_exits_two():
 # documentation
 
 
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
 def test_readme_quick_start_runs(tmp_path, monkeypatch, capsys):
-    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
-    block = readme.split("## Quick start", 1)[1].split("```sh\n", 1)[1]
+    block = README.read_text().split("## Quick start", 1)[1].split("```sh\n", 1)[1]
     block = block.split("```", 1)[0].replace("\\\n", " ")
     commands = [shlex.split(line) for line in block.splitlines()
                 if line.strip() and not line.lstrip().startswith("#")]
@@ -411,3 +442,10 @@ def test_readme_quick_start_runs(tmp_path, monkeypatch, capsys):
             manifest = json.loads((corpus / "manifest.json").read_text())
             argv[argv.index("<video-id>")] = manifest["videos"][0]["id"]
         assert main(argv) == 0, argv
+
+
+def test_readme_config_example_loads():
+    block = README.read_text().split("## Configuration", 1)[1]
+    block = block.split("```json\n", 1)[1].split("```", 1)[0]
+    config = run_config_from_dict(json.loads(block), where="README")
+    assert config.model.xi == 0.07 and config.loss.eta == 0.07
