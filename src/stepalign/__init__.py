@@ -11,13 +11,13 @@ from .encoder import (AlignmentSet, ModelConfig, ModelError, forward,
 from .evalkit import (MetricReport, alignability_auc, blob_detect,
                       evaluate_predictions, evaluate_video, interval_iou,
                       merge_reports, read_predictions)
-from .objective import LossConfig, LossReport, info_nce, total_loss
+from .objective import LossConfig, info_nce, total_loss
 from .pseudolabel import (PseudoConfig, PseudoLabel, PseudoLabelSet,
                           extract_segment, generate_pseudolabels,
                           teacher_action)
-from .taskselect import (PrecomputedEmbedder, TaskRanking, TrigramEmbedder,
-                         assign_articles, rank_tasks)
-from .trainer import (OptimizerState, TrainConfig, TrainResult, adamw_step,
-                      cosine_lr, label_corpus, train)
+from .taskselect import (PrecomputedEmbedder, TrigramEmbedder, assign_articles,
+                         rank_tasks)
+from .trainer import (OptimizerState, TrainConfig, adamw_step, cosine_lr,
+                      label_corpus, train)
 
 __version__ = "0.1.0"

@@ -10,8 +10,9 @@ keep their .grad; a second backward() through a graph raises GradientError.
 
 Kept deliberately small: broadcasting binary ops (subtraction is one, not an
 add of a negation), matmul, shape ops, the few pointwise functions the model
-needs, and a numerically safe softmax. Anything fancier belongs in the
-calling code.
+needs, and masked_softmax, one node for softmax(x * scale + bias) that keeps
+only its input alive and recomputes the exponentials in backward. Anything
+fancier belongs in the calling code.
 """
 
 from __future__ import annotations
@@ -282,9 +283,32 @@ def gelu(x: Tensor) -> Tensor:
     return Tensor._result(x.data * cdf, (x,), back)
 
 
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Shift-stabilized softmax; the subtracted max is a constant, which is
-    exact because softmax is invariant to a per-row shift."""
+def masked_softmax(x: Tensor, scale, bias) -> Tensor:
+    """softmax(x * scale + bias) over the last axis, as one node.
+
+    bias is a constant broadcast against x, e.g. MASK_FILL on blocked keys.
+    Rows are shifted by their max, which softmax is invariant to. Forward
+    shifts, exponentiates and normalizes in the buffer it returns; the node
+    keeps only x alive, and backward recomputes the exponentials from x.data.
+    Both directions do the arithmetic of the composed generic ops
+    ((x * scale + bias - max).exp(), then e / e.sum()) in the same order, so
+    they match those ops bit for bit.
+    """
     x = as_tensor(x)
-    e = (x - np.max(x.data, axis=axis, keepdims=True)).exp()
-    return e / e.sum(axis=axis, keepdims=True)
+    scale = np.asarray(scale)  # 0-d array: promotes x like a Tensor constant
+
+    def exps():
+        z = x.data * scale
+        z += bias
+        z -= z.max(axis=-1, keepdims=True)
+        np.exp(z, out=z)
+        return z, z.sum(axis=-1, keepdims=True)
+
+    out, total = exps()
+    out /= total
+
+    def back(g):
+        e, s = exps()
+        ge = g / s + (-g * e / s ** 2).sum(axis=-1, keepdims=True)
+        x._accum(ge * e * scale)
+    return Tensor._result(out, (x,), back)

@@ -24,11 +24,12 @@ from .corpus import (Corpus, CorpusError, LabelSource, VideoRecord,
                      split_corpus, write_corpus)
 from .encoder import ModelConfig, ModelError, forward
 from .evalkit import (EvalError, blob_detect, evaluate_predictions,
-                      evaluate_video, merge_reports, read_predictions)
+                      merge_reports, read_predictions)
 from .pseudolabel import PseudoError
 from .taskselect import TaskSelectError, assign_articles
 from .tensorio import FormatError
-from .trainer import TrainError, load_train_checkpoint, train
+from .trainer import (TrainError, evaluate_corpus, load_train_checkpoint,
+                      train)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -145,19 +146,9 @@ def _eval_model(args, corpus: Corpus) -> dict:
     assignment = assign_articles(corpus, args.task_strategy)
     if not any(v.gt_step_segments for v in corpus.videos):
         raise ProtocolError("corpus carries no step ground truth to score against")
-
-    per_video: dict[str, dict] = {}
-    for batch in batch_iter(corpus, args.batch_size, model_config.max_frames,
-                            None, LabelSource.ASR_TIMESTAMPS,
-                            assignment=assignment):
-        for alignment in forward(params, model_config, batch):
-            video = corpus.video_by_id(alignment.video_id)
-            if video.gt_step_segments is None:
-                continue
-            per_video[video.id] = evaluate_video(
-                alignment, video, matrix=args.matrix, ks=args.k,
-                iou_thresholds=args.iou)
-    return per_video
+    return evaluate_corpus(params, model_config, corpus, args.batch_size,
+                           matrix=args.matrix, ks=args.k,
+                           iou_thresholds=args.iou, assignment=assignment)
 
 
 def cmd_eval(args) -> int:

@@ -26,7 +26,7 @@ from typing import Mapping, Optional
 import numpy as np
 
 from . import tensorio
-from .autodiff import Tensor, concat, gelu, softmax
+from .autodiff import Tensor, concat, gelu, masked_softmax
 from .corpus.batching import Batch
 
 LAYERNORM_EPS = 1e-5
@@ -204,10 +204,9 @@ def _attention(params, name: str, x: Tensor, key_mask: np.ndarray,
     q = heads(_linear(params, f"{name}.wq", x))
     k = heads(_linear(params, f"{name}.wk", x))
     v = heads(_linear(params, f"{name}.wv", x))
-    scores = (q @ k.swapaxes(-1, -2)) * (1.0 / np.sqrt(dh))
     bias = np.where(key_mask, 0.0, MASK_FILL).astype(x.dtype)
-    scores = scores + Tensor(bias[:, None, None, :])
-    attn = softmax(scores, axis=-1)
+    attn = masked_softmax(q @ k.swapaxes(-1, -2), 1.0 / np.sqrt(dh),
+                          bias[:, None, None, :])
     out = (attn @ v).swapaxes(1, 2).reshape(b, n_tok, d)
     return _linear(params, f"{name}.wo", out)
 
@@ -272,7 +271,7 @@ def indirect_alignment(a_sn: Tensor, a_nv: Tensor, narration_mask: np.ndarray,
     exactly zero weight by the additive mask.
     """
     bias = np.where(narration_mask, 0.0, MASK_FILL).astype(a_sn.dtype)
-    weights = softmax(a_sn * (1.0 / xi) + Tensor(bias[:, None, :]), axis=-1)
+    weights = masked_softmax(a_sn, 1.0 / xi, bias[:, None, :])
     return weights @ a_nv
 
 

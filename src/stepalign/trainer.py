@@ -17,7 +17,7 @@ import math
 import os
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Mapping, Optional
+from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from .corpus.records import Corpus
 from .encoder import (ModelConfig, detach_params, forward, forward_batch,
                       init_params, load_checkpoint, params_from_arrays,
                       save_checkpoint)
-from .evalkit import evaluate_video, merge_reports
+from .evalkit import MetricReport, evaluate_video, merge_reports
 from .objective import LossConfig, gradients, total_loss
 from .pseudolabel import (PseudoConfig, PseudoLabelSet, TeacherAction,
                           generate_pseudolabels, teacher_action)
@@ -154,19 +154,28 @@ def label_corpus(params, model_config: ModelConfig, corpus: Corpus,
     return generate_pseudolabels(sets, pseudo_config, meta=meta)
 
 
-def _epoch_eval(params, model_config, corpus, batch_size) -> dict[str, float]:
-    """Score corpus the way `stepalign eval` does: whole videos up to the
-    model's max_frames, articles from the task metadata."""
-    reports = []
+def evaluate_corpus(params, model_config: ModelConfig, corpus: Corpus,
+                    batch_size: int, *, matrix: str = "fused",
+                    ks: Sequence[int] = (1,),
+                    iou_thresholds: Sequence[float] = (0.5,),
+                    assignment: Optional[Mapping[str, str]] = None,
+                    ) -> dict[str, dict[str, MetricReport]]:
+    """Grounding metrics of every video with step ground truth, by video id.
+
+    Whole videos up to the model's max_frames are scored; articles come from
+    assignment, or from the task metadata when it is None. train() logs the
+    merged defaults after each eval epoch and `stepalign eval` prints them.
+    """
+    per_video: dict[str, dict[str, MetricReport]] = {}
     for batch in batch_iter(corpus, batch_size, model_config.max_frames, None,
-                            LabelSource.ASR_TIMESTAMPS):
+                            LabelSource.ASR_TIMESTAMPS, assignment=assignment):
         for alignment in forward(params, model_config, batch):
             video = corpus.video_by_id(alignment.video_id)
-            if video.gt_step_segments is None:
-                continue
-            reports.append(evaluate_video(alignment, video))
-    merged = merge_reports(r for d in reports for r in d.values())
-    return {name: report.value for name, report in merged.items()}
+            if video.gt_step_segments is not None:
+                per_video[video.id] = evaluate_video(
+                    alignment, video, matrix=matrix, ks=ks,
+                    iou_thresholds=iou_thresholds)
+    return per_video
 
 
 def _run_epoch(params, model_config, corpus, train_cfg: TrainConfig,
@@ -328,9 +337,10 @@ def train(corpus: Corpus, model_config: ModelConfig, train_cfg: TrainConfig,
         entry = {"stage": "main", "epoch": epoch, "teacher": action.value,
                  "pseudo_coverage": labels.coverage(), **stats}
         if eval_corpus is not None and (epoch + 1) % train_cfg.eval_every == 0:
-            metrics = _epoch_eval(params, model_config, eval_corpus,
-                                  train_cfg.batch_size)
-            entry.update({f"eval_{k}": v for k, v in metrics.items()})
+            per_video = evaluate_corpus(params, model_config, eval_corpus,
+                                        train_cfg.batch_size)
+            merged = merge_reports(r for d in per_video.values() for r in d.values())
+            entry.update({f"eval_{k}": r.value for k, r in merged.items()})
         emit(entry)
 
         if workdir is not None:

@@ -5,10 +5,11 @@ import weakref
 import numpy as np
 import pytest
 
-from stepalign.autodiff import GradientError, Tensor, concat, gelu, softmax
+from stepalign.autodiff import (GradientError, Tensor, concat, gelu,
+                                masked_softmax)
 from stepalign.corpus import SynthConfig, generate_synthetic
 from stepalign.corpus.batching import LabelSource, batch_iter
-from stepalign.encoder import ModelConfig, forward_batch, init_params
+from stepalign.encoder import MASK_FILL, ModelConfig, forward_batch, init_params
 from stepalign.objective import LossConfig, gradients, total_loss
 
 
@@ -58,11 +59,14 @@ def test_sum_of_squares_gradient_exact():
     lambda t: (t.exp()).mean(),
     lambda t: ((t * t + 0.1).log()).sum(),
     lambda t: gelu(t).sum(),
-    lambda t: softmax(t, axis=-1).__getitem__((0, 1)).sum(),
-    lambda t: (softmax(t, axis=-1) * softmax(t, axis=-1)).sum(),
+    lambda t: masked_softmax(t, 1.0, 0.0).__getitem__((0, 1)).sum(),
+    lambda t: (masked_softmax(t, 1.0, 0.0) * masked_softmax(t, 1.0, 0.0)).sum(),
     lambda t: t.swapaxes(0, 1).reshape(12).__getitem__(slice(2, 9)).sum(),
     lambda t: t.mean(axis=0).sum(),
     lambda t: t.sum(axis=1, keepdims=True).mean(),
+    # a masked column, a scale and a bias that is not a mask
+    lambda t: (masked_softmax(t, 0.5, np.array([0.0, MASK_FILL, 0.3, 0.0]))
+               * Tensor(np.arange(12.0).reshape(3, 4))).sum(),
 ])
 def test_op_gradients_match_finite_differences(build):
     check_grad(build, (3, 4))
@@ -118,13 +122,59 @@ def test_reuse_accumulates_gradient():
 def test_softmax_rows_sum_to_one_and_shift_invariant():
     rng = np.random.default_rng(2)
     x = rng.normal(size=(5, 7)) * 10
-    s = softmax(Tensor(x), axis=-1).data
+    s = masked_softmax(Tensor(x), 1.0, 0.0).data
     np.testing.assert_allclose(s.sum(axis=-1), 1.0, atol=1e-12)
-    shifted = softmax(Tensor(x + 123.0), axis=-1).data
+    shifted = masked_softmax(Tensor(x + 123.0), 1.0, 0.0).data
     np.testing.assert_allclose(s, shifted, atol=1e-12)
     # extreme logits stay finite
-    s = softmax(Tensor(np.array([[0.0, -1e9, -1e9]])), axis=-1).data
+    s = masked_softmax(Tensor(np.array([[0.0, -1e9, -1e9]])), 1.0, 0.0).data
     assert s[0, 0] == 1.0 and s[0, 1] == 0.0
+
+
+def _composed_softmax(x, scale, bias):
+    """softmax(x * scale + bias) built from generic nodes: the reference
+    masked_softmax must match bit for bit."""
+    z = x * scale + Tensor(bias)
+    e = (z - np.max(z.data, axis=-1, keepdims=True)).exp()
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _attention_case(rng, dtype):
+    b, h, n = 2, 3, 7
+    keys = np.ones((b, n), dtype=bool)
+    keys[0, 5:] = keys[1, 2] = False  # padded and masked keys
+    bias = np.where(keys, 0.0, MASK_FILL)[:, None, None, :]
+    return rng.normal(size=(b, h, n, n)).astype(dtype), 1.0 / np.sqrt(16), bias
+
+
+def _narration_case(rng, dtype):
+    # steps x narrations; the second video has no narrations at all, so every
+    # entry of its rows is masked
+    b, s, n = 3, 4, 5
+    narrations = np.ones((b, n), dtype=bool)
+    narrations[0, 3:] = False
+    narrations[1] = False
+    bias = np.where(narrations, 0.0, MASK_FILL)[:, None, :]
+    return rng.uniform(-1, 1, size=(b, s, n)).astype(dtype), 1.0 / 0.07, bias
+
+
+@pytest.mark.parametrize("case", [_attention_case, _narration_case])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_masked_softmax_matches_composed_ops_bit_for_bit(case, dtype):
+    rng = np.random.default_rng(5)
+    x_data, scale, bias = case(rng, dtype)
+    seed = rng.normal(size=x_data.shape)
+    outs, grads = [], []
+    for build in (masked_softmax, _composed_softmax):
+        x = Tensor(x_data.copy(), requires_grad=True)
+        out = build(x, scale, bias)
+        outs.append(out.data)
+        out.backward(seed)
+        grads.append(x.grad)
+    assert outs[0].dtype == outs[1].dtype and grads[0].dtype == dtype
+    assert np.array_equal(outs[0], outs[1])
+    assert np.array_equal(grads[0], grads[1])
+    np.testing.assert_allclose(outs[0].sum(axis=-1), 1.0, atol=1e-12)
 
 
 def test_gelu_values():
@@ -185,7 +235,7 @@ def test_release_keeps_leaf_gradients():
     grads = []
     for _ in range(2):  # leaves outlive each graph, like parameters across steps
         a.grad = b.grad = None
-        (softmax(a @ b, axis=-1) * (a @ b)).sum().backward()
+        (masked_softmax(a @ b, 1.0, 0.0) * (a @ b)).sum().backward()
         grads.append((a.grad, b.grad))
     assert all(np.array_equal(g, h) for g, h in zip(*grads))
     # closed form of the same expression, written out by hand
@@ -225,14 +275,19 @@ def test_constant_operand_gets_no_gradient(build):
     assert c.grad is None
 
 
-def test_training_step_accumulates_only_into_tensors_that_require_grad(monkeypatch):
-    # curriculum sizes: masks, attention biases, dropout keeps, loss weights
-    # and the input features all enter the graph as constant operands
+def _curriculum_step():
+    """Model, parameters and first training batch at curriculum sizes."""
     corpus = generate_synthetic(SynthConfig(num_tasks=4, videos_per_task=25, seed=7))
     mc = ModelConfig(feature_dims=corpus.dims, model_dim=64, num_layers=2,
                      num_heads=4, dropout=0.1)
-    params = init_params(mc, 7)
     batch = next(batch_iter(corpus, 8, 128, 7, LabelSource.ASR_TIMESTAMPS))
+    return mc, init_params(mc, 7), batch
+
+
+def test_training_step_accumulates_only_into_tensors_that_require_grad(monkeypatch):
+    # curriculum sizes: masks, attention biases, dropout keeps, loss weights
+    # and the input features all enter the graph as constant operands
+    mc, params, batch = _curriculum_step()
     calls = {True: 0, False: 0}
     accum = Tensor._accum
 
@@ -246,6 +301,32 @@ def test_training_step_accumulates_only_into_tensors_that_require_grad(monkeypat
     gradients(loss, params)
     assert calls[True] > 0 and calls[False] == 0
     assert all(p.grad is not None for p in params.values())
+
+
+def test_attention_keeps_two_score_sized_arrays_per_layer():
+    # what a training graph holds from forward to backward, counted over the
+    # data of every node and the arrays its backward closure captures:
+    # per layer only q @ k^T (the softmax input) and the attention
+    # probabilities (the input of P @ v) are (B, H, n, n)
+    mc, params, batch = _curriculum_step()
+    alignments = forward_batch(params, mc, batch,
+                               dropout_rng=np.random.default_rng(7))
+    loss, _ = total_loss(alignments, batch, LossConfig())
+    n_tok = sum(m.shape[1] for m in (batch.frame_mask, batch.narration_mask,
+                                     batch.step_mask))
+    score_shape = (batch.size, mc.num_heads, n_tok, n_tok)
+    held, seen, stack = set(), set(), [loss]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        cells = getattr(node._backward, "__closure__", None) or ()
+        for array in [node.data] + [c.cell_contents for c in cells]:
+            if isinstance(array, np.ndarray) and array.shape == score_shape:
+                held.add(id(array))  # the graph keeps each alive
+        stack.extend(node._parents)
+    assert len(held) == 2 * mc.num_layers
 
 
 def test_subtraction_is_one_node_with_exact_gradients(monkeypatch):

@@ -13,6 +13,10 @@ from pathlib import Path
 import numpy as np
 
 from stepalign.autodiff import Tensor
+from stepalign.corpus import SynthConfig, generate_synthetic
+from stepalign.corpus.batching import LabelSource, batch_iter
+from stepalign.encoder import ModelConfig, forward_batch, init_params
+from stepalign.objective import LossConfig, gradients, total_loss
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -58,3 +62,24 @@ def test_tracer_counts_every_autodiff_node():
     assert t.counts["matmuls"] == 1
     assert t.counts["nodes"] == 3  # matmul, subtraction, sum
     assert a.grad.shape == (3, 4) and c.grad.shape == (3, 2)
+
+
+def test_tracer_counts_every_matmul_of_a_training_step():
+    # a fused op may cut the node count (173 here while each softmax was six
+    # nodes), but every matmul of the model must stay a Tensor matmul, so the
+    # benchmark's matmul and FLOP counts do not move
+    corpus = generate_synthetic(SynthConfig(
+        num_tasks=2, steps_per_task=2, videos_per_task=2, frames_range=(8, 10),
+        dims=(6, 4, 4), latent_dim=4, background_dim=2, seed=1))
+    mc = ModelConfig(feature_dims=corpus.dims, model_dim=8, num_layers=1,
+                     num_heads=2, mlp_hidden=8, ffn_dim=16, max_frames=16,
+                     max_narrations=8, max_steps=4)
+    params = init_params(mc, 1)
+    batch = next(batch_iter(corpus, 2, 16, 1, LabelSource.ASR_TIMESTAMPS))
+    tracer = _load_tracer()
+    with tracer.Tracer() as t:
+        alignments = forward_batch(params, mc, batch,
+                                   dropout_rng=np.random.default_rng(1))
+        gradients(total_loss(alignments, batch, LossConfig())[0], params)
+    assert (t.counts["matmuls"], t.counts["matmul_flop"]) == (18, 44176)
+    assert t.counts["nodes"] < 173

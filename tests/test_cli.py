@@ -10,12 +10,13 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from stepalign.cli import _write_alignment_csv, _write_pgm, main
+from stepalign.cli import _load_model, _write_alignment_csv, _write_pgm, main
 from stepalign.config import (ConfigError, RunConfig, load_run_config,
                               run_config_from_dict, save_run_config)
-from stepalign.corpus import Corpus, Segment, write_corpus
+from stepalign.corpus import Corpus, Segment, read_corpus, write_corpus
 from stepalign.encoder import forward
-from stepalign.evalkit import blob_detect
+from stepalign.evalkit import blob_detect, merge_reports
+from stepalign.trainer import evaluate_corpus
 
 from conftest import make_article, make_video
 
@@ -205,6 +206,23 @@ def test_train_log_eval_matches_cli_eval(tmp_path, capsys):
     logged = json.loads((workdir / "train_log.jsonl").read_text().splitlines()[-1])
     assert "step_r1" in printed
     assert printed == {name: f"{logged['eval_' + name]:.6f}" for name in printed}
+
+    # the loop train() logs with, given another matrix and k, prints what
+    # `stepalign eval` prints with the same flags
+    assert main(["eval", "--corpus", str(data / "eval"), "--checkpoint",
+                 str(workdir / "last.ckpt"), "--batch-size",
+                 str(long_videos["train"]["batch_size"]), "--matrix",
+                 "direct_sv", "--k", "1", "--k", "3", "--iou", "0.3"]) == 0
+    printed = [l for l in capsys.readouterr().out.splitlines() if l]
+    params, model_config = _load_model(str(workdir / "last.ckpt"))
+    per_video = evaluate_corpus(params, model_config, read_corpus(data / "eval"),
+                                long_videos["train"]["batch_size"],
+                                matrix="direct_sv", ks=[1, 3],
+                                iou_thresholds=[0.3])
+    merged = merge_reports(r for d in per_video.values() for r in d.values())
+    assert "recall@3_iou0.3" in merged
+    assert printed == [f"{name} {r.value:.6f} ({r.numerator:g}/{r.denominator:g})"
+                       for name, r in merged.items()]
 
 
 def test_eval_deterministic_and_matrix_choice(ws, capsys):
