@@ -6,8 +6,8 @@ from .corpus import (Article, Batch, Corpus, CorpusError, LabelSource,
                      generate_synthetic, read_corpus, split_corpus,
                      write_corpus)
 from .encoder import (AlignmentSet, ModelConfig, ModelError, forward,
-                      forward_batch, full_scale_config, init_params,
-                      load_checkpoint, save_checkpoint)
+                      forward_batch, init_params, load_checkpoint,
+                      save_checkpoint)
 from .evalkit import (MetricReport, alignability_auc, blob_detect,
                       evaluate_predictions, evaluate_video, interval_iou,
                       merge_reports, read_predictions)
@@ -15,8 +15,7 @@ from .objective import LossConfig, info_nce, total_loss
 from .pseudolabel import (PseudoConfig, PseudoLabel, PseudoLabelSet,
                           extract_segment, generate_pseudolabels,
                           teacher_action)
-from .taskselect import (PrecomputedEmbedder, TrigramEmbedder, assign_articles,
-                         rank_tasks)
+from .taskselect import TrigramEmbedder, assign_articles, rank_tasks
 from .trainer import (OptimizerState, TrainConfig, adamw_step, cosine_lr,
                       label_corpus, train)
 

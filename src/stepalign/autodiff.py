@@ -144,8 +144,6 @@ class Tensor:
         other = as_tensor(other)
         return self._binary(other, self.data + other.data, lambda g: g, lambda g: g)
 
-    __radd__ = __add__
-
     def __neg__(self):
         def back(g):
             self._accum(-g)
@@ -155,32 +153,16 @@ class Tensor:
         other = as_tensor(other)
         return self._binary(other, self.data - other.data, lambda g: g, np.negative)
 
-    def __rsub__(self, other):
-        return as_tensor(other) - self
-
     def __mul__(self, other):
         other = as_tensor(other)
         return self._binary(other, self.data * other.data,
                             lambda g: g * other.data, lambda g: g * self.data)
-
-    __rmul__ = __mul__
 
     def __truediv__(self, other):
         other = as_tensor(other)
         return self._binary(other, self.data / other.data,
                             lambda g: g / other.data,
                             lambda g: -g * self.data / (other.data ** 2))
-
-    def __rtruediv__(self, other):
-        return as_tensor(other) / self
-
-    def __pow__(self, exponent: float):
-        if not np.isscalar(exponent):
-            raise TypeError("only scalar exponents are supported")
-
-        def back(g):
-            self._accum(g * exponent * self.data ** (exponent - 1))
-        return Tensor._result(self.data ** exponent, (self,), back)
 
     def __matmul__(self, other):
         other = as_tensor(other)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Optional
 
@@ -52,8 +52,6 @@ class ModelConfig:
     max_frames: int = 256
     max_narrations: int = 32
     max_steps: int = 16
-    pe_for_steps: bool = True
-    separate_text_mlp: bool = True
     dropout: float = 0.1
     xi: float = 0.07
 
@@ -74,13 +72,6 @@ class ModelConfig:
             raise ModelError(f"xi must be > 0, got {self.xi}")
         if not (0.0 <= self.dropout < 1.0):
             raise ModelError(f"dropout must be in [0, 1), got {self.dropout}")
-
-
-def full_scale_config(feature_dims: tuple[int, int, int]) -> ModelConfig:
-    """The production-size variant: 512-wide, 6 pre-norm layers, 8 heads."""
-    return ModelConfig(feature_dims=feature_dims, model_dim=512, num_layers=6,
-                       num_heads=8, mlp_hidden=512, ffn_dim=2048,
-                       max_frames=1024, max_narrations=128, max_steps=32)
 
 
 # ---------------------------------------------------------------------------
@@ -111,19 +102,14 @@ def init_params(config: ModelConfig, seed: int, dtype=np.float32) -> dict[str, T
     d_v, d_n, d_s = config.feature_dims
     mlp("mlp_v", d_v)
     mlp("mlp_n", d_n)
-    if config.separate_text_mlp:
-        mlp("mlp_s", d_s)
-    elif d_s != d_n:
-        raise ModelError(
-            f"separate_text_mlp=False needs matching text dims, got {d_n} vs {d_s}")
+    mlp("mlp_s", d_s)
 
     def positions(name: str, count: int) -> None:
         params[name] = Tensor(rng.normal(0.0, 0.02, size=(count, d)).astype(dtype), True)
 
     positions("pos_v", config.max_frames)
     positions("pos_n", config.max_narrations)
-    if config.pe_for_steps:
-        positions("pos_s", config.max_steps)
+    positions("pos_s", config.max_steps)
 
     for i in range(config.num_layers):
         layernorm(f"layers.{i}.ln1")
@@ -167,30 +153,25 @@ def _layer_norm(params, name: str, x: Tensor) -> Tensor:
     return normed * params[f"{name}.g"] + params[f"{name}.b"]
 
 
-def unimodal_encode(params, config: ModelConfig, x: Tensor, modality: str) -> Tensor:
+_UNIMODAL = {"video": ("mlp_v", "pos_v"), "narration": ("mlp_n", "pos_n"),
+             "step": ("mlp_s", "pos_s")}
+
+
+def unimodal_encode(params, x: Tensor, modality: str) -> Tensor:
     """MLP projection plus positional embedding for one modality.
 
     x is (B, n, D_mod). Encoding steps with modality="narration" is legal and
     deliberately so: a model trained only on narrations can then score step
     texts through the narration pathway.
     """
-    if modality == "video":
-        mlp_name, pos = "mlp_v", params["pos_v"]
-    elif modality == "narration":
-        mlp_name, pos = "mlp_n", params["pos_n"]
-    elif modality == "step":
-        mlp_name = "mlp_s" if config.separate_text_mlp else "mlp_n"
-        pos = params["pos_s"] if config.pe_for_steps else None
-    else:
+    if modality not in _UNIMODAL:
         raise ModelError(f"unknown modality {modality!r}")
-    n = x.shape[1]
-    h = _mlp(params, mlp_name, x)
-    if pos is not None:
-        if n > pos.shape[0]:
-            raise ModelError(
-                f"{modality} count {n} exceeds positional table size {pos.shape[0]}")
-        h = h + pos[:n]
-    return h
+    mlp_name, pos_name = _UNIMODAL[modality]
+    pos, n = params[pos_name], x.shape[1]
+    if n > pos.shape[0]:
+        raise ModelError(
+            f"{modality} count {n} exceeds positional table size {pos.shape[0]}")
+    return _mlp(params, mlp_name, x) + pos[:n]
 
 
 def _attention(params, name: str, x: Tensor, key_mask: np.ndarray,
@@ -320,14 +301,14 @@ def forward_batch(params, config: ModelConfig, batch: Batch,
     requires the step and narration feature widths to match. dropout_rng, when
     given, turns on train-mode dropout inside the joint transformer.
     """
-    h_v = unimodal_encode(params, config, Tensor(batch.frames), "video")
-    h_n = unimodal_encode(params, config, Tensor(batch.narrations), "narration")
+    h_v = unimodal_encode(params, Tensor(batch.frames), "video")
+    h_n = unimodal_encode(params, Tensor(batch.narrations), "narration")
     if steps_as_narrations:
         if batch.steps.shape[2] != batch.narrations.shape[2]:
             raise ModelError("steps_as_narrations needs matching text feature dims")
-        h_s = unimodal_encode(params, config, Tensor(batch.steps), "narration")
+        h_s = unimodal_encode(params, Tensor(batch.steps), "narration")
     else:
-        h_s = unimodal_encode(params, config, Tensor(batch.steps), "step")
+        h_s = unimodal_encode(params, Tensor(batch.steps), "step")
 
     token_mask = np.concatenate(
         [batch.frame_mask, batch.narration_mask, batch.step_mask], axis=1)

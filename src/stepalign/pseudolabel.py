@@ -163,14 +163,6 @@ class PseudoLabelSet:
         return out
 
 
-def _source_matrix(alignment: AlignmentSet, source: str) -> np.ndarray:
-    if source == "direct_sv":
-        return alignment.a_sv
-    if source == "fused":
-        return alignment.a_fused
-    raise PseudoError(f"unknown pseudo-label source {source!r}")
-
-
 def generate_pseudolabels(alignments: Iterable[AlignmentSet],
                           config: PseudoConfig,
                           meta: Optional[dict] = None) -> PseudoLabelSet:
@@ -183,7 +175,7 @@ def generate_pseudolabels(alignments: Iterable[AlignmentSet],
     config.validate()
     out = PseudoLabelSet(meta=meta)
     for alignment in alignments:
-        matrix = _source_matrix(alignment, config.source)
+        matrix = alignment.a_sv if config.source == "direct_sv" else alignment.a_fused
         for s in range(matrix.shape[0]):
             peak_idx, segment = extract_segment(matrix[s], config.zeta)
             peak = float(matrix[s, peak_idx])

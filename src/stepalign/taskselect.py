@@ -2,17 +2,15 @@
 
 Every narration caption votes for the task whose article title it most
 resembles in a cheap hashed character-trigram space; majority wins. This runs
-before any model training, so it must need nothing but raw text. A
-precomputed-vector adapter exists for corpora whose captions were embedded by
-an external text encoder.
+before any model training, so it must need nothing but raw text. Captions
+embedded by an external text encoder plug in as the embedder: any object
+whose embed(text) returns a vector.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Protocol, Sequence, runtime_checkable
+from typing import Sequence
 
 import numpy as np
 
@@ -25,13 +23,6 @@ _MASK64 = (1 << 64) - 1
 
 class TaskSelectError(ValueError):
     pass
-
-
-@runtime_checkable
-class TextEmbedder(Protocol):
-    dim: int
-
-    def embed(self, text: str) -> np.ndarray: ...
 
 
 def _fnv1a64(data: bytes) -> int:
@@ -63,39 +54,6 @@ class TrigramEmbedder:
         return vec / np.linalg.norm(vec)
 
 
-class PrecomputedEmbedder:
-    """Serves vectors computed elsewhere, keyed by exact text."""
-
-    def __init__(self, table: dict[str, np.ndarray]):
-        if not table:
-            raise TaskSelectError("empty embedding table")
-        dims = {len(v) for v in table.values()}
-        if len(dims) != 1:
-            raise TaskSelectError(f"inconsistent vector widths {sorted(dims)}")
-        self.dim = dims.pop()
-        self._table = {k: np.asarray(v, dtype=np.float32) for k, v in table.items()}
-
-    @classmethod
-    def load_jsonl(cls, path: str | Path) -> "PrecomputedEmbedder":
-        table = {}
-        with open(path) as f:
-            for line_no, line in enumerate(f, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    row = json.loads(line)
-                    table[row["text"]] = np.asarray(row["vector"], dtype=np.float32)
-                except (KeyError, ValueError, json.JSONDecodeError) as e:
-                    raise TaskSelectError(f"{path}:{line_no}: bad record ({e})") from e
-        return cls(table)
-
-    def embed(self, text: str) -> np.ndarray:
-        try:
-            return self._table[text]
-        except KeyError:
-            raise TaskSelectError(f"no precomputed vector for text {text!r}") from None
-
-
 @dataclass(frozen=True)
 class TaskRanking:
     """Vote totals for one video, best task first; ties broken by article order."""
@@ -113,7 +71,7 @@ def _unit(v: np.ndarray) -> np.ndarray:
     return v / n if n > 0 else v
 
 
-def rank_tasks(embedder: TextEmbedder, narration_texts: Sequence[str],
+def rank_tasks(embedder: TrigramEmbedder, narration_texts: Sequence[str],
                articles: Sequence[Article], video_id: str = "") -> TaskRanking:
     """One vote per caption for the most title-similar task.
 
@@ -133,7 +91,7 @@ def rank_tasks(embedder: TextEmbedder, narration_texts: Sequence[str],
 
 
 def assign_articles(corpus: Corpus, strategy: str = "top1",
-                    embedder: TextEmbedder | None = None,
+                    embedder: TrigramEmbedder | None = None,
                     seed: int = 0) -> dict[str, str]:
     """Map every video to a task_id.
 

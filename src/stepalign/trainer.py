@@ -50,7 +50,6 @@ class TrainConfig:
     teacher_pre_epochs: int = 5
     teacher_lr: float | None = None
     max_frames: int = 128
-    eval_every: int = 1
     seed: int = 0
 
     def resolved_teacher_lr(self) -> float:
@@ -183,8 +182,7 @@ def _run_epoch(params, model_config, corpus, train_cfg: TrainConfig,
                shuffle_seed: int, label_source: LabelSource,
                pseudo_store: Optional[PseudoLabelSet], assignment,
                steps_as_narrations: bool, where: str) -> dict[str, float]:
-    losses, norms, lr_last = [], [], 0.0
-    rows_sv = 0
+    reports, norms, lr_last = [], [], 0.0
     # one dropout stream per epoch, separate key from the shuffle stream;
     # batch order is fixed by shuffle_seed, so consumption is reproducible
     drop_rng = (np.random.default_rng([13, shuffle_seed])
@@ -201,11 +199,16 @@ def _run_epoch(params, model_config, corpus, train_cfg: TrainConfig,
         grads = gradients(loss, params)
         lr_last = cosine_lr(state.step, total_steps, train_cfg.base_lr)
         norms.append(adamw_step(params, grads, state, lr_last, train_cfg))
-        losses.append(report.total)
-        rows_sv += report.rows_sv
-    return {"loss": float(np.mean(losses)) if losses else 0.0,
-            "grad_norm": float(np.mean(norms)) if norms else 0.0,
-            "lr": lr_last, "rows_sv": rows_sv}
+        reports.append(report)
+    return {"loss": _mean([r.total for r in reports]),
+            "loss_nv": _mean([r.loss_nv for r in reports]),
+            "loss_sv": _mean([r.loss_sv for r in reports]),
+            "grad_norm": _mean(norms), "lr": lr_last,
+            "rows_sv": sum(r.rows_sv for r in reports)}
+
+
+def _mean(values: list[float]) -> float:
+    return float(np.mean(values)) if values else 0.0
 
 
 def _mix_seed(seed: int, stage: int, epoch: int) -> int:
@@ -221,8 +224,9 @@ def train(corpus: Corpus, model_config: ModelConfig, train_cfg: TrainConfig,
           log_fn: Optional[Callable[[dict], None]] = None) -> TrainResult:
     """Full curriculum: narration-only teacher, then pseudo-labeled student.
 
-    With a workdir, every epoch appends one JSONL log line, refreshed label
-    sets land under pseudo/, and last.ckpt carries enough to resume mid-run
+    With a workdir, a fresh run starts train_log.jsonl empty and every epoch
+    appends one JSONL log line, refreshed label sets land under pseudo/, and
+    last.ckpt carries enough to resume mid-run
     (per-epoch shuffling and labeling are derived from (seed, epoch), so no
     generator state needs saving).
     """
@@ -276,8 +280,10 @@ def train(corpus: Corpus, model_config: ModelConfig, train_cfg: TrainConfig,
         for key, cfg in configs.items():
             saved = meta.get(key) or {}
             expected = json.loads(json.dumps(asdict(cfg)))  # meta is JSON
-            differ += [f"{key}.{k} {saved.get(k)} != {v}"
-                       for k, v in expected.items() if saved.get(k) != v]
+            # a field only one side has (e.g. a removed option) differs too
+            differ += [f"{key}.{k} {saved.get(k)} != {expected.get(k)}"
+                       for k in sorted(saved.keys() | expected.keys())
+                       if saved.get(k) != expected.get(k)]
         if differ:
             raise TrainError(f"{ckpt} was saved with other configs "
                              f"(checkpoint != this run): {', '.join(differ)}")
@@ -292,6 +298,8 @@ def train(corpus: Corpus, model_config: ModelConfig, train_cfg: TrainConfig,
         if labels_file:
             labels = PseudoLabelSet.load_jsonl(workdir / labels_file)
     else:
+        if log_path is not None:
+            log_path.write_bytes(b"")  # a fresh run does not extend an old log
         # stage 0: narration-only teacher, steps scored through the
         # narration pathway so labeling works without a trained step encoder
         params = init_params(model_config, train_cfg.seed)
@@ -336,7 +344,7 @@ def train(corpus: Corpus, model_config: ModelConfig, train_cfg: TrainConfig,
                            False, f"epoch {epoch}")
         entry = {"stage": "main", "epoch": epoch, "teacher": action.value,
                  "pseudo_coverage": labels.coverage(), **stats}
-        if eval_corpus is not None and (epoch + 1) % train_cfg.eval_every == 0:
+        if eval_corpus is not None:
             per_video = evaluate_corpus(params, model_config, eval_corpus,
                                         train_cfg.batch_size)
             merged = merge_reports(r for d in per_video.values() for r in d.values())

@@ -6,12 +6,13 @@ import pytest
 from scipy.special import erf, softmax as np_softmax
 
 from stepalign.autodiff import Tensor
+from stepalign.config import ConfigError, run_config_from_dict
 from stepalign.corpus import Corpus, Segment
 from stepalign.corpus.batching import batch_iter, LabelSource
 from stepalign.encoder import (COSINE_EPS, LAYERNORM_EPS, MASK_FILL,
                                RESIDUAL_INIT_SCALE, ModelConfig, ModelError,
                                cosine_alignment, detach_params, forward,
-                               forward_batch, fuse, full_scale_config,
+                               forward_batch, fuse,
                                indirect_alignment, init_params,
                                load_checkpoint, multimodal_encode,
                                params_from_arrays, save_checkpoint,
@@ -53,7 +54,7 @@ def test_identity_mlp_recovers_input():
     cfg = tiny_config(feature_dims=(d, 3, 3), model_dim=d, mlp_hidden=2 * d)
     params = identity_mlp_params(d, cfg.max_frames)
     x = np.random.default_rng(0).normal(size=(2, 5, d))
-    h = unimodal_encode(params, cfg, Tensor(x), "video")
+    h = unimodal_encode(params, Tensor(x), "video")
     np.testing.assert_allclose(h.data, x, atol=1e-12)
 
 
@@ -64,7 +65,7 @@ def test_identity_mlp_plus_positions():
     pos = np.random.default_rng(1).normal(size=(cfg.max_frames, d))
     params["pos_v"] = Tensor(pos)
     x = np.random.default_rng(2).normal(size=(1, 5, d))
-    h = unimodal_encode(params, cfg, Tensor(x), "video")
+    h = unimodal_encode(params, Tensor(x), "video")
     np.testing.assert_allclose(h.data, x + pos[:5], atol=1e-12)
 
 
@@ -72,7 +73,7 @@ def test_unimodal_matches_straight_line_reevaluation():
     cfg = tiny_config()
     params = init_params(cfg, seed=3, dtype=np.float64)
     x = np.random.default_rng(4).normal(size=(1, 3, 4))
-    h = unimodal_encode(params, cfg, Tensor(x), "video").data
+    h = unimodal_encode(params, Tensor(x), "video").data
     w1, b1 = params["mlp_v.l1.w"].data, params["mlp_v.l1.b"].data
     w2, b2 = params["mlp_v.l2.w"].data, params["mlp_v.l2.b"].data
     expected = np_gelu(x @ w1 + b1) @ w2 + b2 + params["pos_v"].data[:3]
@@ -80,19 +81,23 @@ def test_unimodal_matches_straight_line_reevaluation():
 
 
 def test_step_pathway_flags():
-    cfg = tiny_config(pe_for_steps=False)
+    # steps always take their own MLP and positional table, so step texts
+    # may be wider than narrations and their order is always encoded
+    cfg = tiny_config(feature_dims=(4, 3, 5))
     params = init_params(cfg, seed=0)
-    assert "pos_s" not in params
-    x = np.random.default_rng(0).normal(size=(1, 2, 3)).astype(np.float32)
-    h = unimodal_encode(params, cfg, Tensor(x), "step").data
+    assert params["pos_s"].shape == (cfg.max_steps, cfg.model_dim)
+    x = np.random.default_rng(0).normal(size=(1, 2, 5)).astype(np.float32)
+    h = unimodal_encode(params, Tensor(x), "step").data
     w1, b1 = params["mlp_s.l1.w"].data, params["mlp_s.l1.b"].data
     w2, b2 = params["mlp_s.l2.w"].data, params["mlp_s.l2.b"].data
-    np.testing.assert_allclose(h, np_gelu(x @ w1 + b1) @ w2 + b2, rtol=1e-5)
-    shared = tiny_config(separate_text_mlp=False)
-    assert "mlp_s.l1.w" not in init_params(shared, seed=0)
-    with pytest.raises(ModelError, match="matching text dims"):
-        init_params(tiny_config(feature_dims=(4, 3, 5),
-                                separate_text_mlp=False), seed=0)
+    np.testing.assert_allclose(
+        h, np_gelu(x @ w1 + b1) @ w2 + b2 + params["pos_s"].data[:2], rtol=1e-5)
+    with pytest.raises(ModelError, match="positional table"):
+        unimodal_encode(params, Tensor(np.zeros((1, 5, 5))), "step")
+    # the switches that turned either off are gone from the config file too
+    for removed in ("pe_for_steps", "separate_text_mlp"):
+        with pytest.raises(ConfigError, match=removed):
+            run_config_from_dict({"model": {removed: False}})
 
 
 def test_sequence_length_guard():
@@ -100,13 +105,13 @@ def test_sequence_length_guard():
     params = init_params(cfg, seed=0)
     x = Tensor(np.zeros((1, 5, 4), dtype=np.float32))
     with pytest.raises(ModelError, match="positional table"):
-        unimodal_encode(params, cfg, x, "video")
+        unimodal_encode(params, x, "video")
 
 
 def test_unknown_modality():
     cfg = tiny_config()
     with pytest.raises(ModelError, match="modality"):
-        unimodal_encode(init_params(cfg, 0), cfg, Tensor(np.zeros((1, 1, 4))), "audio")
+        unimodal_encode(init_params(cfg, 0), Tensor(np.zeros((1, 1, 4))), "audio")
 
 
 # ---------------------------------------------------------------------------
@@ -141,9 +146,6 @@ def test_config_validation():
         tiny_config(dropout=1.0).validate()
     with pytest.raises(ModelError):
         tiny_config(num_layers=-1).validate()
-    big = full_scale_config((48, 32, 32))
-    big.validate()
-    assert (big.model_dim, big.num_layers, big.num_heads) == (512, 6, 8)
 
 
 # ---------------------------------------------------------------------------

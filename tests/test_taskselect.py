@@ -1,13 +1,10 @@
 """Trigram hashing, caption voting, and article assignment strategies."""
 
-import json
-
 import numpy as np
 import pytest
 
 from stepalign.corpus import Corpus, Segment, generate_synthetic, SynthConfig
 from stepalign.taskselect import (
-    PrecomputedEmbedder,
     TaskSelectError,
     TrigramEmbedder,
     assign_articles,
@@ -71,29 +68,27 @@ def test_similar_texts_score_higher():
 # precomputed embeddings
 
 
-def test_precomputed_lookup_and_errors(tmp_path):
-    path = tmp_path / "vecs.jsonl"
-    rows = [
-        {"text": "alpha", "vector": [1.0, 0.0]},
-        {"text": "beta", "vector": [0.0, 1.0]},
-    ]
-    path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
-    emb = PrecomputedEmbedder.load_jsonl(path)
-    assert emb.dim == 2
-    assert np.array_equal(emb.embed("alpha"), np.array([1.0, 0.0], np.float32))
-    with pytest.raises(TaskSelectError, match="no precomputed vector"):
-        emb.embed("gamma")
+class TableEmbedder:
+    """Vectors computed by an outside text encoder, looked up by exact text."""
+
+    def __init__(self, table):
+        self.table = table
+
+    def embed(self, text):
+        return np.asarray(self.table[text], dtype=np.float32)
 
 
-def test_precomputed_rejects_bad_tables(tmp_path):
-    with pytest.raises(TaskSelectError, match="empty"):
-        PrecomputedEmbedder({})
-    with pytest.raises(TaskSelectError, match="widths"):
-        PrecomputedEmbedder({"a": np.zeros(2), "b": np.zeros(3)})
-    bad = tmp_path / "bad.jsonl"
-    bad.write_text('{"text": "a"}\n')
-    with pytest.raises(TaskSelectError, match="bad record"):
-        PrecomputedEmbedder.load_jsonl(bad)
+def test_precomputed_lookup_and_errors():
+    # the votes follow the given vectors, not the trigrams of the texts
+    arts = two_articles()
+    emb = TableEmbedder({arts[0].title: [1.0, 0.0], arts[1].title: [0.0, 1.0],
+                         "a flat car tire": [0.9, 0.1],
+                         "whisk": [0.2, 0.8], "jack": [0.0, 3.0]})
+    ranking = rank_tasks(emb, ["a flat car tire", "whisk", "jack"], arts)
+    assert ranking.ranked == (("tire", 2), ("bake", 1))
+    # a caption the table lacks fails loudly instead of voting
+    with pytest.raises(KeyError, match="unseen"):
+        rank_tasks(emb, ["unseen"], arts)
 
 
 # ---------------------------------------------------------------------------

@@ -217,6 +217,12 @@ def test_history_schedule_and_structure(tmp_path):
         assert e["teacher"] == teacher_action(e["epoch"], cfg).value
         assert 0.0 <= e["pseudo_coverage"] <= 1.0
         assert {"loss", "grad_norm", "lr", "rows_sv"} <= set(e)
+    # the logged total splits into its two weighted terms (both weights 1);
+    # the teacher has no step labels, so its step-video term is exactly 0
+    for e in result.history:
+        assert e["loss"] == pytest.approx(e["loss_nv"] + e["loss_sv"], rel=1e-9)
+    assert all(e["loss_sv"] == 0.0 for e in teacher)
+    assert all(e["loss_sv"] > 0.0 for e in main)
     # burn-in epochs train on the initial labels, later ones on refreshes
     assert [e["teacher"] for e in main] == [
         "use_initial", "use_initial", "refresh", "reuse", "refresh"]
@@ -350,7 +356,7 @@ def test_resume_rejects_other_train_loss_or_pseudo_config(tmp_path):
     log = tmp_path / "train_log.jsonl"
     before = log.read_bytes()
     others = [(replace(cfg, seed=6), LossConfig(), pcfg, "train_config.seed 5 != 6"),
-              (replace(cfg, eval_every=2), LossConfig(), pcfg, "train_config.eval_every"),
+              (replace(cfg, grad_clip=0.5), LossConfig(), pcfg, "train_config.grad_clip"),
               (cfg, LossConfig(eta=0.5), pcfg, "loss_config.eta"),
               (cfg, LossConfig(), replace(pcfg, zeta=0.5), "pseudo_config.zeta")]
     for train_cfg, loss_cfg, pseudo_cfg, field_name in others:
@@ -361,6 +367,38 @@ def test_resume_rejects_other_train_loss_or_pseudo_config(tmp_path):
     # the same configs resume: nothing is left to run, nothing is logged
     done = train(corpus, mc, cfg, LossConfig(), pcfg, workdir=tmp_path, resume=True)
     assert done.history == [] and log.read_bytes() == before
+
+
+def test_resume_names_a_field_only_the_checkpoint_has(tmp_path):
+    from stepalign.cli import _load_model
+    from stepalign.config import ConfigError
+    from stepalign.encoder import load_checkpoint, save_checkpoint
+    corpus = tiny_corpus()
+    mc = tiny_model(corpus.dims)
+    cfg = tiny_train_cfg(epochs=2, teacher_pre_epochs=1)
+    pcfg = PseudoConfig(burn_in_epochs=2, refresh_every=2)
+    train(corpus, mc, cfg, LossConfig(), pcfg, workdir=tmp_path)
+    # as saved by a model that could leave out the step positional table
+    ckpt = tmp_path / "last.ckpt"
+    arrays, meta = load_checkpoint(ckpt)
+    meta["model_config"]["pe_for_steps"] = False
+    save_checkpoint(ckpt, {k: v for k, v in arrays.items()
+                           if not k.endswith("pos_s")}, meta=meta)
+    with pytest.raises(TrainError, match="model_config.pe_for_steps False != None"):
+        train(corpus, mc, cfg, LossConfig(), pcfg, workdir=tmp_path, resume=True)
+    # eval and infer load models through the same strict config reader
+    with pytest.raises(ConfigError, match="pe_for_steps"):
+        _load_model(str(ckpt))
+
+
+def test_fresh_run_starts_an_empty_log(tmp_path):
+    once, twice = tmp_path / "once", tmp_path / "twice"
+    run_tiny(seed=6, workdir=once, epochs=2, teacher_pre_epochs=1)
+    for _ in range(2):
+        run_tiny(seed=6, workdir=twice, epochs=2, teacher_pre_epochs=1)
+    log = (once / "train_log.jsonl").read_bytes()
+    assert len(log.splitlines()) == 3
+    assert (twice / "train_log.jsonl").read_bytes() == log
 
 
 def test_resume_without_checkpoint_rejected(tmp_path):
