@@ -65,7 +65,11 @@ def _load_model(path: str) -> tuple[dict, ModelConfig]:
     raw = meta.get("model_config")
     if raw is None:
         raise ProtocolError(f"checkpoint {path} carries no model_config metadata")
-    return params, build_section(ModelConfig, raw, f"{path} model_config")
+    try:
+        return params, build_section(ModelConfig, raw, f"{path} model_config")
+    except ConfigError as e:
+        # the checkpoint, not the user's configuration, is at fault
+        raise ProtocolError(str(e)) from e
 
 
 def _check_dims(model_config: ModelConfig, corpus: Corpus, where: str) -> None:

@@ -1,14 +1,15 @@
-"""Corpus persistence: manifest.json plus one feature file per matrix.
+"""Corpus persistence: manifest.json plus one tensor file, features.bin.
 
 Layout under the corpus root:
 
-    manifest.json
-    videos/<id>.frames.bin      frame features, (T, D_v) float32
-    videos/<id>.narr.bin        narration features, (N, D_n) float32
-    articles/<task_id>.steps.bin
+    manifest.json   dims, texts, spans and ground truth (format_version 2)
+    features.bin    every feature matrix, as one tensorio tensor file:
+        videos/<id>/frames        frame features, (T, D_v) float32
+        videos/<id>/narr          narration features, (N, D_n) float32
+        articles/<task_id>/steps  step features, (S, D_s) float32
 
-The manifest pins every shape, so a feature file that was truncated or
-swapped on disk fails loudly at read time instead of training on garbage.
+The manifest pins every shape, so a block that was truncated or swapped on
+disk fails loudly at read time instead of training on garbage.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ import numpy as np
 from .. import tensorio
 from .records import Article, Corpus, CorpusError, Segment, VideoRecord
 
-MANIFEST_VERSION = 1
+MANIFEST_VERSION = 2
+FEATURES = "features.bin"
 
 
 def _span_list(spans: tuple[Segment, ...]) -> list[list[int]]:
@@ -31,15 +33,11 @@ def _span_list(spans: tuple[Segment, ...]) -> list[list[int]]:
 def write_corpus(corpus: Corpus, root: str | Path) -> Path:
     """Serialize corpus under root; returns the manifest path."""
     root = Path(root)
-    (root / "videos").mkdir(parents=True, exist_ok=True)
-    (root / "articles").mkdir(parents=True, exist_ok=True)
-
+    arrays = {}
     video_entries = []
     for v in corpus.videos:
-        frames_ref = f"videos/{v.id}.frames.bin"
-        narr_ref = f"videos/{v.id}.narr.bin"
-        tensorio.write_matrix(root / frames_ref, v.frame_features)
-        tensorio.write_matrix(root / narr_ref, v.narration_features)
+        arrays[f"videos/{v.id}/frames"] = v.frame_features
+        arrays[f"videos/{v.id}/narr"] = v.narration_features
         gt = None
         if v.gt_step_segments is not None:
             gt = {str(s): _span_list(segs) for s, segs in sorted(v.gt_step_segments.items())}
@@ -47,8 +45,6 @@ def write_corpus(corpus: Corpus, root: str | Path) -> Path:
             "id": v.id,
             "frames": v.num_frames,
             "task_id": v.task_id,
-            "frame_features": frames_ref,
-            "narration_features": narr_ref,
             "narration_texts": list(v.narration_texts),
             "narration_spans": _span_list(v.narration_spans),
             "gt_segments": gt,
@@ -59,14 +55,13 @@ def write_corpus(corpus: Corpus, root: str | Path) -> Path:
     article_entries = []
     for task_id in sorted(corpus.articles):
         a = corpus.articles[task_id]
-        ref = f"articles/{task_id}.steps.bin"
-        tensorio.write_matrix(root / ref, a.step_features)
+        arrays[f"articles/{task_id}/steps"] = a.step_features
         article_entries.append({
             "task_id": a.task_id,
             "title": a.title,
             "steps": list(a.step_texts),
-            "step_features": ref,
         })
+    tensorio.write_tensors(root / FEATURES, arrays)
 
     manifest = {
         "format_version": MANIFEST_VERSION,
@@ -85,6 +80,17 @@ def _require(entry: dict, key: str, where: str):
     if key not in entry:
         raise CorpusError(f"{where}: missing required key '{key}'")
     return entry[key]
+
+
+def _block(arrays: dict, name: str, shape: tuple[int, int], where: str) -> np.ndarray:
+    if name not in arrays:
+        raise tensorio.FormatError(f"{where}: {FEATURES} holds no block {name}")
+    matrix = arrays[name]
+    if matrix.shape != shape:
+        raise tensorio.FormatError(
+            f"{where}: shape mismatch, manifest says {shape}, "
+            f"{FEATURES} holds {matrix.shape}")
+    return matrix
 
 
 def read_corpus(root: str | Path) -> Corpus:
@@ -106,14 +112,14 @@ def read_corpus(root: str | Path) -> Corpus:
     if len(dims) != 3:
         raise CorpusError(f"{path}: dims must have three entries, got {dims}")
     d_v, d_n, d_s = dims
+    arrays, _ = tensorio.read_tensors(root / FEATURES)
 
     articles: dict[str, Article] = {}
     for entry in _require(manifest, "articles", str(path)):
         task_id = _require(entry, "task_id", f"{path} article")
         where = f"{path} article {task_id}"
         steps = list(_require(entry, "steps", where))
-        feats = tensorio.read_matrix(root / _require(entry, "step_features", where),
-                                     expect_shape=(len(steps), d_s))
+        feats = _block(arrays, f"articles/{task_id}/steps", (len(steps), d_s), where)
         articles[task_id] = Article(task_id, _require(entry, "title", where),
                                     tuple(steps), feats)
 
@@ -125,10 +131,8 @@ def read_corpus(root: str | Path) -> Corpus:
         spans = tuple(Segment(int(s), int(e))
                       for s, e in _require(entry, "narration_spans", where))
         texts = tuple(_require(entry, "narration_texts", where))
-        frames = tensorio.read_matrix(root / _require(entry, "frame_features", where),
-                                      expect_shape=(t, d_v))
-        narr = tensorio.read_matrix(root / _require(entry, "narration_features", where),
-                                    expect_shape=(len(spans), d_n))
+        frames = _block(arrays, f"videos/{vid}/frames", (t, d_v), where)
+        narr = _block(arrays, f"videos/{vid}/narr", (len(spans), d_n), where)
         gt_raw = entry.get("gt_segments")
         gt = None
         if gt_raw is not None:

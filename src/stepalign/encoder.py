@@ -17,8 +17,6 @@ when the step text itself matches the frames poorly.
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Optional
@@ -365,55 +363,15 @@ def forward(params, config: ModelConfig, batch: Batch,
 # checkpoints
 
 
-def save_checkpoint(path: str | Path, arrays: Mapping[str, "Tensor | np.ndarray"],
+def save_checkpoint(path: str | Path, arrays: Mapping[str, np.ndarray],
                     meta: Optional[dict] = None) -> None:
-    """Write named matrices and metadata as one file, replacing ``path`` atomically.
-
-    Layout: one JSON header line ``{"format_version": 2, "tensors": [[name,
-    dtype], ...], "meta": {...}}``, then one tensorio block per tensor in the
-    caller's order. The file is written to ``<path>.tmp`` and renamed over
-    ``path``, so a kill mid-save leaves the previous checkpoint intact.
-    """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tensors, blocks = [], []
-    for name, value in arrays.items():
-        mat = value.data if isinstance(value, Tensor) else np.asarray(value)
-        dtype = "float64" if mat.dtype == np.float64 else "float32"
-        tensors.append([name, dtype])
-        blocks.append(tensorio.pack_block(mat, dtype=dtype))
-    header = {"format_version": 2, "tensors": tensors, "meta": meta or {}}
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "wb") as f:
-        f.write(json.dumps(header).encode("utf-8") + b"\n")
-        for block in blocks:
-            f.write(block)
-    os.replace(tmp, path)
+    """tensorio.write_tensors, under the name perfbench times checkpoint writes by."""
+    tensorio.write_tensors(path, arrays, meta)
 
 
 def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
-    """Read arrays (in saved order) and metadata written by save_checkpoint."""
-    path = Path(path)
-    try:
-        buf = path.read_bytes()
-    except OSError as exc:
-        raise tensorio.FormatError(f"{path}: {exc}") from exc
-    end = buf.find(b"\n")
-    try:
-        header = json.loads(buf[:max(end, 0)])
-    except ValueError as exc:
-        raise tensorio.FormatError(f"{path}: unreadable header ({exc})") from exc
-    if not isinstance(header, dict) or header.get("format_version") != 2:
-        raise tensorio.FormatError(f"{path}: not a format_version 2 checkpoint")
-    arrays: dict[str, np.ndarray] = {}
-    offset = end + 1
-    for name, dtype in header["tensors"]:
-        arrays[name], offset = tensorio.unpack_block(buf, offset, dtype,
-                                                     source=str(path))
-    if offset != len(buf):
-        raise tensorio.FormatError(
-            f"{path}: {len(buf) - offset} trailing bytes after the last tensor")
-    return arrays, header["meta"]
+    """tensorio.read_tensors, under the name perfbench times checkpoint loads by."""
+    return tensorio.read_tensors(path)
 
 
 def params_from_arrays(arrays: Mapping[str, np.ndarray]) -> dict[str, Tensor]:

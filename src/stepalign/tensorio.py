@@ -1,29 +1,32 @@
-"""Binary 2-D tensor blocks: the on-disk unit for feature files and checkpoints.
+"""Tensor files: the one on-disk format of corpus features and checkpoints.
 
-Block layout (16-byte header, little-endian):
-    bytes 0..3   magic b"STAL"
-    bytes 4..7   format version (uint32, currently 1)
-    bytes 8..11  rows (uint32)
-    bytes 12..15 cols (uint32)
-followed by rows*cols IEEE-754 floats, row-major. Feature files hold exactly
-one float32 block; a checkpoint file is a one-line JSON header naming each
-block and its dtype, then those blocks (see checkpoints in the encoder module).
+A tensor file is one JSON header line,
+``{"format_version": 2, "tensors": [[name, dtype], ...], "meta": {...}}``,
+then one block per header entry, in its order. A block is a 16-byte header
+(magic b"STAL", block format version 1, rows, cols; little-endian uint32)
+and rows*cols little-endian IEEE-754 floats, row-major, float32 or float64
+as the header line names them. write_tensors and read_tensors are the only
+code that writes or reads these files.
 """
 
 from __future__ import annotations
 
+import json
+import os
 import struct
 from pathlib import Path
+from typing import BinaryIO, Mapping, Optional
 
 import numpy as np
 
 MAGIC = b"STAL"
 FORMAT_VERSION = 1
+FILE_FORMAT_VERSION = 2
 HEADER = struct.Struct("<4sIII")
 
 
 class FormatError(ValueError):
-    """Raised when a tensor block or container violates the declared layout."""
+    """Raised when a tensor block or file violates the declared layout."""
 
 
 def pack_block(matrix: np.ndarray, dtype: str = "float32") -> bytes:
@@ -39,45 +42,82 @@ def pack_block(matrix: np.ndarray, dtype: str = "float32") -> bytes:
     return header + data.astype("<" + np.dtype(dtype).str[1:], copy=False).tobytes()
 
 
-def unpack_block(buf: bytes, offset: int = 0, dtype: str = "float32",
-                 source: str = "<bytes>") -> tuple[np.ndarray, int]:
-    """Read one block starting at ``offset``; returns (matrix, next offset)."""
-    if len(buf) - offset < HEADER.size:
+def read_block(f: BinaryIO, dtype: str = "float32",
+               source: str = "<bytes>") -> np.ndarray:
+    """Read the block at the stream's position straight into a new array."""
+    offset = f.tell()
+    head = f.read(HEADER.size)
+    if len(head) < HEADER.size:
         raise FormatError(f"{source}: truncated header at offset {offset}")
-    magic, version, rows, cols = HEADER.unpack_from(buf, offset)
+    magic, version, rows, cols = HEADER.unpack(head)
     if magic != MAGIC:
         raise FormatError(f"{source}: bad magic {magic!r}")
     if version != FORMAT_VERSION:
         raise FormatError(f"{source}: unsupported format version {version}")
-    itemsize = np.dtype(dtype).itemsize
-    nbytes = rows * cols * itemsize
+    nbytes = rows * cols * np.dtype(dtype).itemsize
     start = offset + HEADER.size
-    if len(buf) - start < nbytes:
+    # the size is checked before allocating, so a corrupt row count fails
+    # here instead of asking for an array larger than the file
+    available = f.seek(0, os.SEEK_END) - start
+    f.seek(start)
+    if available < nbytes:
         raise FormatError(
             f"{source}: truncated payload, expected {nbytes} bytes for "
-            f"{rows}x{cols}, found {len(buf) - start}")
-    flat = np.frombuffer(buf, dtype="<" + np.dtype(dtype).str[1:],
-                         count=rows * cols, offset=start)
-    matrix = flat.astype(dtype, copy=True).reshape(rows, cols)
-    return matrix, start + nbytes
+            f"{rows}x{cols}, found {available}")
+    matrix = np.empty((rows, cols), dtype="<" + np.dtype(dtype).str[1:])
+    f.readinto(matrix)
+    return matrix.astype(dtype, copy=False)
 
 
-def write_matrix(path: Path | str, matrix: np.ndarray) -> None:
-    """Write a single float32 feature file."""
-    Path(path).write_bytes(pack_block(matrix, "float32"))
+def write_tensors(path: Path | str, arrays: Mapping[str, np.ndarray],
+                  meta: Optional[dict] = None) -> None:
+    """Write named 2-D arrays and metadata as one file, replacing ``path`` atomically.
+
+    float64 arrays are stored as float64 and all others as float32, in the
+    caller's order. The file is written to ``<path>.tmp`` and renamed over
+    ``path``, so a kill mid-write leaves the previous file intact.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tensors = [[name, "float64" if a.dtype == np.float64 else "float32"]
+               for name, a in arrays.items()]
+    header = {"format_version": FILE_FORMAT_VERSION, "tensors": tensors,
+              "meta": meta or {}}
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as f:
+            f.write(json.dumps(header).encode("utf-8") + b"\n")
+            for name, dtype in tensors:
+                f.write(pack_block(arrays[name], dtype))
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    os.replace(tmp, path)
 
 
-def read_matrix(path: Path | str, expect_shape: tuple[int, int] | None = None) -> np.ndarray:
+def read_tensors(path: Path | str) -> tuple[dict[str, np.ndarray], dict]:
+    """Read the arrays (in saved order) and metadata written by write_tensors.
+
+    Blocks are read one at a time into their arrays; no copy of the whole
+    file is held beside them.
+    """
     path = Path(path)
     try:
-        buf = path.read_bytes()
+        with open(path, "rb") as f:
+            try:
+                header = json.loads(f.readline())
+            except ValueError as exc:
+                raise FormatError(f"{path}: unreadable header ({exc})") from exc
+            if (not isinstance(header, dict)
+                    or header.get("format_version") != FILE_FORMAT_VERSION):
+                raise FormatError(
+                    f"{path}: not a format_version {FILE_FORMAT_VERSION} tensor file")
+            arrays = {name: read_block(f, dtype, source=str(path))
+                      for name, dtype in header["tensors"]}
+            end = f.tell()
+            trailing = f.seek(0, os.SEEK_END) - end
     except OSError as exc:
         raise FormatError(f"{path}: {exc}") from exc
-    matrix, end = unpack_block(buf, 0, "float32", source=str(path))
-    if end != len(buf):
-        raise FormatError(f"{path}: {len(buf) - end} trailing bytes after payload")
-    if expect_shape is not None and matrix.shape != tuple(expect_shape):
-        raise FormatError(
-            f"{path}: shape mismatch, manifest says {tuple(expect_shape)}, "
-            f"file holds {matrix.shape}")
-    return matrix
+    if trailing:
+        raise FormatError(f"{path}: {trailing} trailing bytes after the last tensor")
+    return arrays, header["meta"]

@@ -224,9 +224,9 @@ def train(corpus: Corpus, model_config: ModelConfig, train_cfg: TrainConfig,
           log_fn: Optional[Callable[[dict], None]] = None) -> TrainResult:
     """Full curriculum: narration-only teacher, then pseudo-labeled student.
 
-    With a workdir, a fresh run starts train_log.jsonl empty and every epoch
-    appends one JSONL log line, refreshed label sets land under pseudo/, and
-    last.ckpt carries enough to resume mid-run
+    With a workdir, a fresh run starts with an empty train_log.jsonl and no
+    label files under pseudo/. Every epoch appends one JSONL log line, label
+    sets land under pseudo/, and last.ckpt carries enough to resume mid-run
     (per-epoch shuffling and labeling are derived from (seed, epoch), so no
     generator state needs saving).
     """
@@ -298,8 +298,11 @@ def train(corpus: Corpus, model_config: ModelConfig, train_cfg: TrainConfig,
         if labels_file:
             labels = PseudoLabelSet.load_jsonl(workdir / labels_file)
     else:
-        if log_path is not None:
-            log_path.write_bytes(b"")  # a fresh run does not extend an old log
+        if workdir is not None:
+            # a fresh run neither extends an old log nor keeps its labels
+            log_path.write_bytes(b"")
+            for stale in (workdir / "pseudo").glob("*.jsonl"):
+                stale.unlink()
         # stage 0: narration-only teacher, steps scored through the
         # narration pathway so labeling works without a trained step encoder
         params = init_params(model_config, train_cfg.seed)
@@ -320,22 +323,18 @@ def train(corpus: Corpus, model_config: ModelConfig, train_cfg: TrainConfig,
 
     for epoch in range(start_epoch, train_cfg.epochs):
         action = teacher_action(epoch, pseudo_cfg)
-        if action == TeacherAction.USE_INITIAL and labels is None:
+        if labels is None or action == TeacherAction.REFRESH:
+            initial = action == TeacherAction.USE_INITIAL
             labels = label_corpus(
                 detach_params(params), model_config, corpus, pseudo_cfg,
                 batch_size=train_cfg.batch_size, max_frames=train_cfg.max_frames,
-                assignment=assignment, steps_as_narrations=True,
-                meta={"teacher": "initial", "epoch": epoch})
-            labels_file = "pseudo/initial.jsonl"
-            _save_labels(workdir, labels, "initial")
-        elif action == TeacherAction.REFRESH or labels is None:
-            labels = label_corpus(
-                detach_params(params), model_config, corpus, pseudo_cfg,
-                batch_size=train_cfg.batch_size, max_frames=train_cfg.max_frames,
-                assignment=assignment, steps_as_narrations=False,
-                meta={"teacher": "student_snapshot", "epoch": epoch})
-            labels_file = f"pseudo/epoch_{epoch:03d}.jsonl"
-            _save_labels(workdir, labels, f"epoch_{epoch:03d}")
+                assignment=assignment, steps_as_narrations=initial,
+                meta={"teacher": "initial" if initial else "student_snapshot",
+                      "epoch": epoch})
+            labels_file = ("pseudo/initial.jsonl" if initial
+                           else f"pseudo/epoch_{epoch:03d}.jsonl")
+            if workdir is not None:
+                labels.save_jsonl(workdir / labels_file)
 
         stats = _run_epoch(params, model_config, corpus, train_cfg, loss_cfg,
                            state, main_total,
@@ -361,12 +360,6 @@ def train(corpus: Corpus, model_config: ModelConfig, train_cfg: TrainConfig,
 
     return TrainResult(params=params, model_config=model_config,
                        opt_state=state, labels=labels, history=history)
-
-
-def _save_labels(workdir: Optional[Path], labels: PseudoLabelSet,
-                 name: str) -> None:
-    if workdir is not None:
-        labels.save_jsonl(workdir / "pseudo" / f"{name}.jsonl")
 
 
 def _save_train_checkpoint(path: Path, params, state: OptimizerState,

@@ -61,7 +61,7 @@ def ws(tmp_path_factory):
 
 def test_generate_writes_manifest(ws):
     manifest = json.loads((ws.corpus / "manifest.json").read_text())
-    assert manifest["format_version"] == 1
+    assert manifest["format_version"] == 2
     assert manifest["dims"] == [12, 8, 8]
     assert len(manifest["videos"]) == 16
     assert len(manifest["articles"]) == 2
@@ -279,6 +279,20 @@ def test_eval_dims_mismatch_is_protocol_error(ws, tmp_path, capsys):
     assert main(["generate", "--out", str(other), "--config", str(cfg)]) == 0
     assert main(["eval", "--corpus", str(other),
                  "--checkpoint", str(ws.ckpt)]) == 3
+
+
+def test_checkpoint_with_an_unknown_model_key_is_protocol_error(ws, tmp_path, capsys):
+    from stepalign.encoder import load_checkpoint, save_checkpoint
+    arrays, meta = load_checkpoint(ws.ckpt)
+    meta["model_config"]["pe_for_steps"] = False
+    ckpt = tmp_path / "old.ckpt"
+    save_checkpoint(ckpt, arrays, meta=meta)
+    video = json.loads((ws.corpus / "manifest.json").read_text())["videos"][0]["id"]
+    for argv in (["eval", "--corpus", str(ws.corpus)],
+                 ["infer", "--corpus", str(ws.corpus), "--video", video,
+                  "--out", str(tmp_path / "out")]):
+        assert main(argv + ["--checkpoint", str(ckpt)]) == 3
+        assert "pe_for_steps" in capsys.readouterr().err
 
 
 def no_gt_corpus(tmp_path):

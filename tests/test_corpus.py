@@ -11,7 +11,7 @@ from stepalign.corpus import (Corpus, CorpusError, LabelSource, Segment,
                               generate_synthetic, read_corpus, split_corpus,
                               write_corpus)
 from stepalign.pseudolabel import PseudoLabel
-from stepalign.tensorio import FormatError
+from stepalign.tensorio import FormatError, read_tensors, write_tensors
 
 from conftest import make_article, make_video
 
@@ -209,12 +209,57 @@ def test_empty_corpus_round_trip(tmp_path):
     assert len(back.videos) == 0 and not back.articles
 
 
+def test_write_leaves_a_manifest_and_one_feature_file(tmp_path):
+    corpus = generate_synthetic(SynthConfig(num_tasks=2, videos_per_task=3, seed=0))
+    write_corpus(corpus, tmp_path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["features.bin",
+                                                          "manifest.json"]
+    arrays, _ = read_tensors(tmp_path / "features.bin")
+    assert list(arrays)[:2] == [f"videos/{corpus.videos[0].id}/frames",
+                                f"videos/{corpus.videos[0].id}/narr"]
+    assert len(arrays) == 2 * len(corpus.videos) + len(corpus.articles)
+
+
 def test_read_rejects_truncated_feature_file(tmp_path):
     corpus = generate_synthetic(SynthConfig(num_tasks=1, videos_per_task=1, seed=0))
     write_corpus(corpus, tmp_path)
-    victim = tmp_path / "videos" / f"{corpus.videos[0].id}.frames.bin"
+    victim = tmp_path / "features.bin"
     victim.write_bytes(victim.read_bytes()[:-8])
     with pytest.raises(FormatError, match="truncated"):
+        read_corpus(tmp_path)
+
+
+def test_read_names_the_video_whose_block_disagrees(tmp_path):
+    corpus = generate_synthetic(SynthConfig(num_tasks=1, videos_per_task=3, seed=0))
+    write_corpus(corpus, tmp_path)
+    victim = corpus.videos[1].id
+    arrays, meta = read_tensors(tmp_path / "features.bin")
+    frames = arrays[f"videos/{victim}/frames"]
+    # the same floats under another shape: only the manifest can tell
+    arrays[f"videos/{victim}/frames"] = frames.reshape(frames.shape[1], -1)
+    write_tensors(tmp_path / "features.bin", arrays, meta)
+    with pytest.raises(FormatError, match=f"video {victim}: shape mismatch"):
+        read_corpus(tmp_path)
+    del arrays[f"videos/{victim}/frames"]
+    write_tensors(tmp_path / "features.bin", arrays, meta)
+    with pytest.raises(FormatError, match=f"video {victim}: .*no block"):
+        read_corpus(tmp_path)
+    article = next(iter(corpus.articles))
+    arrays[f"videos/{victim}/frames"] = frames
+    del arrays[f"articles/{article}/steps"]
+    write_tensors(tmp_path / "features.bin", arrays, meta)
+    with pytest.raises(FormatError, match=f"article {article}: .*no block"):
+        read_corpus(tmp_path)
+
+
+def test_read_refuses_a_format_1_corpus(tmp_path):
+    corpus = generate_synthetic(SynthConfig(num_tasks=1, videos_per_task=1, seed=0))
+    write_corpus(corpus, tmp_path)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["format_version"] == 2
+    manifest["format_version"] = 1
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(CorpusError, match="format_version 1"):
         read_corpus(tmp_path)
 
 

@@ -450,7 +450,8 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
     params = init_params(cfg, seed=5)
     extra = {"opt.m.mlp_v.l1.w": np.random.default_rng(0).normal(size=(4, 6))}
     path = tmp_path / "model.ckpt"
-    save_checkpoint(path, {**params, **extra}, meta={"epoch": 3})
+    save_checkpoint(path, {**{k: p.data for k, p in params.items()}, **extra},
+                    meta={"epoch": 3})
     assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
     arrays, meta = load_checkpoint(path)
     assert meta == {"epoch": 3}

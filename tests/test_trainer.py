@@ -286,8 +286,8 @@ class Interrupted(Exception):
 
 def _kill_at_rename(monkeypatch, epoch):
     """os.replace fails on the given main epoch's checkpoint."""
-    from stepalign import encoder
-    real, calls = encoder.os.replace, []
+    from stepalign import tensorio
+    real, calls = tensorio.os.replace, []
 
     def replace_(src, dst):
         assert (Path(src).name, Path(dst).name) == ("last.ckpt.tmp", "last.ckpt")
@@ -295,7 +295,7 @@ def _kill_at_rename(monkeypatch, epoch):
         if len(calls) == epoch + 1:
             raise Interrupted
         real(src, dst)
-    monkeypatch.setattr(encoder.os, "replace", replace_)
+    monkeypatch.setattr(tensorio.os, "replace", replace_)
 
 
 def _kill_before_save(monkeypatch, epoch):
@@ -370,8 +370,7 @@ def test_resume_rejects_other_train_loss_or_pseudo_config(tmp_path):
 
 
 def test_resume_names_a_field_only_the_checkpoint_has(tmp_path):
-    from stepalign.cli import _load_model
-    from stepalign.config import ConfigError
+    from stepalign.cli import ProtocolError, _load_model
     from stepalign.encoder import load_checkpoint, save_checkpoint
     corpus = tiny_corpus()
     mc = tiny_model(corpus.dims)
@@ -386,8 +385,8 @@ def test_resume_names_a_field_only_the_checkpoint_has(tmp_path):
                            if not k.endswith("pos_s")}, meta=meta)
     with pytest.raises(TrainError, match="model_config.pe_for_steps False != None"):
         train(corpus, mc, cfg, LossConfig(), pcfg, workdir=tmp_path, resume=True)
-    # eval and infer load models through the same strict config reader
-    with pytest.raises(ConfigError, match="pe_for_steps"):
+    # eval and infer refuse it too, as an artifact mismatch
+    with pytest.raises(ProtocolError, match="pe_for_steps"):
         _load_model(str(ckpt))
 
 
@@ -399,6 +398,19 @@ def test_fresh_run_starts_an_empty_log(tmp_path):
     log = (once / "train_log.jsonl").read_bytes()
     assert len(log.splitlines()) == 3
     assert (twice / "train_log.jsonl").read_bytes() == log
+
+
+def test_fresh_run_deletes_label_files_of_an_earlier_run(tmp_path):
+    clean, used = tmp_path / "clean", tmp_path / "used"
+    run_tiny(seed=6, workdir=clean, epochs=3, teacher_pre_epochs=1)
+    run_tiny(seed=6, workdir=used, epochs=5, teacher_pre_epochs=1)
+    assert (used / "pseudo" / "epoch_004.jsonl").exists()
+    run_tiny(seed=6, workdir=used, epochs=3, teacher_pre_epochs=1)
+    names = sorted(p.name for p in (used / "pseudo").iterdir())
+    assert names == ["epoch_002.jsonl", "initial.jsonl"]
+    for name in names:
+        assert ((used / "pseudo" / name).read_bytes()
+                == (clean / "pseudo" / name).read_bytes())
 
 
 def test_resume_without_checkpoint_rejected(tmp_path):
