@@ -9,10 +9,19 @@ closure, so each activation is freed once nothing downstream needs it. Leaves
 keep their .grad; a second backward() through a graph raises GradientError.
 
 Kept deliberately small: broadcasting binary ops (subtraction is one, not an
-add of a negation), matmul, shape ops, the few pointwise functions the model
-needs, and masked_softmax, one node for softmax(x * scale + bias) that keeps
-only its input alive and recomputes the exponentials in backward. Anything
-fancier belongs in the calling code.
+add of a negation), matmul, shape ops and the few pointwise functions the
+model needs. Four fused nodes stand in for chains of generic ones, each
+matching that chain bit for bit and keeping less of it alive:
+
+    linear(x, w, b)       x @ w + b; the matmul's node, holding the sum in
+                          place of the product
+    layer_norm(x, g, b)   keeps the row means and deviations, (..., 1), and
+                          recomputes x - mean in backward
+    gelu(x)               keeps only x and recomputes erf in backward
+    masked_softmax(x, ..) softmax(x * scale + bias); keeps only x and
+                          recomputes the exponentials in backward
+
+Anything fancier belongs in the calling code.
 """
 
 from __future__ import annotations
@@ -46,6 +55,13 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     if axes:
         grad = grad.sum(axis=axes, keepdims=True)
     return grad.reshape(shape)
+
+
+def _is_basic(idx) -> bool:
+    """True for an index of ints, slices, Ellipsis and None only."""
+    parts = idx if isinstance(idx, tuple) else (idx,)
+    return all(isinstance(i, (int, np.integer, slice, type(Ellipsis), type(None)))
+               for i in parts)
 
 
 class Tensor:
@@ -190,7 +206,10 @@ class Tensor:
     def __getitem__(self, idx):
         def back(g):
             buf = np.zeros_like(self.data)
-            np.add.at(buf, idx, g)
+            if _is_basic(idx):  # a view: each element is picked at most once
+                buf[idx] = g
+            else:  # advanced indices may repeat an element
+                np.add.at(buf, idx, g)
             self._accum(buf)
         return Tensor._result(self.data[idx], (self,), back)
 
@@ -254,15 +273,102 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
                           tensors, back)
 
 
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w + b as one node.
+
+    The product goes through Tensor.__matmul__ and keeps its node; the bias
+    is added to that node's array, b joins its parents, and b's gradient is
+    the output gradient summed down to b's shape, as the add node gave it.
+    """
+    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
+    out = x @ w
+    product_dtype = out.dtype
+    out.data = out.data + b.data  # the product's own array is freed here
+    if b.requires_grad:
+        product_back = out._backward
+
+        def back(g):
+            if product_back is not None:
+                product_back(g.astype(product_dtype, copy=False))
+            b._accum(_unbroadcast(g, b.shape))
+        out.requires_grad = True
+        out._parents += (b,)
+        out._backward = back
+    return out
+
+
+def layer_norm(x: Tensor, g: Tensor, b: Tensor, eps: float) -> Tensor:
+    """(x - mean) / sqrt(var + eps) * g + b over the last axis, as one node.
+
+    The node keeps only the row means and deviations, shape (..., 1), and
+    recomputes x - mean in backward. Both directions repeat the arithmetic of
+    the composed generic ops (x.mean, x - mu, c * c, .mean, + eps, .sqrt, /,
+    * g, + b) in the same order, with the dtype casts of their nodes, and x
+    receives two accumulations, the centred term first and the mean term
+    second, as from the subtraction and the sum node. So outputs and
+    gradients match those ops bit for bit.
+    """
+    x, g, b = as_tensor(x), as_tensor(g), as_tensor(b)
+    # the 0-d constants Tensor.mean and Tensor.__add__ make of Python floats;
+    # dividing by count promotes x, so mu and every intermediate after it
+    # up to the normalised rows has mu's dtype
+    count = np.asarray(float(x.shape[-1]))
+    eps = np.asarray(eps)
+    mu = x.data.sum(axis=-1, keepdims=True) / count
+    centered = x.data - mu
+    var = (centered * centered).sum(axis=-1, keepdims=True) / count
+    sd = np.sqrt(var + eps)
+    out = centered / sd * g.data + b.data
+
+    def back(grad):
+        c = x.data - mu
+        normed = c / sd
+        g_scaled = grad.astype(np.result_type(normed, g.data), copy=False)
+        if b.requires_grad:
+            b._accum(_unbroadcast(grad, b.shape))
+        if g.requires_grad:
+            g._accum(_unbroadcast(g_scaled * normed, g.shape))
+        if not x.requires_grad:
+            return
+        g_normed = (g_scaled * g.data).astype(mu.dtype, copy=False)
+        g_sd = _unbroadcast(-g_normed * c / (sd ** 2), sd.shape)
+        g_sq = np.broadcast_to(g_sd * 0.5 / sd / count, c.shape)
+        # c's gradient: the division's term, then both operands of c * c
+        g_c = g_normed / sd + g_sq * c + g_sq * c
+        x._accum(g_c)
+        g_sum = (_unbroadcast(-g_c, mu.shape) / count).astype(x.dtype, copy=False)
+        x._accum(np.broadcast_to(g_sum, x.shape))
+    return Tensor._result(out, (x, g, b), back)
+
+
 def gelu(x: Tensor) -> Tensor:
-    """Exact Gaussian-error-linear unit, 0.5 x (1 + erf(x / sqrt(2)))."""
+    """Exact Gaussian-error-linear unit, 0.5 x (1 + erf(x / sqrt(2))).
+
+    The node keeps only x; backward recomputes the normal CDF from it. Both
+    directions evaluate 0.5 * (1 + erf(x / sqrt(2))) and
+    g * (cdf + x * pdf) in place, in the order and dtypes of those
+    expressions, so the results match them bit for bit without their
+    temporaries.
+    """
     x = as_tensor(x)
-    cdf = 0.5 * (1.0 + erf(x.data * _INV_SQRT2))
+
+    def cdf():
+        c = x.data * _INV_SQRT2  # a float64 constant: float32 x is promoted
+        erf(c, out=c)
+        c += 1.0
+        c *= 0.5
+        return c
 
     def back(g):
-        pdf = _INV_SQRT2PI * np.exp(-0.5 * x.data ** 2)
-        x._accum(g * (cdf + x.data * pdf))
-    return Tensor._result(x.data * cdf, (x,), back)
+        d = x.data ** 2
+        d *= -0.5
+        np.exp(d, out=d)
+        d = d * _INV_SQRT2PI  # promotes float32 x here, not before
+        d *= x.data
+        d += cdf()
+        d *= g
+        x._accum(d)
+    return Tensor._result(x.data * cdf(), (x,), back)
 
 
 def masked_softmax(x: Tensor, scale, bias) -> Tensor:

@@ -24,7 +24,8 @@ from typing import Mapping, Optional
 import numpy as np
 
 from . import tensorio
-from .autodiff import Tensor, concat, gelu, masked_softmax
+from .autodiff import (Tensor, concat, gelu, layer_norm, linear,
+                       masked_softmax)
 from .corpus.batching import Batch
 
 LAYERNORM_EPS = 1e-5
@@ -136,7 +137,7 @@ def detach_params(params: Mapping[str, Tensor]) -> dict[str, Tensor]:
 
 
 def _linear(params, name: str, x: Tensor) -> Tensor:
-    return x @ params[f"{name}.w"] + params[f"{name}.b"]
+    return linear(x, params[f"{name}.w"], params[f"{name}.b"])
 
 
 def _mlp(params, name: str, x: Tensor) -> Tensor:
@@ -144,11 +145,7 @@ def _mlp(params, name: str, x: Tensor) -> Tensor:
 
 
 def _layer_norm(params, name: str, x: Tensor) -> Tensor:
-    mu = x.mean(axis=-1, keepdims=True)
-    centered = x - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    normed = centered / (var + LAYERNORM_EPS).sqrt()
-    return normed * params[f"{name}.g"] + params[f"{name}.b"]
+    return layer_norm(x, params[f"{name}.g"], params[f"{name}.b"], LAYERNORM_EPS)
 
 
 _UNIMODAL = {"video": ("mlp_v", "pos_v"), "narration": ("mlp_n", "pos_n"),

@@ -4,9 +4,10 @@ import weakref
 
 import numpy as np
 import pytest
+from scipy.special import erf
 
 from stepalign.autodiff import (GradientError, Tensor, concat, gelu,
-                                masked_softmax)
+                                layer_norm, linear, masked_softmax)
 from stepalign.corpus import SynthConfig, generate_synthetic
 from stepalign.corpus.batching import LabelSource, batch_iter
 from stepalign.encoder import MASK_FILL, ModelConfig, forward_batch, init_params
@@ -48,6 +49,11 @@ def test_sum_of_squares_gradient_exact():
     assert np.array_equal(x.grad, np.array([[2.0, -4.0, 6.0]]))
 
 
+_FD = np.random.default_rng(9)
+_X, _W, _B = _FD.normal(size=(3, 4)), _FD.normal(size=(4, 4)), _FD.normal(size=(1, 4))
+_WEIGHTS = Tensor(_FD.normal(size=(3, 4)))  # so no output sum is constant
+
+
 @pytest.mark.parametrize("build", [
     lambda t: (t + 2.0).sum(),
     lambda t: (Tensor(2.0) - t).sum(),
@@ -66,6 +72,15 @@ def test_sum_of_squares_gradient_exact():
     # a masked column, a scale and a bias that is not a mask
     lambda t: (masked_softmax(t, 0.5, np.array([0.0, MASK_FILL, 0.3, 0.0]))
                * Tensor(np.arange(12.0).reshape(3, 4))).sum(),
+    lambda t: t[1:, ::2].sum() + t[np.array([0, 0, 2]), 1].sum(),
+    # the fused nodes, with respect to each operand
+    lambda t: (linear(t, Tensor(_W), Tensor(_B)) * _WEIGHTS).sum(),
+    lambda t: (linear(Tensor(_X[:, :3]), t[:3], Tensor(_B)) * _WEIGHTS).sum(),
+    lambda t: (linear(Tensor(_X), Tensor(_W), t) * _WEIGHTS).sum(),
+    lambda t: (layer_norm(t, Tensor(_B), Tensor(_B), 1e-5) * _WEIGHTS).sum(),
+    lambda t: (layer_norm(Tensor(_X), t, Tensor(_B), 1e-5) * _WEIGHTS).sum(),
+    lambda t: (layer_norm(Tensor(_X), Tensor(_B), t, 1e-5) * _WEIGHTS).sum(),
+    lambda t: (gelu(t) * _WEIGHTS).sum(),
 ])
 def test_op_gradients_match_finite_differences(build):
     check_grad(build, (3, 4))
@@ -109,6 +124,24 @@ def test_getitem_scatter_accumulates():
     y = x[np.array([0, 0, 2])].sum()
     y.backward()
     assert x.grad.tolist() == [2.0, 0.0, 1.0, 0.0]
+
+
+@pytest.mark.parametrize("idx", [
+    1, np.int64(-1), slice(1, 3), (slice(None), slice(2, None)),
+    (Ellipsis, 0), (0, None, slice(None, None, 2)),  # basic: assigned
+    (np.array([1, 1, 0]),), (slice(None), np.array([3, 0, 3])),
+    (np.array([0, 1, 0]), np.array([2, 2, 2])),  # advanced, with repeats
+    np.array([[True, False, True, False]] * 2),
+])
+def test_getitem_gradient_sums_every_pick(idx):
+    rng = np.random.default_rng(6)
+    x = Tensor(rng.normal(size=(2, 4)), requires_grad=True)
+    out = x[idx]
+    seed = rng.normal(size=out.shape)
+    out.backward(seed)
+    expected = np.zeros((2, 4))
+    np.add.at(expected, idx, seed)
+    assert np.array_equal(x.grad, expected)
 
 
 def test_reuse_accumulates_gradient():
@@ -174,6 +207,86 @@ def test_masked_softmax_matches_composed_ops_bit_for_bit(case, dtype):
     assert np.array_equal(outs[0], outs[1])
     assert np.array_equal(grads[0], grads[1])
     np.testing.assert_allclose(outs[0].sum(axis=-1), 1.0, atol=1e-12)
+
+
+def _composed_linear(x, w, b):
+    """x @ w + b as two generic nodes: the reference linear must match bit
+    for bit."""
+    return x @ w + b
+
+
+def _composed_layer_norm(x, g, b, eps):
+    """Layer norm built from generic nodes: the reference layer_norm must
+    match bit for bit."""
+    mu = x.mean(axis=-1, keepdims=True)
+    centered = x - mu
+    var = (centered * centered).mean(axis=-1, keepdims=True)
+    return centered / (var + eps).sqrt() * g + b
+
+
+def _cdf_gelu(x):
+    """GELU as a node that keeps its CDF alive: the reference gelu, which
+    recomputes the CDF in backward, must match bit for bit."""
+    cdf = 0.5 * (1.0 + erf(x.data * (1.0 / np.sqrt(2.0))))
+
+    def back(g):
+        pdf = 1.0 / np.sqrt(2.0 * np.pi) * np.exp(-0.5 * x.data ** 2)
+        x._accum(g * (cdf + x.data * pdf))
+    return Tensor._result(x.data * cdf, (x,), back)
+
+
+_FUSED = {  # op, its reference, operand shapes
+    "linear": (linear, _composed_linear, [(2, 5, 6), (6, 6), (1, 6)]),
+    "layer_norm": (lambda x, g, b: layer_norm(x, g, b, 1e-5),
+                   lambda x, g, b: _composed_layer_norm(x, g, b, 1e-5),
+                   [(2, 5, 6), (1, 6), (1, 6)]),
+    "gelu": (gelu, _cdf_gelu, [(2, 5, 6)]),
+}
+
+
+@pytest.mark.parametrize("residual", [False, True], ids=["alone", "residual"])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("name", list(_FUSED))
+def test_fused_node_matches_composed_ops_bit_for_bit(name, dtype, residual):
+    # with the residual, x also feeds x + op(x): its gradient then sums
+    # three or four terms, and only the composed ops' order gives its bits
+    fused, composed, shapes = _FUSED[name]
+    rng = np.random.default_rng(8)
+    data = [rng.normal(size=shape).astype(dtype) for shape in shapes]
+    data[1:] = [d * 0.5 + 1.0 for d in data[1:]]  # gains and biases off 0/1
+    seed = None
+    outs, grads = [], []
+    for build in (fused, composed):
+        operands = [Tensor(d.copy(), requires_grad=True) for d in data]
+        out = build(*operands)
+        if residual:
+            out = operands[0] + out
+        if seed is None:
+            seed = rng.normal(size=out.shape)
+        out.backward(seed)
+        outs.append(out.data)
+        grads.append([t.grad for t in operands])
+    assert outs[0].dtype == outs[1].dtype
+    assert np.array_equal(outs[0], outs[1])
+    for fused_grad, composed_grad, d in zip(*grads, data):
+        assert fused_grad.dtype == composed_grad.dtype == d.dtype
+        assert np.array_equal(fused_grad, composed_grad)
+
+
+@pytest.mark.parametrize("name", ["linear", "layer_norm"])
+def test_fused_nodes_skip_operands_without_gradient(name):
+    fused, composed, shapes = _FUSED[name]
+    rng = np.random.default_rng(10)
+    data = [rng.normal(size=shape) for shape in shapes]
+    for needs in [(True, False, False), (False, True, False), (False, False, True)]:
+        grads = []
+        for build in (fused, composed):
+            operands = [Tensor(d.copy(), requires_grad=r) for d, r in zip(data, needs)]
+            build(*operands).backward(np.ones((2, 5, 6)))
+            grads.append([t.grad for t in operands])
+        for fused_grad, composed_grad, r in zip(*grads, needs):
+            assert (fused_grad is None) == (composed_grad is None) == (not r)
+            assert not r or np.array_equal(fused_grad, composed_grad)
 
 
 def test_gelu_values():
@@ -302,18 +415,10 @@ def test_training_step_accumulates_only_into_tensors_that_require_grad(monkeypat
     assert all(p.grad is not None for p in params.values())
 
 
-def test_attention_keeps_two_score_sized_arrays_per_layer():
-    # what a training graph holds from forward to backward, counted over the
-    # data of every node and the arrays its backward closure captures:
-    # per layer only q @ k^T (the softmax input) and the attention
-    # probabilities (the input of P @ v) are (B, H, n, n)
-    mc, params, batch = _curriculum_step()
-    alignments = forward_batch(params, mc, batch,
-                               dropout_rng=np.random.default_rng(7))
-    loss, _ = total_loss(alignments, batch, LossConfig())
-    n_tok = sum(m.shape[1] for m in (batch.frame_mask, batch.narration_mask,
-                                     batch.step_mask))
-    score_shape = (batch.size, mc.num_heads, n_tok, n_tok)
+def _held_arrays(loss, shape) -> int:
+    """Arrays of the given shape that the graph under loss keeps alive, from
+    forward to backward: the data of every node and the arrays its backward
+    closure captures. A view counts as the array that owns its memory."""
     held, seen, stack = set(), set(), [loss]
     while stack:
         node = stack.pop()
@@ -322,10 +427,39 @@ def test_attention_keeps_two_score_sized_arrays_per_layer():
         seen.add(id(node))
         cells = getattr(node._backward, "__closure__", None) or ()
         for array in [node.data] + [c.cell_contents for c in cells]:
-            if isinstance(array, np.ndarray) and array.shape == score_shape:
-                held.add(id(array))  # the graph keeps each alive
+            if isinstance(array, np.ndarray):
+                owner = array if array.base is None else array.base
+                if owner.shape == shape:
+                    held.add(id(owner))
         stack.extend(node._parents)
-    assert len(held) == 2 * mc.num_layers
+    return len(held)
+
+
+def _curriculum_graph():
+    mc, params, batch = _curriculum_step()
+    alignments = forward_batch(params, mc, batch,
+                               dropout_rng=np.random.default_rng(7))
+    loss, _ = total_loss(alignments, batch, LossConfig())
+    n_tok = sum(m.shape[1] for m in (batch.frame_mask, batch.narration_mask,
+                                     batch.step_mask))
+    return mc, batch.size, n_tok, loss
+
+
+def test_attention_keeps_two_score_sized_arrays_per_layer():
+    # per layer only q @ k^T (the softmax input) and the attention
+    # probabilities (the input of P @ v) are (B, H, n, n)
+    mc, b, n_tok, loss = _curriculum_graph()
+    assert _held_arrays(loss, (b, mc.num_heads, n_tok, n_tok)) == 2 * mc.num_layers
+
+
+def test_fused_nodes_keep_the_token_sized_arrays_down():
+    # linear keeps one output array, layer_norm none but its (B, n, 1)
+    # statistics, gelu none beyond its input: 60 (B, n, model_dim) and 8
+    # (B, n, ffn_dim) arrays when each was a chain of generic nodes
+    mc, b, n_tok, loss = _curriculum_graph()
+    assert _held_arrays(loss, (b, n_tok, mc.model_dim)) <= 30
+    # the first FFN layer's output and its GELU
+    assert _held_arrays(loss, (b, n_tok, mc.ffn_dim)) == 2 * mc.num_layers
 
 
 def test_subtraction_is_one_node_with_exact_gradients(monkeypatch):
