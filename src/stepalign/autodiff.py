@@ -10,7 +10,7 @@ keep their .grad; a second backward() through a graph raises GradientError.
 
 Kept deliberately small: broadcasting binary ops (subtraction is one, not an
 add of a negation), matmul, shape ops and the few pointwise functions the
-model needs. Four fused nodes stand in for chains of generic ones, each
+model needs. Six fused nodes stand in for chains of generic ones, each
 matching that chain bit for bit and keeping less of it alive:
 
     linear(x, w, b)       x @ w + b; the matmul's node, holding the sum in
@@ -20,6 +20,11 @@ matching that chain bit for bit and keeping less of it alive:
     gelu(x)               keeps only x and recomputes erf in backward
     masked_softmax(x, ..) softmax(x * scale + bias); keeps only x and
                           recomputes the exponentials in backward
+    attention(q, k, v, ..) softmax(q @ k^T * scale + bias) @ v with the heads
+                          merged; keeps only q, k and v and recomputes the
+                          scores and their exponentials in backward
+    dropout(x, keep, rate) x * keep / (1 - rate); keeps the bool mask and
+                          rebuilds the scaled mask in backward
 
 Anything fancier belongs in the calling code.
 """
@@ -371,6 +376,23 @@ def gelu(x: Tensor) -> Tensor:
     return Tensor._result(x.data * cdf(), (x,), back)
 
 
+def _softmax_exps(x: np.ndarray, scale, bias):
+    """exp(x * scale + bias - row max) in one buffer, and its row sums."""
+    z = x * scale
+    z += bias
+    z -= z.max(axis=-1, keepdims=True)
+    np.exp(z, out=z)
+    return z, z.sum(axis=-1, keepdims=True)
+
+
+def _softmax_grad(g: np.ndarray, e: np.ndarray, s: np.ndarray, scale) -> np.ndarray:
+    """Gradient of softmax(x * scale + bias) with respect to x, from g, that
+    of the probabilities, and _softmax_exps(x, scale, bias); the arithmetic
+    of the composed ops' backward (e / s, then x * scale) in their order."""
+    ge = g / s + (-g * e / s ** 2).sum(axis=-1, keepdims=True)
+    return ge * e * scale
+
+
 def masked_softmax(x: Tensor, scale, bias) -> Tensor:
     """softmax(x * scale + bias) over the last axis, as one node.
 
@@ -384,19 +406,70 @@ def masked_softmax(x: Tensor, scale, bias) -> Tensor:
     """
     x = as_tensor(x)
     scale = np.asarray(scale)  # 0-d array: promotes x like a Tensor constant
-
-    def exps():
-        z = x.data * scale
-        z += bias
-        z -= z.max(axis=-1, keepdims=True)
-        np.exp(z, out=z)
-        return z, z.sum(axis=-1, keepdims=True)
-
-    out, total = exps()
+    out, total = _softmax_exps(x.data, scale, bias)
     out /= total
 
     def back(g):
-        e, s = exps()
-        ge = g / s + (-g * e / s ** 2).sum(axis=-1, keepdims=True)
-        x._accum(ge * e * scale)
+        x._accum(_softmax_grad(g, *_softmax_exps(x.data, scale, bias), scale))
     return Tensor._result(out, (x,), back)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, scale, bias) -> Tensor:
+    """Multi-head attention, softmax(q @ k^T * scale + bias) @ v, as one node.
+
+    q, k and v are (B, H, n, dh); bias is a constant broadcast against the
+    (B, H, n, n) scores, e.g. MASK_FILL on blocked keys. The result has the
+    heads merged, (B, n, H * dh). The node keeps only q, k and v, which the
+    graph holds anyway: backward recomputes q @ k^T and its exponentials
+    instead of keeping the scores or the probabilities, as FlashAttention
+    (Dao et al., 2022) does. Both forward products go through
+    Tensor.__matmul__ on constants, so they count as matmuls. Both
+    directions repeat the arithmetic and dtype casts of the composed chain
+    (q @ k.swapaxes(-1, -2), masked_softmax, @ v, swapaxes(1, 2), reshape)
+    in its order, so they match it bit for bit.
+    """
+    q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
+    b, h, n, dh = q.shape
+    scale = np.asarray(scale)  # 0-d array: promotes the scores like masked_softmax
+    scores = Tensor(q.data) @ Tensor(k.data.swapaxes(-1, -2))
+    scores_dtype = scores.dtype
+    p, total = _softmax_exps(scores.data, scale, bias)
+    del scores  # each (B, H, n, n) array goes as soon as it is used
+    p /= total
+    heads = (Tensor(p) @ Tensor(v.data)).data
+    del p
+    out = heads.swapaxes(1, 2).reshape(b, n, h * dh)
+
+    def back(g):
+        g_o = g.reshape(b, n, h, dh).swapaxes(1, 2)
+        e, s = _softmax_exps(q.data @ k.data.swapaxes(-1, -2), scale, bias)
+        if v.requires_grad:
+            v._accum((e / s).swapaxes(-1, -2) @ g_o)
+        if not (q.requires_grad or k.requires_grad):
+            return
+        g_p = (g_o @ v.data.swapaxes(-1, -2)).astype(e.dtype, copy=False)
+        g_s = _softmax_grad(g_p, e, s, scale).astype(scores_dtype, copy=False)
+        del g_p, e
+        if q.requires_grad:
+            q._accum(g_s @ k.data)
+        if k.requires_grad:
+            k._accum((q.data.swapaxes(-1, -2) @ g_s).swapaxes(-1, -2))
+    return Tensor._result(out, (q, k, v), back)
+
+
+def dropout(x: Tensor, keep: np.ndarray, rate: float) -> Tensor:
+    """Inverted dropout, x * keep / (1 - rate), as one node.
+
+    keep is the bool mask of the elements that survive. The node keeps that
+    mask, not the scaled one, and both directions rebuild
+    keep.astype(x.dtype) / (1 - rate), so they match the product
+    x * Tensor(keep.astype(x.dtype) / (1 - rate)) bit for bit.
+    """
+    x = as_tensor(x)
+
+    def scaled():
+        return keep.astype(x.dtype) / (1.0 - rate)
+
+    def back(g):
+        x._accum(g * scaled())
+    return Tensor._result(x.data * scaled(), (x,), back)

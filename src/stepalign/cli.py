@@ -156,6 +156,12 @@ def _eval_model(args, corpus: Corpus) -> dict:
 
 
 def cmd_eval(args) -> int:
+    if args.batch_size < 1:
+        raise ConfigError(f"--batch-size must be >= 1, got {args.batch_size}")
+    if any(k < 1 for k in args.k):
+        raise ConfigError(f"--k must be >= 1, got {args.k}")
+    if any(not 0.0 < iou <= 1.0 for iou in args.iou):
+        raise ConfigError(f"--iou must be in (0, 1], got {args.iou}")
     corpus = _read_corpus(args.corpus)
     if args.predictions:
         preds = read_predictions(args.predictions)

@@ -24,8 +24,8 @@ from typing import Mapping, Optional
 import numpy as np
 
 from . import tensorio
-from .autodiff import (Tensor, concat, gelu, layer_norm, linear,
-                       masked_softmax)
+from .autodiff import (Tensor, attention, concat, dropout, gelu, layer_norm,
+                       linear, masked_softmax)
 from .corpus.batching import Batch
 
 LAYERNORM_EPS = 1e-5
@@ -181,9 +181,7 @@ def _attention(params, name: str, x: Tensor, key_mask: np.ndarray,
     k = heads(_linear(params, f"{name}.wk", x))
     v = heads(_linear(params, f"{name}.wv", x))
     bias = np.where(key_mask, 0.0, MASK_FILL).astype(x.dtype)
-    attn = masked_softmax(q @ k.swapaxes(-1, -2), 1.0 / np.sqrt(dh),
-                          bias[:, None, None, :])
-    out = (attn @ v).swapaxes(1, 2).reshape(b, n_tok, d)
+    out = attention(q, k, v, 1.0 / np.sqrt(dh), bias[:, None, None, :])
     return _linear(params, f"{name}.wo", out)
 
 
@@ -191,8 +189,7 @@ def _dropout(x: Tensor, rate: float, rng) -> Tensor:
     """Inverted dropout; identity when no generator is supplied (inference)."""
     if rng is None or rate <= 0.0:
         return x
-    keep = (rng.random(x.shape) >= rate).astype(x.dtype) / (1.0 - rate)
-    return x * Tensor(keep)
+    return dropout(x, rng.random(x.shape) >= rate, rate)
 
 
 def multimodal_encode(params, config: ModelConfig, h_v: Tensor, h_n: Tensor,

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
-from stepalign.autodiff import (GradientError, Tensor, concat, gelu,
-                                layer_norm, linear, masked_softmax)
+from stepalign.autodiff import (GradientError, Tensor, attention, concat,
+                                dropout, gelu, layer_norm, linear,
+                                masked_softmax)
 from stepalign.corpus import SynthConfig, generate_synthetic
 from stepalign.corpus.batching import LabelSource, batch_iter
 from stepalign.encoder import MASK_FILL, ModelConfig, forward_batch, init_params
@@ -52,6 +53,15 @@ def test_sum_of_squares_gradient_exact():
 _FD = np.random.default_rng(9)
 _X, _W, _B = _FD.normal(size=(3, 4)), _FD.normal(size=(4, 4)), _FD.normal(size=(1, 4))
 _WEIGHTS = Tensor(_FD.normal(size=(3, 4)))  # so no output sum is constant
+# q, k, v of one batch row with 2 heads of 3 tokens x 2 dims; key 1 is blocked
+_QKV = [Tensor(a) for a in _FD.normal(size=(3, 1, 2, 3, 2))]
+_KEY_BIAS = np.array([0.0, MASK_FILL, 0.3])[None, None, None, :]
+
+
+def _attention_fd(t, operand):
+    qkv = list(_QKV)
+    qkv[operand] = t.reshape(1, 2, 3, 2)
+    return (attention(*qkv, 0.7, _KEY_BIAS) * _WEIGHTS).sum()
 
 
 @pytest.mark.parametrize("build", [
@@ -81,6 +91,9 @@ _WEIGHTS = Tensor(_FD.normal(size=(3, 4)))  # so no output sum is constant
     lambda t: (layer_norm(Tensor(_X), t, Tensor(_B), 1e-5) * _WEIGHTS).sum(),
     lambda t: (layer_norm(Tensor(_X), Tensor(_B), t, 1e-5) * _WEIGHTS).sum(),
     lambda t: (gelu(t) * _WEIGHTS).sum(),
+    lambda t: _attention_fd(t, 0),
+    lambda t: _attention_fd(t, 1),
+    lambda t: _attention_fd(t, 2),
 ])
 def test_op_gradients_match_finite_differences(build):
     check_grad(build, (3, 4))
@@ -289,6 +302,76 @@ def test_fused_nodes_skip_operands_without_gradient(name):
             assert not r or np.array_equal(fused_grad, composed_grad)
 
 
+def _composed_attention(q, k, v, scale, bias):
+    """Attention built from generic nodes and masked_softmax, with the heads
+    merged: the fused attention must match bit for bit."""
+    b, h, n, dh = q.shape
+    p = masked_softmax(q @ k.swapaxes(-1, -2), scale, bias)
+    return (p @ v).swapaxes(1, 2).reshape(b, n, h * dh)
+
+
+@pytest.mark.parametrize("operands", ["qkv", "q", "k", "v", "projections"])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_attention_matches_composed_ops_bit_for_bit(dtype, operands):
+    # "projections" makes q, k and v head views of three projections of one
+    # x, as the encoder does, so x's gradient sums three terms in the order
+    # the graph walk gives them; the other cases make only the named
+    # operands leaves that require a gradient
+    rng = np.random.default_rng(11)
+    b, h, n, dh = 3, 2, 6, 4
+    keys = np.ones((b, n), dtype=bool)
+    keys[0, 4:] = False  # a padded batch row
+    keys[1, 1] = keys[1, 3] = False  # blocked keys inside a row
+    bias = np.where(keys, 0.0, MASK_FILL).astype(dtype)[:, None, None, :]
+    if operands == "projections":
+        shapes = [(b, n, h * dh)] + [(h * dh, h * dh)] * 3
+    else:
+        shapes = [(b, h, n, dh)] * 3
+    data = [rng.normal(size=shape).astype(dtype) for shape in shapes]
+    seed = rng.normal(size=(b, n, h * dh))
+    outs, grads = [], []
+    for build in (attention, _composed_attention):
+        if operands == "projections":
+            leaves = [Tensor(d.copy(), requires_grad=True) for d in data]
+            x, weights = leaves[0], leaves[1:]
+            qkv = [(x @ w).reshape(b, n, h, dh).swapaxes(1, 2) for w in weights]
+        else:
+            leaves = [Tensor(d.copy(), requires_grad=name in operands)
+                      for d, name in zip(data, "qkv")]
+            qkv = leaves
+        out = build(*qkv, 1.0 / np.sqrt(dh), bias)
+        out.backward(seed)
+        outs.append(out.data)
+        grads.append([t.grad for t in leaves])
+    assert outs[0].dtype == outs[1].dtype
+    assert np.array_equal(outs[0], outs[1])
+    for fused_grad, composed_grad, t in zip(*grads, leaves):
+        assert (fused_grad is None) == (composed_grad is None) == (not t.requires_grad)
+        if t.requires_grad:
+            assert fused_grad.dtype == composed_grad.dtype == dtype
+            assert np.array_equal(fused_grad, composed_grad)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_dropout_matches_product_with_scaled_mask_bit_for_bit(dtype):
+    rng = np.random.default_rng(12)
+    x_data = rng.normal(size=(2, 5, 6)).astype(dtype)
+    keep = rng.random(x_data.shape) >= 0.1
+    keep_float = keep.astype(dtype) / (1.0 - 0.1)
+    seed = rng.normal(size=x_data.shape)
+    outs, grads = [], []
+    for build in (lambda x: dropout(x, keep, 0.1),
+                  lambda x: x * Tensor(keep_float)):
+        x = Tensor(x_data.copy(), requires_grad=True)
+        out = build(x)
+        out.backward(seed)
+        outs.append(out.data)
+        grads.append(x.grad)
+    assert outs[0].dtype == outs[1].dtype == grads[0].dtype == grads[1].dtype == dtype
+    assert np.array_equal(outs[0], outs[1])
+    assert np.array_equal(grads[0], grads[1])
+
+
 def test_gelu_values():
     # gelu(0) = 0, gelu is odd-symmetric around the identity: g(x) - g(-x) = x
     x = np.linspace(-3, 3, 13)
@@ -415,24 +498,36 @@ def test_training_step_accumulates_only_into_tensors_that_require_grad(monkeypat
     assert all(p.grad is not None for p in params.values())
 
 
-def _held_arrays(loss, shape) -> int:
-    """Arrays of the given shape that the graph under loss keeps alive, from
-    forward to backward: the data of every node and the arrays its backward
-    closure captures. A view counts as the array that owns its memory."""
-    held, seen, stack = set(), set(), [loss]
+def _captured(fn) -> list:
+    """What a function's closure holds, through the functions it holds."""
+    found, fns = [], [fn]
+    while fns:
+        for cell in getattr(fns.pop(), "__closure__", None) or ():
+            value = cell.cell_contents
+            (fns if callable(value) else found).append(value)
+    return found
+
+
+def _held_arrays(loss) -> list[np.ndarray]:
+    """The distinct arrays the graph under loss keeps alive, from forward to
+    backward: the data of every node and the arrays its backward closure
+    captures. A view counts as the array that owns its memory."""
+    held, seen, stack = {}, set(), [loss]
     while stack:
         node = stack.pop()
         if id(node) in seen:
             continue
         seen.add(id(node))
-        cells = getattr(node._backward, "__closure__", None) or ()
-        for array in [node.data] + [c.cell_contents for c in cells]:
+        for array in [node.data] + _captured(node._backward):
             if isinstance(array, np.ndarray):
                 owner = array if array.base is None else array.base
-                if owner.shape == shape:
-                    held.add(id(owner))
+                held[id(owner)] = owner
         stack.extend(node._parents)
-    return len(held)
+    return list(held.values())
+
+
+def _count(arrays, shape) -> int:
+    return sum(a.shape == shape for a in arrays)
 
 
 def _curriculum_graph():
@@ -442,24 +537,33 @@ def _curriculum_graph():
     loss, _ = total_loss(alignments, batch, LossConfig())
     n_tok = sum(m.shape[1] for m in (batch.frame_mask, batch.narration_mask,
                                      batch.step_mask))
-    return mc, batch.size, n_tok, loss
+    return mc, batch.size, n_tok, _held_arrays(loss)
 
 
-def test_attention_keeps_two_score_sized_arrays_per_layer():
-    # per layer only q @ k^T (the softmax input) and the attention
-    # probabilities (the input of P @ v) are (B, H, n, n)
-    mc, b, n_tok, loss = _curriculum_graph()
-    assert _held_arrays(loss, (b, mc.num_heads, n_tok, n_tok)) == 2 * mc.num_layers
+def test_attention_keeps_no_score_sized_array():
+    # the attention node recomputes q @ k^T and the probabilities in
+    # backward; as a chain it kept both, 2 (B, H, n, n) arrays per layer
+    mc, b, n_tok, held = _curriculum_graph()
+    assert _count(held, (b, mc.num_heads, n_tok, n_tok)) == 0
 
 
 def test_fused_nodes_keep_the_token_sized_arrays_down():
     # linear keeps one output array, layer_norm none but its (B, n, 1)
     # statistics, gelu none beyond its input: 60 (B, n, model_dim) and 8
     # (B, n, ffn_dim) arrays when each was a chain of generic nodes
-    mc, b, n_tok, loss = _curriculum_graph()
-    assert _held_arrays(loss, (b, n_tok, mc.model_dim)) <= 30
+    mc, b, n_tok, held = _curriculum_graph()
+    assert _count(held, (b, n_tok, mc.model_dim)) <= 30
     # the first FFN layer's output and its GELU
-    assert _held_arrays(loss, (b, n_tok, mc.ffn_dim)) == 2 * mc.num_layers
+    assert _count(held, (b, n_tok, mc.ffn_dim)) == 2 * mc.num_layers
+
+
+def test_training_graph_bytes_stay_bounded():
+    # every array the graph holds, parameters included: 44.0 MB while
+    # attention was a chain that kept q @ k^T and the probabilities and
+    # dropout kept float64 masks, 28.5 MB with the attention node and 26.4 MB
+    # with the dropout node's bool masks
+    *_, held = _curriculum_graph()
+    assert sum(a.nbytes for a in held) <= 26_369_768
 
 
 def test_subtraction_is_one_node_with_exact_gradients(monkeypatch):

@@ -258,6 +258,18 @@ def test_eval_k_and_iou_flags(ws, capsys):
     assert "iou0.5" not in out
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--batch-size", "0"), ("--k", "0"), ("--iou", "2"), ("--iou", "0"),
+])
+def test_eval_bad_numeric_argument_is_config_error(ws, capsys, flag, value):
+    # --batch-size 0 used to exit 4, as if the data were at fault; --k 0 and
+    # --iou 2 printed a recall of 0 and exited 0
+    assert main(["eval", "--corpus", str(ws.corpus), "--checkpoint",
+                 str(ws.ckpt), flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and flag in captured.err
+
+
 def test_eval_requires_checkpoint_or_predictions(ws, capsys):
     assert main(["eval", "--corpus", str(ws.corpus)]) == 2
 
