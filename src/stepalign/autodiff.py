@@ -22,7 +22,9 @@ matching that chain bit for bit and keeping less of it alive:
                           recomputes the exponentials in backward
     attention(q, k, v, ..) softmax(q @ k^T * scale + bias) @ v with the heads
                           merged; keeps only q, k and v and recomputes the
-                          scores and their exponentials in backward
+                          scores and their exponentials in backward; both
+                          directions work one video (batch row) at a time,
+                          so no (B, H, n, n) array exists at any time
     dropout(x, keep, rate) x * keep / (1 - rate); keeps the bool mask and
                           rebuilds the scaled mask in backward
 
@@ -376,9 +378,16 @@ def gelu(x: Tensor) -> Tensor:
     return Tensor._result(x.data * cdf(), (x,), back)
 
 
-def _softmax_exps(x: np.ndarray, scale, bias):
-    """exp(x * scale + bias - row max) in one buffer, and its row sums."""
-    z = x * scale
+def _softmax_exps(x: np.ndarray, scale, bias, overwrite: bool = False):
+    """exp(x * scale + bias - row max) in one buffer, and its row sums.
+
+    With overwrite, that buffer is x itself when x * scale keeps x's dtype;
+    otherwise it is a new array and x is left as it was.
+    """
+    if overwrite and x.dtype == np.result_type(x, scale):
+        z = np.multiply(x, scale, out=x)
+    else:
+        z = x * scale
     z += bias
     z -= z.max(axis=-1, keepdims=True)
     np.exp(z, out=z)
@@ -388,9 +397,18 @@ def _softmax_exps(x: np.ndarray, scale, bias):
 def _softmax_grad(g: np.ndarray, e: np.ndarray, s: np.ndarray, scale) -> np.ndarray:
     """Gradient of softmax(x * scale + bias) with respect to x, from g, that
     of the probabilities, and _softmax_exps(x, scale, bias); the arithmetic
-    of the composed ops' backward (e / s, then x * scale) in their order."""
-    ge = g / s + (-g * e / s ** 2).sum(axis=-1, keepdims=True)
-    return ge * e * scale
+    of the composed ops' backward (e / s, then x * scale) in their order,
+    in place in one buffer of g's shape. g has e's dtype, and so does the
+    result: e's dtype already absorbs scale's."""
+    ge = np.negative(g)
+    ge *= e
+    ge /= s ** 2
+    row_sums = ge.sum(axis=-1, keepdims=True)
+    np.divide(g, s, out=ge)
+    ge += row_sums
+    ge *= e
+    ge *= scale
+    return ge
 
 
 def masked_softmax(x: Tensor, scale, bias) -> Tensor:
@@ -418,42 +436,72 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale, bias) -> Tensor:
     """Multi-head attention, softmax(q @ k^T * scale + bias) @ v, as one node.
 
     q, k and v are (B, H, n, dh); bias is a constant broadcast against the
-    (B, H, n, n) scores, e.g. MASK_FILL on blocked keys. The result has the
-    heads merged, (B, n, H * dh). The node keeps only q, k and v, which the
-    graph holds anyway: backward recomputes q @ k^T and its exponentials
-    instead of keeping the scores or the probabilities, as FlashAttention
-    (Dao et al., 2022) does. Both forward products go through
-    Tensor.__matmul__ on constants, so they count as matmuls. Both
-    directions repeat the arithmetic and dtype casts of the composed chain
-    (q @ k.swapaxes(-1, -2), masked_softmax, @ v, swapaxes(1, 2), reshape)
-    in its order, so they match it bit for bit.
+    (B, H, n, n) scores, e.g. MASK_FILL on blocked keys, whose leading dim is
+    B or 1 when it has four. The result has the heads merged, (B, n, H * dh).
+    Both directions work one batch row at a time, as FlashAttention (Dao et
+    al., 2022) works one tile at a time: a row's (H, n, n) scores are shifted,
+    exponentiated and normalised in their own buffer, so no (B, H, n, n)
+    array exists at any time. The node keeps only q, k and v, which the
+    graph holds anyway; backward recomputes each row's scores and
+    exponentials, fills full-size q, k and v gradients row by row and
+    accumulates each once, v then q then k. The forward products go through
+    Tensor.__matmul__ on constants, so they count as matmuls, two per row.
+    Both directions repeat the arithmetic and dtype casts of the composed
+    chain (q @ k.swapaxes(-1, -2), masked_softmax, @ v, swapaxes(1, 2),
+    reshape), so they match it bit for bit.
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
     b, h, n, dh = q.shape
     scale = np.asarray(scale)  # 0-d array: promotes the scores like masked_softmax
-    scores = Tensor(q.data) @ Tensor(k.data.swapaxes(-1, -2))
-    scores_dtype = scores.dtype
-    p, total = _softmax_exps(scores.data, scale, bias)
-    del scores  # each (B, H, n, n) array goes as soon as it is used
-    p /= total
-    heads = (Tensor(p) @ Tensor(v.data)).data
-    del p
-    out = heads.swapaxes(1, 2).reshape(b, n, h * dh)
+    bias = np.asarray(bias)
+    if bias.ndim < 4:
+        bias = bias[None]
+    bias = np.broadcast_to(bias, (b,) + bias.shape[1:])  # a row per video
+    scores_dtype = np.result_type(q.dtype, k.dtype)
+    exps_dtype = np.result_type(scores_dtype, scale)
+
+    def exps(i, scores):
+        """Row i's _softmax_exps, in the buffer of its (H, n, n) scores."""
+        return _softmax_exps(scores, scale, bias[i], overwrite=True)
+
+    out = np.empty((b, n, h, dh), np.result_type(exps_dtype, v.dtype))
+    for i in range(b):
+        p, total = exps(i, (Tensor(q.data[i]) @ Tensor(k.data[i].swapaxes(-1, -2))).data)
+        p /= total
+        out[i] = (Tensor(p) @ Tensor(v.data[i])).data.swapaxes(0, 1)
+        del p  # one row's block goes before the next row's is made
+    out = out.reshape(b, n, h * dh)
 
     def back(g):
         g_o = g.reshape(b, n, h, dh).swapaxes(1, 2)
-        e, s = _softmax_exps(q.data @ k.data.swapaxes(-1, -2), scale, bias)
-        if v.requires_grad:
-            v._accum((e / s).swapaxes(-1, -2) @ g_o)
-        if not (q.requires_grad or k.requires_grad):
-            return
-        g_p = (g_o @ v.data.swapaxes(-1, -2)).astype(e.dtype, copy=False)
-        g_s = _softmax_grad(g_p, e, s, scale).astype(scores_dtype, copy=False)
-        del g_p, e
-        if q.requires_grad:
-            q._accum(g_s @ k.data)
-        if k.requires_grad:
-            k._accum((q.data.swapaxes(-1, -2) @ g_s).swapaxes(-1, -2))
+        # full-size gradients, filled row by row; k's is laid out as the
+        # batched (q^T @ g_s)^T was
+        g_v = np.empty(v.shape, np.result_type(exps_dtype, g.dtype)) \
+            if v.requires_grad else None
+        g_q = np.empty(q.shape, np.result_type(scores_dtype, k.dtype)) \
+            if q.requires_grad else None
+        g_kt = np.empty((b, h, dh, n), np.result_type(q.dtype, scores_dtype)) \
+            if k.requires_grad else None
+        for i in range(b):
+            e, s = exps(i, q.data[i] @ k.data[i].swapaxes(-1, -2))
+            if g_v is not None:
+                np.matmul((e / s).swapaxes(-1, -2), g_o[i], out=g_v[i])
+            if g_q is None and g_kt is None:
+                continue
+            g_p = (g_o[i] @ v.data[i].swapaxes(-1, -2)).astype(e.dtype, copy=False)
+            g_s = _softmax_grad(g_p, e, s, scale).astype(scores_dtype, copy=False)
+            del g_p, e
+            if g_q is not None:
+                np.matmul(g_s, k.data[i], out=g_q[i])
+            if g_kt is not None:
+                np.matmul(q.data[i].swapaxes(-1, -2), g_s, out=g_kt[i])
+            del g_s
+        if g_v is not None:
+            v._accum(g_v)
+        if g_q is not None:
+            q._accum(g_q)
+        if g_kt is not None:
+            k._accum(g_kt.swapaxes(-1, -2))
     return Tensor._result(out, (q, k, v), back)
 
 

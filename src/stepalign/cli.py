@@ -212,6 +212,8 @@ def _write_pgm(path: Path, matrix: np.ndarray) -> None:
 
 
 def cmd_infer(args) -> int:
+    if not 0.0 < args.zeta <= 1.0:
+        raise ConfigError(f"--zeta must be in (0, 1], got {args.zeta}")
     corpus = _read_corpus(args.corpus)
     try:
         video = corpus.video_by_id(args.video)

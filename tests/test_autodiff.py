@@ -1,5 +1,6 @@
 """Reverse-mode engine: closed-form gradients, finite differences, broadcasting."""
 
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -310,25 +311,36 @@ def _composed_attention(q, k, v, scale, bias):
     return (p @ v).swapaxes(1, 2).reshape(b, n, h * dh)
 
 
-@pytest.mark.parametrize("operands", ["qkv", "q", "k", "v", "projections"])
+@pytest.mark.parametrize("operands", ["qkv", "q", "k", "v", "projections",
+                                      "shared_bias", "one_video"])
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 def test_attention_matches_composed_ops_bit_for_bit(dtype, operands):
     # "projections" makes q, k and v head views of three projections of one
     # x, as the encoder does, so x's gradient sums three terms in the order
-    # the graph walk gives them; the other cases make only the named
-    # operands leaves that require a gradient
+    # the graph walk gives them; "shared_bias" gives the three rows one
+    # (1, 1, 1, n) bias, which the node broadcasts instead of indexing, and
+    # zero-pads them to lengths 4, 5 and 6; "one_video" is a batch of one
+    # row. The other cases make only the named operands leaves that require
+    # a gradient
     rng = np.random.default_rng(11)
-    b, h, n, dh = 3, 2, 6, 4
+    b, h, n, dh = (1 if operands == "one_video" else 3), 2, 6, 4
     keys = np.ones((b, n), dtype=bool)
     keys[0, 4:] = False  # a padded batch row
-    keys[1, 1] = keys[1, 3] = False  # blocked keys inside a row
+    keys[1:2, 1] = keys[1:2, 3] = False  # blocked keys inside a row
     bias = np.where(keys, 0.0, MASK_FILL).astype(dtype)[:, None, None, :]
+    if operands == "shared_bias":
+        bias = np.where(np.arange(n) < n - 1, 0.0, MASK_FILL).astype(dtype)
+        bias = bias[None, None, None, :]
     if operands == "projections":
         shapes = [(b, n, h * dh)] + [(h * dh, h * dh)] * 3
     else:
         shapes = [(b, h, n, dh)] * 3
     data = [rng.normal(size=shape).astype(dtype) for shape in shapes]
+    if operands == "shared_bias":
+        for d in data:
+            d[0, :, 4:] = d[1, :, 5:] = 0.0
     seed = rng.normal(size=(b, n, h * dh))
+    needs_grad = "qkv" if operands in ("shared_bias", "one_video") else operands
     outs, grads = [], []
     for build in (attention, _composed_attention):
         if operands == "projections":
@@ -336,7 +348,7 @@ def test_attention_matches_composed_ops_bit_for_bit(dtype, operands):
             x, weights = leaves[0], leaves[1:]
             qkv = [(x @ w).reshape(b, n, h, dh).swapaxes(1, 2) for w in weights]
         else:
-            leaves = [Tensor(d.copy(), requires_grad=name in operands)
+            leaves = [Tensor(d.copy(), requires_grad=name in needs_grad)
                       for d, name in zip(data, "qkv")]
             qkv = leaves
         out = build(*qkv, 1.0 / np.sqrt(dh), bias)
@@ -545,6 +557,29 @@ def test_attention_keeps_no_score_sized_array():
     # backward; as a chain it kept both, 2 (B, H, n, n) arrays per layer
     mc, b, n_tok, held = _curriculum_graph()
     assert _count(held, (b, mc.num_heads, n_tok, n_tok)) == 0
+
+
+def test_attention_never_allocates_a_score_sized_array():
+    # forward and backward work one video at a time: the peak above the
+    # inputs holds the output, the three gradients and a few (H, n, n)
+    # blocks. Multiplying the whole batch at once allocated q @ k^T and its
+    # scaled copy side by side, two (B, H, n, n) arrays
+    b, h, n, dh = 8, 4, 176, 16
+    rng = np.random.default_rng(13)
+    q, k, v = [Tensor(rng.normal(size=(b, h, n, dh)), requires_grad=True)
+               for _ in range(3)]
+    keys = np.arange(n) < np.linspace(n // 2, n, b)[:, None]
+    bias = np.where(keys, 0.0, MASK_FILL)[:, None, None, :]
+    seed = rng.normal(size=(b, n, h * dh))
+    tracemalloc.start()
+    try:
+        inputs = tracemalloc.get_traced_memory()[0]
+        attention(q, k, v, 1.0 / np.sqrt(dh), bias).backward(seed)
+        peak = tracemalloc.get_traced_memory()[1] - inputs
+    finally:
+        tracemalloc.stop()
+    assert q.grad.shape == k.grad.shape == v.grad.shape == q.shape
+    assert peak < b * h * n * n * np.dtype(np.float64).itemsize
 
 
 def test_fused_nodes_keep_the_token_sized_arrays_down():

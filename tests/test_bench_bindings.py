@@ -68,7 +68,12 @@ def test_tracer_counts_every_matmul_of_a_training_step():
     # a fused op may cut the node count (173 here while each softmax was six
     # nodes, 163 before linear, layer_norm and gelu were single nodes, 121
     # before attention was one node), but every matmul of the model must stay
-    # a Tensor matmul, so the benchmark's matmul and FLOP counts do not move
+    # a Tensor matmul, so the benchmark's FLOP count does not move. The
+    # attention node multiplies one video at a time, q @ k^T and p @ v per
+    # row, so a layer counts 2 * B products instead of 2: 20 here at B = 2
+    # and 1 layer, 18 while attention multiplied the whole batch at once.
+    # The tracer counts every op result as a node, these constant products
+    # too, so the node bound rises by the same 2, from 118 to 120
     corpus = generate_synthetic(SynthConfig(
         num_tasks=2, steps_per_task=2, videos_per_task=2, frames_range=(8, 10),
         dims=(6, 4, 4), latent_dim=4, background_dim=2, seed=1))
@@ -82,5 +87,5 @@ def test_tracer_counts_every_matmul_of_a_training_step():
         alignments = forward_batch(params, mc, batch,
                                    dropout_rng=np.random.default_rng(1))
         gradients(total_loss(alignments, batch, LossConfig())[0], params)
-    assert (t.counts["matmuls"], t.counts["matmul_flop"]) == (18, 44176)
-    assert t.counts["nodes"] <= 118
+    assert (t.counts["matmuls"], t.counts["matmul_flop"]) == (20, 44176)
+    assert t.counts["nodes"] <= 120

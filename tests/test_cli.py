@@ -394,6 +394,29 @@ def test_infer_csv_matches_model_scores(ws, tmp_path, capsys):
     assert not (out / f"{vid}.fused.pgm").exists()  # not requested
 
 
+@pytest.mark.parametrize("zeta", ["-1", "0", "2"])
+def test_infer_zeta_outside_unit_interval_is_config_error(ws, tmp_path, capsys,
+                                                          zeta):
+    # --zeta -1 emitted one whole-video segment for every step and exited 0,
+    # --zeta 2 single-frame segments
+    out = tmp_path / "o"
+    assert main(["infer", "--corpus", str(ws.corpus), "--checkpoint",
+                 str(ws.ckpt), "--video", first_video_id(ws), "--out",
+                 str(out), "--zeta", zeta]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--zeta" in captured.err
+    assert not out.exists()
+
+
+def test_infer_accepts_zeta_one(ws, tmp_path, capsys):
+    out = tmp_path / "o"
+    assert main(["infer", "--corpus", str(ws.corpus), "--checkpoint",
+                 str(ws.ckpt), "--video", first_video_id(ws), "--out",
+                 str(out), "--zeta", "1.0", "--emit", "segments"]) == 0
+    rows = (out / f"{first_video_id(ws)}.segments.jsonl").read_text().splitlines()
+    assert rows and all(json.loads(r)["segments"] for r in rows)
+
+
 def test_infer_unknown_video_is_data_error(ws, tmp_path, capsys):
     assert main(["infer", "--corpus", str(ws.corpus), "--checkpoint",
                  str(ws.ckpt), "--video", "missing", "--out",
