@@ -17,7 +17,8 @@ matching that chain bit for bit and keeping less of it alive:
                           place of the product
     layer_norm(x, g, b)   keeps the row means and deviations, (..., 1), and
                           recomputes x - mean in backward
-    gelu(x)               keeps only x and recomputes erf in backward
+    gelu(x)               keeps only x and recomputes erf in backward; erf
+                          is _erf, this module's port of Cephes' erf
     masked_softmax(x, ..) softmax(x * scale + bias); keeps only x and
                           recomputes the exponentials in backward
     attention(q, k, v, ..) softmax(q @ k^T * scale + bias) @ v with the heads
@@ -36,7 +37,6 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import erf
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
@@ -348,6 +348,82 @@ def layer_norm(x: Tensor, g: Tensor, b: Tensor, eps: float) -> Tensor:
     return Tensor._result(out, (x, g, b), back)
 
 
+# Cephes' erf (ndtr.c; Moshier 1989): x T(x^2) / U(x^2) for |x| <= 1, and
+# 1 - exp(-x^2) P(|x|) / Q(|x|) above; U and Q have an implicit leading 1
+_ERF_T = (9.60497373987051638749E0, 9.00260197203842689217E1,
+          2.23200534594684319226E3, 7.00332514112805075473E3,
+          5.55923013010394962768E4)
+_ERF_U = (3.35617141647503099647E1, 5.21357949780152679795E2,
+          4.59432382970980127987E3, 2.26290000613890934246E4,
+          4.92673942608635921086E4)
+_ERF_P = (2.46196981473530512524E-10, 5.64189564831068821977E-1,
+          7.46321056442269912687E0, 4.86371970985681366614E1,
+          1.96520832956077098242E2, 5.26445194995477358631E2,
+          9.34528527171957607540E2, 1.02755188689515710272E3,
+          5.57535335369399327526E2)
+_ERF_Q = (1.32281951154744992508E1, 8.67072140885989742329E1,
+          3.54937778887819891062E2, 9.75708501743205489753E2,
+          1.82390916687909736289E3, 2.24633760818710981792E3,
+          1.65666309194161350182E3, 5.57535340817727675546E2)
+_ERF_BLOCK = 1 << 15  # elements per pass, so that every temporary stays cache-sized
+
+
+def _polevl(x: np.ndarray, coef, out: np.ndarray, monic: bool = False) -> np.ndarray:
+    """Cephes' polevl (Horner from coef[0]) into out; with monic, its p1evl,
+    whose leading coefficient is an implicit 1. out must not be x."""
+    if monic:
+        np.add(x, coef[0], out=out)
+    else:
+        np.multiply(x, coef[0], out=out)
+        out += coef[1]
+    for c in coef[1 if monic else 2:]:
+        out *= x
+        out += c
+    return out
+
+
+def _erf(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """erf of a float64 array into out, a C-contiguous float64 array of x's
+    shape that may be x itself; returns out.
+
+    Cephes' erf, its floating-point operations in its order, so every result
+    equals scipy.special.erf's bit for bit (a NaN gives a NaN). Cephes
+    computes erf(-x) as -erf(x); here that is one copysign at the end, which
+    also keeps -0.0. For |x| >= 6, 1 - erfc(|x|) rounds to 1, so clamping
+    |x| to 6 gives Cephes' +-1 without its large-|x| branch. exp(-x^2) must
+    be the C library's exp: numpy's float64 exp is a SIMD kernel that differs
+    in the last bit, while its complex exp calls the C library's cexp, whose
+    real part at a zero imaginary part is exp. The work runs in blocks of
+    _ERF_BLOCK elements, each read whole before its part of out is written.
+    """
+    src, dst = x.reshape(-1), out.reshape(-1)
+    n = min(src.size, _ERF_BLOCK)
+    work = np.empty((4, n))
+    cexp = np.zeros(n, np.complex128)  # only real parts are written: exp keeps 0 as 0
+    for i in range(0, src.size, _ERF_BLOCK):
+        s = src[i:i + _ERF_BLOCK]
+        a, m, z, y = work[:, :s.size]
+        np.abs(s, out=a)
+        np.minimum(a, 1.0, out=m)  # |x| > 1 is overwritten below; this keeps it finite
+        np.multiply(m, m, out=z)
+        _polevl(z, _ERF_T, y)
+        y *= m
+        y /= _polevl(z, _ERF_U, m, monic=True)
+        tail = np.flatnonzero(a > 1.0)
+        k = tail.size
+        if k:
+            t = np.minimum(np.take(a, tail, out=z[:k]), 6.0, out=z[:k])
+            e = cexp[:k]
+            np.negative(np.multiply(t, t, out=e.real), out=e.real)
+            np.exp(e, out=e)
+            r = _polevl(t, _ERF_P, m[:k])
+            r *= e.real
+            r /= _polevl(t, _ERF_Q, a[:k], monic=True)
+            y[tail] = np.subtract(1.0, r, out=r)
+        np.copysign(y, s, out=dst[i:i + _ERF_BLOCK])
+    return out
+
+
 def gelu(x: Tensor) -> Tensor:
     """Exact Gaussian-error-linear unit, 0.5 x (1 + erf(x / sqrt(2))).
 
@@ -361,7 +437,7 @@ def gelu(x: Tensor) -> Tensor:
 
     def cdf():
         c = x.data * _INV_SQRT2  # a float64 constant: float32 x is promoted
-        erf(c, out=c)
+        _erf(c, out=c)
         c += 1.0
         c *= 0.5
         return c

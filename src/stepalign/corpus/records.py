@@ -112,10 +112,6 @@ class VideoRecord:
     def num_frames(self) -> int:
         return self.frame_features.shape[0]
 
-    @property
-    def num_narrations(self) -> int:
-        return self.narration_features.shape[0]
-
 
 @dataclass(frozen=True)
 class Article:

@@ -72,8 +72,8 @@ class SynthConfig:
                         ("p_distract_narration", self.p_distract_narration)):
             if not (0.0 <= p <= 1.0):
                 raise CorpusError(f"{name} must be in [0, 1], got {p}")
-        if self.noise_std < 0:
-            raise CorpusError("noise_std must be >= 0")
+        if not self.noise_std >= 0:
+            raise CorpusError(f"noise_std must be >= 0, got {self.noise_std}")
         d_v, d_n, d_s = self.dims
         if self.latent_dim < 1 or self.latent_dim > min(d_n, d_s):
             raise CorpusError(

@@ -67,7 +67,7 @@ class ModelConfig:
             raise ModelError("num_layers must be >= 0")
         if any(d < 1 for d in self.feature_dims):
             raise ModelError(f"feature_dims must be positive, got {self.feature_dims}")
-        if self.xi <= 0:
+        if not self.xi > 0:
             raise ModelError(f"xi must be > 0, got {self.xi}")
         if not (0.0 <= self.dropout < 1.0):
             raise ModelError(f"dropout must be in [0, 1), got {self.dropout}")

@@ -35,10 +35,12 @@ class LossConfig:
     lambda_sv: float = 1.0
 
     def validate(self) -> None:
-        if self.eta <= 0:
+        if not self.eta > 0:
             raise ValueError(f"eta must be > 0, got {self.eta}")
-        if self.lambda_nv < 0 or self.lambda_sv < 0:
-            raise ValueError("loss weights must be >= 0")
+        for name in ("lambda_nv", "lambda_sv"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(
+                    f"loss weights must be >= 0, got {name}={getattr(self, name)}")
 
 
 @dataclass

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import enum
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Optional
@@ -45,6 +46,8 @@ class PseudoConfig:
     def validate(self) -> None:
         if not (0.0 < self.zeta <= 1.0):
             raise PseudoError(f"zeta must be in (0, 1], got {self.zeta}")
+        if not math.isfinite(self.gamma):
+            raise PseudoError(f"gamma must be finite, got {self.gamma}")
         if self.source not in ("direct_sv", "fused"):
             raise PseudoError(f"unknown pseudo-label source {self.source!r}")
         if self.burn_in_epochs < 0 or self.refresh_every < 1:

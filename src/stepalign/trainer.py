@@ -60,14 +60,16 @@ class TrainConfig:
             raise TrainError("epochs must be >= 0")
         if self.batch_size < 1 or self.max_frames < 1:
             raise TrainError("batch_size and max_frames must be >= 1")
-        if self.base_lr <= 0 or self.eps <= 0:
-            raise TrainError("base_lr and eps must be > 0")
-        if self.teacher_lr is not None and self.teacher_lr <= 0:
-            raise TrainError("teacher_lr must be > 0 when set")
+        # written so that NaN, which fails every comparison, fails each check
+        for name in ("base_lr", "eps", "grad_clip"):
+            if not getattr(self, name) > 0:
+                raise TrainError(f"{name} must be > 0, got {getattr(self, name)}")
+        if self.teacher_lr is not None and not self.teacher_lr > 0:
+            raise TrainError(f"teacher_lr must be > 0 when set, got {self.teacher_lr}")
         if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
             raise TrainError("betas must lie in [0, 1)")
-        if self.weight_decay < 0 or self.grad_clip <= 0:
-            raise TrainError("need weight_decay >= 0 and grad_clip > 0")
+        if not self.weight_decay >= 0:
+            raise TrainError(f"weight_decay must be >= 0, got {self.weight_decay}")
         if self.teacher_pre_epochs < 0:
             raise TrainError("teacher_pre_epochs must be >= 0")
 

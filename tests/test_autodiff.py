@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
-from stepalign.autodiff import (GradientError, Tensor, attention, concat,
-                                dropout, gelu, layer_norm, linear,
-                                masked_softmax)
+from stepalign.autodiff import (_ERF_BLOCK, GradientError, Tensor, _erf,
+                                attention, concat, dropout, gelu, layer_norm,
+                                linear, masked_softmax)
 from stepalign.corpus import SynthConfig, generate_synthetic
 from stepalign.corpus.batching import LabelSource, batch_iter
 from stepalign.encoder import MASK_FILL, ModelConfig, forward_batch, init_params
@@ -390,6 +390,38 @@ def test_gelu_values():
     g = gelu(Tensor(x)).data
     assert g[6] == 0.0
     np.testing.assert_allclose(g - g[::-1], x, atol=1e-12)
+
+
+def _erf_inputs():
+    """Inputs that reach every branch of Cephes' erf and its edges."""
+    rng = np.random.default_rng(11)
+    for scale in (0.01, 0.1, 1.0, 3.0, 10.0, 100.0, 1e3):
+        yield rng.normal(size=100_003) * scale
+    yield np.linspace(-30.0, 30.0, 1_200_001)
+    yield np.linspace(5.5, 9.0, 700_001)
+    edges = [1.0, 6.0, 8.0, 0.0, 5e-324, 1e300, np.inf]
+    edges += [np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0), np.nextafter(6.0, 0.0)]
+    yield np.array(edges + [-e for e in edges] + [np.nan])
+    # sizes that are not a multiple of the block, and one block exactly
+    yield rng.normal(size=(3, _ERF_BLOCK + 5))
+    yield rng.normal(size=_ERF_BLOCK)
+    yield rng.normal(size=1)
+    yield np.empty(0)
+
+
+@pytest.mark.parametrize("in_place", [False, True], ids=["fresh_out", "out_is_x"])
+def test_erf_port_matches_scipy_bit_for_bit(in_place):
+    for x in _erf_inputs():
+        want = erf(x)
+        x_before = x.copy()
+        out = x if in_place else np.empty_like(x)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            got = _erf(x, out)
+        assert got is out
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+        if not in_place:
+            assert np.array_equal(x, x_before, equal_nan=True)
 
 
 def test_backward_error_contracts():

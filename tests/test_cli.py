@@ -2,14 +2,18 @@
 
 import csv
 import json
+import os
 import shlex
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import stepalign
 from stepalign.cli import _load_model, _write_alignment_csv, _write_pgm, main
 from stepalign.config import (ConfigError, RunConfig, load_run_config,
                               run_config_from_dict, save_run_config)
@@ -477,10 +481,67 @@ def test_run_config_defaults_and_strictness():
         run_config_from_dict({"train": {"epochs": -3}})  # fails validation
 
 
+NAN_FIELDS = [("corpus", "noise_std"), ("model", "xi"), ("train", "base_lr"),
+              ("train", "eps"), ("train", "teacher_lr"), ("train", "weight_decay"),
+              ("train", "grad_clip"), ("loss", "eta"), ("loss", "lambda_nv"),
+              ("loss", "lambda_sv"), ("pseudo", "gamma")]
+
+
+@pytest.mark.parametrize("section,name", NAN_FIELDS,
+                         ids=[f"{s}.{n}" for s, n in NAN_FIELDS])
+def test_nan_config_value_is_config_error(ws, tmp_path, capsys, section, name):
+    # json reads NaN, and NaN fails every comparison, so a check written as
+    # "value < 0 is an error" lets it through; gamma NaN discards every row
+    data = {section: {name: float("nan")}}
+    with pytest.raises(ConfigError, match=name):
+        run_config_from_dict(data)
+    config = tmp_path / "nan.json"
+    config.write_text(json.dumps(data))
+    workdir = tmp_path / "run"
+    assert main(["train", "--corpus", str(ws.corpus), "--workdir", str(workdir),
+                 "--config", str(config)]) == 2
+    assert name in capsys.readouterr().err
+    assert not workdir.exists()
+
+
 def test_usage_error_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["train", "--corpus", "somewhere"])  # --workdir missing
     assert exc.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# dependencies
+
+# None in sys.modules makes every import of scipy and its submodules raise
+NO_SCIPY_RUN = """
+import json, sys
+sys.modules["scipy"] = None
+from stepalign.cli import main
+config, corpus, run = sys.argv[1:]
+for argv in (["generate", "--out", corpus, "--config", config, "--seed", "2"],
+             ["train", "--corpus", corpus, "--workdir", run, "--config", config],
+             ["infer", "--corpus", corpus, "--checkpoint", run + "/last.ckpt",
+              "--video", "<first>", "--out", run + "/infer"]):
+    if "<first>" in argv:
+        with open(corpus + "/manifest.json") as f:
+            argv[argv.index("<first>")] = json.load(f)["videos"][0]["id"]
+    code = main(argv)
+    if code != 0:
+        sys.exit(f"{argv[0]} exited {code}")
+"""
+
+
+def test_commands_run_without_scipy(tmp_path):
+    config = tmp_path / "tiny.json"
+    config.write_text(json.dumps(TINY_CONFIG))
+    src = Path(stepalign.__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY_RUN, str(config), str(tmp_path / "corpus"),
+         str(tmp_path / "run")], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "run" / "infer").is_dir()
 
 
 # ---------------------------------------------------------------------------
