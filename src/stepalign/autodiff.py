@@ -1,24 +1,37 @@
 """Reverse-mode automatic differentiation over numpy arrays.
 
-A Tensor wraps an ndarray and records enough of the expression graph to run
-backpropagation: each op closes over its inputs and pushes a gradient back
-only into those that require one. backward() seeds the output gradient and
-walks the graph once in reverse topological order, consuming it: once a node
-has pushed its gradient back, it drops that gradient, its parents and its
-closure, so each activation is freed once nothing downstream needs it. Leaves
-keep their .grad; a second backward() through a graph raises GradientError.
+Two objects carry the expression graph:
+
+    Tensor  the handle the forward code holds: its array, .data, and the
+            node of the graph, or None when it requires no gradient
+    Node    what the graph links: the gradient, the parent nodes, the
+            backward closure, and the dtype and shape of the tensor's array
+
+A node holds no array of its own, and a node keeps only what its backward
+reads: each op's closure captures the arrays its gradients are formed from
+and the parent nodes it pushes them into, never a handle. So an op output
+that no backward reads is freed as soon as the forward code drops its
+handle, as an addition's operands, a residual branch's output or a
+linear's result are. backward() seeds the output gradient and walks the
+nodes once in reverse topological order, consuming them: once a node has
+pushed its gradient back, it drops that gradient, its parents and its
+closure, so each array a closure kept is freed once nothing downstream needs
+it. Leaves keep their .grad; a second backward() through a graph raises
+GradientError.
 
 Kept deliberately small: broadcasting binary ops (subtraction is one, not an
 add of a negation), matmul, shape ops and the few pointwise functions the
 model needs. Six fused nodes stand in for chains of generic ones, each
 matching that chain bit for bit and keeping less of it alive:
 
-    linear(x, w, b)       x @ w + b; the matmul's node, holding the sum in
-                          place of the product
-    layer_norm(x, g, b)   keeps the row means and deviations, (..., 1), and
-                          recomputes x - mean in backward
-    gelu(x)               keeps only x and recomputes erf in backward; erf
-                          is _erf, this module's port of Cephes' erf
+    linear(x, w, b)       x @ w + b; the matmul's node, with b among its
+                          parents; keeps x and w, not the product or the sum
+    gelu_linear(h, w, b)  linear(gelu(h), w, b) with the exact GELU; keeps
+                          only h and w and recomputes the normal CDF once in
+                          backward, for both the GELU output and its slope;
+                          erf is _erf, this module's port of Cephes' erf
+    layer_norm(x, g, b)   keeps x, g and the row means and deviations,
+                          (..., 1), and recomputes x - mean in backward
     masked_softmax(x, ..) softmax(x * scale + bias); keeps only x and
                           recomputes the exponentials in backward
     attention(q, k, v, ..) softmax(q @ k^T * scale + bias) @ v with the heads
@@ -71,25 +84,61 @@ def _is_basic(idx) -> bool:
                for i in parts)
 
 
+class Node:
+    """The graph's record of a tensor that requires a gradient.
+
+    A leaf has no parents and no backward; an op's node has the nodes of its
+    operands that require a gradient, and a backward that maps its gradient
+    to theirs and accumulates it into them.
+    """
+
+    __slots__ = ("grad", "parents", "backward", "dtype", "shape")
+
+    def __init__(self, dtype, shape, parents: tuple["Node", ...] = (),
+                 backward=None):
+        self.grad: Optional[np.ndarray] = None
+        self.parents = parents
+        self.backward = backward
+        self.dtype = dtype
+        self.shape = shape
+
+    def _accum(self, grad: np.ndarray) -> None:
+        grad = grad.astype(self.dtype, copy=False)
+        self.grad = grad if self.grad is None else self.grad + grad
+
+
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward",
-                 "__weakref__")
+    __slots__ = ("data", "node", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data)
-        self.grad: Optional[np.ndarray] = None
-        self.requires_grad = requires_grad
-        self._parents: tuple[Tensor, ...] = ()
-        self._backward = None
+        self.node = Node(self.data.dtype, self.data.shape) if requires_grad else None
 
     # construction helper for op results
     @classmethod
     def _result(cls, data, parents, backward) -> "Tensor":
-        out = cls(data, requires_grad=any(p.requires_grad for p in parents))
-        if out.requires_grad:
-            out._parents = tuple(parents)
-            out._backward = backward
+        """The tensor of an op's result; it gets a node, linked to its
+        parents' nodes, when some parent requires a gradient. backward must
+        capture nodes and arrays, not the parent tensors."""
+        out = cls(data)
+        nodes = tuple(p.node for p in parents if p.node is not None)
+        if nodes:
+            out.node = Node(out.data.dtype, out.data.shape, nodes, backward)
         return out
+
+    @property
+    def requires_grad(self) -> bool:
+        return self.node is not None
+
+    @property
+    def grad(self) -> Optional[np.ndarray]:
+        return None if self.node is None else self.node.grad
+
+    @grad.setter
+    def grad(self, value) -> None:
+        if self.node is None:
+            raise GradientError("a tensor that requires no gradient has no .grad")
+        self.node.grad = value
 
     @property
     def shape(self):
@@ -106,10 +155,6 @@ class Tensor:
     def detach(self) -> "Tensor":
         return Tensor(self.data)
 
-    def _accum(self, grad: np.ndarray) -> None:
-        grad = grad.astype(self.data.dtype, copy=False)
-        self.grad = grad if self.grad is None else self.grad + grad
-
     def backward(self, grad=None) -> None:
         """Accumulate d(self)/d(leaf) into every leaf's .grad, consuming the graph.
 
@@ -117,7 +162,7 @@ class Tensor:
         closure has run, so the graph cannot be walked a second time: calling
         backward() again through any part of it raises GradientError.
         """
-        if not self.requires_grad:
+        if self.node is None:
             raise GradientError("backward() on a tensor with no recorded graph")
         if grad is None:
             if self.data.size != 1:
@@ -130,7 +175,7 @@ class Tensor:
                 f"seed gradient shape {grad.shape} does not match {self.shape}")
 
         # iterative topological order; graphs can outgrow the recursion limit
-        order, seen, stack = [], set(), [(self, False)]
+        order, seen, stack = [], set(), [(self.node, False)]
         while stack:
             node, expanded = stack.pop()
             if expanded:
@@ -140,27 +185,34 @@ class Tensor:
                 continue
             seen.add(id(node))
             stack.append((node, True))
-            for p in node._parents:
-                if p.requires_grad and id(p) not in seen:
+            for p in node.parents:
+                if id(p) not in seen:
                     stack.append((p, False))
 
-        self._accum(grad)
+        self.node._accum(grad)
         while order:
             node = order.pop()
-            if node._backward is not None:
-                node._backward(node.grad)
-                node.grad, node._parents, node._backward = None, (), _released
+            if node.backward is not None:
+                node.backward(node.grad)
+                node.grad, node.parents, node.backward = None, (), _released
 
     # ---- binary ops ----
 
     def _binary(self, other: "Tensor", data, grad_self, grad_other) -> "Tensor":
         """Node for a binary op; grad_self/grad_other map the output gradient to
-        that operand's, and run only for an operand that requires a gradient."""
+        that operand's. Each is kept, with the arrays it reads, only for an
+        operand that requires a gradient."""
+        a, b = self.node, other.node
+        if a is None:
+            grad_self = None
+        if b is None:
+            grad_other = None
+
         def back(g):
-            if self.requires_grad:
-                self._accum(_unbroadcast(grad_self(g), self.shape))
-            if other.requires_grad:
-                other._accum(_unbroadcast(grad_other(g), other.shape))
+            if a is not None:
+                a._accum(_unbroadcast(grad_self(g), a.shape))
+            if b is not None:
+                b._accum(_unbroadcast(grad_other(g), b.shape))
         return Tensor._result(data, (self, other), back)
 
     def __add__(self, other):
@@ -168,8 +220,10 @@ class Tensor:
         return self._binary(other, self.data + other.data, lambda g: g, lambda g: g)
 
     def __neg__(self):
+        x = self.node
+
         def back(g):
-            self._accum(-g)
+            x._accum(-g)
         return Tensor._result(-self.data, (self,), back)
 
     def __sub__(self, other):
@@ -178,57 +232,65 @@ class Tensor:
 
     def __mul__(self, other):
         other = as_tensor(other)
-        return self._binary(other, self.data * other.data,
-                            lambda g: g * other.data, lambda g: g * self.data)
+        a, b = self.data, other.data
+        return self._binary(other, a * b, lambda g: g * b, lambda g: g * a)
 
     def __truediv__(self, other):
         other = as_tensor(other)
-        return self._binary(other, self.data / other.data,
-                            lambda g: g / other.data,
-                            lambda g: -g * self.data / (other.data ** 2))
+        a, b = self.data, other.data
+        return self._binary(other, a / b, lambda g: g / b,
+                            lambda g: -g * a / (b ** 2))
 
     def __matmul__(self, other):
         other = as_tensor(other)
         if self.ndim < 2 or other.ndim < 2:
             raise GradientError("matmul needs operands with at least 2 dims")
-        return self._binary(other, self.data @ other.data,
-                            lambda g: g @ other.data.swapaxes(-1, -2),
-                            lambda g: self.data.swapaxes(-1, -2) @ g)
+        a, b = self.data, other.data
+        return self._binary(other, a @ b,
+                            lambda g: g @ b.swapaxes(-1, -2),
+                            lambda g: a.swapaxes(-1, -2) @ g)
 
     # ---- shape ops ----
 
     def swapaxes(self, a: int, b: int):
+        x = self.node
+
         def back(g):
-            self._accum(g.swapaxes(a, b))
+            x._accum(g.swapaxes(a, b))
         return Tensor._result(self.data.swapaxes(a, b), (self,), back)
 
     def reshape(self, *shape):
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
+        x = self.node
 
         def back(g):
-            self._accum(g.reshape(self.shape))
+            x._accum(g.reshape(x.shape))
         return Tensor._result(self.data.reshape(shape), (self,), back)
 
     def __getitem__(self, idx):
+        x = self.node
+
         def back(g):
-            buf = np.zeros_like(self.data)
+            buf = np.zeros(x.shape, x.dtype)
             if _is_basic(idx):  # a view: each element is picked at most once
                 buf[idx] = g
             else:  # advanced indices may repeat an element
                 np.add.at(buf, idx, g)
-            self._accum(buf)
+            x._accum(buf)
         return Tensor._result(self.data[idx], (self,), back)
 
     # ---- reductions ----
 
     def sum(self, axis=None, keepdims: bool = False):
+        x = self.node
+
         def back(g):
             if axis is None:
-                self._accum(np.broadcast_to(g, self.shape).copy())
+                x._accum(np.broadcast_to(g, x.shape).copy())
                 return
             gg = g if keepdims else np.expand_dims(g, axis)
-            self._accum(np.broadcast_to(gg, self.shape).copy())
+            x._accum(np.broadcast_to(gg, x.shape).copy())
         return Tensor._result(self.data.sum(axis=axis, keepdims=keepdims), (self,), back)
 
     def mean(self, axis=None, keepdims: bool = False):
@@ -239,27 +301,31 @@ class Tensor:
     # ---- pointwise ----
 
     def exp(self):
-        out_data = np.exp(self.data)
+        x, out_data = self.node, np.exp(self.data)
 
         def back(g):
-            self._accum(g * out_data)
+            x._accum(g * out_data)
         return Tensor._result(out_data, (self,), back)
 
     def log(self):
+        x, data = self.node, self.data
+
         def back(g):
-            self._accum(g / self.data)
-        return Tensor._result(np.log(self.data), (self,), back)
+            x._accum(g / data)
+        return Tensor._result(np.log(data), (self,), back)
 
     def sqrt(self):
-        out_data = np.sqrt(self.data)
+        x, out_data = self.node, np.sqrt(self.data)
 
         def back(g):
-            self._accum(g * 0.5 / out_data)
+            x._accum(g * 0.5 / out_data)
         return Tensor._result(out_data, (self,), back)
 
     def astype(self, dtype):
+        x = self.node
+
         def back(g):
-            self._accum(g)  # _accum casts back to the source dtype
+            x._accum(g)  # _accum casts back to the source dtype
         return Tensor._result(self.data.astype(dtype), (self,), back)
 
 
@@ -269,13 +335,13 @@ def as_tensor(value) -> Tensor:
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     tensors = [as_tensor(t) for t in tensors]
-    sizes = [t.shape[axis] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
+    nodes = [t.node for t in tensors]
+    splits = np.cumsum([t.shape[axis] for t in tensors])[:-1]
 
     def back(g):
-        for t, piece in zip(tensors, np.split(g, splits, axis=axis)):
-            if t.requires_grad:
-                t._accum(piece)
+        for node, piece in zip(nodes, np.split(g, splits, axis=axis)):
+            if node is not None:
+                node._accum(piece)
     return Tensor._result(np.concatenate([t.data for t in tensors], axis=axis),
                           tensors, back)
 
@@ -283,37 +349,42 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """x @ w + b as one node.
 
-    The product goes through Tensor.__matmul__ and keeps its node; the bias
-    is added to that node's array, b joins its parents, and b's gradient is
-    the output gradient summed down to b's shape, as the add node gave it.
+    The product goes through Tensor.__matmul__, and its node's parents and
+    backward become the sum's: the bias is added to the product's array, b
+    joins the parents, the product's backward gets the output gradient cast
+    to the product's dtype, as the add node's accumulation cast it, and b's
+    gradient is the output gradient summed down to b's shape.
     """
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     out = x @ w
     product_dtype = out.dtype
     out.data = out.data + b.data  # the product's own array is freed here
-    if b.requires_grad:
-        product_back = out._backward
+    product, bias = out.node, b.node
+    if product is None and bias is None:
+        return out
+    product_back = product.backward if product is not None else None
 
-        def back(g):
-            if product_back is not None:
-                product_back(g.astype(product_dtype, copy=False))
-            b._accum(_unbroadcast(g, b.shape))
-        out.requires_grad = True
-        out._parents += (b,)
-        out._backward = back
+    def back(g):
+        if product_back is not None:
+            product_back(g.astype(product_dtype, copy=False))
+        if bias is not None:
+            bias._accum(_unbroadcast(g, bias.shape))
+    parents = (product.parents if product is not None else ()) \
+        + ((bias,) if bias is not None else ())
+    out.node = Node(out.data.dtype, out.data.shape, parents, back)
     return out
 
 
 def layer_norm(x: Tensor, g: Tensor, b: Tensor, eps: float) -> Tensor:
     """(x - mean) / sqrt(var + eps) * g + b over the last axis, as one node.
 
-    The node keeps only the row means and deviations, shape (..., 1), and
-    recomputes x - mean in backward. Both directions repeat the arithmetic of
-    the composed generic ops (x.mean, x - mu, c * c, .mean, + eps, .sqrt, /,
-    * g, + b) in the same order, with the dtype casts of their nodes, and x
-    receives two accumulations, the centred term first and the mean term
-    second, as from the subtraction and the sum node. So outputs and
-    gradients match those ops bit for bit.
+    The node keeps only the row means and deviations, shape (..., 1), x and
+    g, and recomputes x - mean in backward. Both directions repeat the
+    arithmetic of the composed generic ops (x.mean, x - mu, c * c, .mean,
+    + eps, .sqrt, /, * g, + b) in the same order, with the dtype casts of
+    their nodes, and x receives two accumulations, the centred term first
+    and the mean term second, as from the subtraction and the sum node. So
+    outputs and gradients match those ops bit for bit.
     """
     x, g, b = as_tensor(x), as_tensor(g), as_tensor(b)
     # the 0-d constants Tensor.mean and Tensor.__add__ make of Python floats;
@@ -326,25 +397,31 @@ def layer_norm(x: Tensor, g: Tensor, b: Tensor, eps: float) -> Tensor:
     var = (centered * centered).sum(axis=-1, keepdims=True) / count
     sd = np.sqrt(var + eps)
     out = centered / sd * g.data + b.data
+    nx, ng, nb = x.node, g.node, b.node
+    x_dtype, g_dtype = x.dtype, g.dtype
+    x_data = x.data if nx is not None or ng is not None else None
+    g_data = g.data if nx is not None else None
 
     def back(grad):
-        c = x.data - mu
-        normed = c / sd
-        g_scaled = grad.astype(np.result_type(normed, g.data), copy=False)
-        if b.requires_grad:
-            b._accum(_unbroadcast(grad, b.shape))
-        if g.requires_grad:
-            g._accum(_unbroadcast(g_scaled * normed, g.shape))
-        if not x.requires_grad:
+        if nb is not None:
+            nb._accum(_unbroadcast(grad, nb.shape))
+        if x_data is None:
             return
-        g_normed = (g_scaled * g.data).astype(mu.dtype, copy=False)
+        c = x_data - mu
+        normed = c / sd
+        g_scaled = grad.astype(np.result_type(normed, g_dtype), copy=False)
+        if ng is not None:
+            ng._accum(_unbroadcast(g_scaled * normed, ng.shape))
+        if nx is None:
+            return
+        g_normed = (g_scaled * g_data).astype(mu.dtype, copy=False)
         g_sd = _unbroadcast(-g_normed * c / (sd ** 2), sd.shape)
         g_sq = np.broadcast_to(g_sd * 0.5 / sd / count, c.shape)
         # c's gradient: the division's term, then both operands of c * c
         g_c = g_normed / sd + g_sq * c + g_sq * c
-        x._accum(g_c)
-        g_sum = (_unbroadcast(-g_c, mu.shape) / count).astype(x.dtype, copy=False)
-        x._accum(np.broadcast_to(g_sum, x.shape))
+        nx._accum(g_c)
+        g_sum = (_unbroadcast(-g_c, mu.shape) / count).astype(x_dtype, copy=False)
+        nx._accum(np.broadcast_to(g_sum, nx.shape))
     return Tensor._result(out, (x, g, b), back)
 
 
@@ -424,34 +501,63 @@ def _erf(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def gelu(x: Tensor) -> Tensor:
-    """Exact Gaussian-error-linear unit, 0.5 x (1 + erf(x / sqrt(2))).
+def _normal_cdf(x: np.ndarray) -> np.ndarray:
+    """0.5 * (1 + erf(x / sqrt(2))) in one new float64 array, in place, in the
+    order and dtypes of that expression."""
+    c = x * _INV_SQRT2  # a float64 constant: float32 x is promoted
+    _erf(c, out=c)
+    c += 1.0
+    c *= 0.5
+    return c
 
-    The node keeps only x; backward recomputes the normal CDF from it. Both
-    directions evaluate 0.5 * (1 + erf(x / sqrt(2))) and
-    g * (cdf + x * pdf) in place, in the order and dtypes of those
-    expressions, so the results match them bit for bit without their
-    temporaries.
+
+def gelu_linear(h: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """linear(gelu(h), w, b) as one node, gelu being the exact Gaussian-error
+    linear unit 0.5 h (1 + erf(h / sqrt(2))).
+
+    The node keeps only h and w, not the GELU output. Backward recomputes the
+    normal CDF from h once and reads it twice: for the GELU output, h * cdf,
+    which w's gradient is formed from, and for the GELU slope, cdf + h * pdf.
+    At most three h-sized temporaries are alive at once. Both directions
+    evaluate the expressions of the composed chain, a GELU node that keeps h
+    followed by linear, in their order and dtypes, in place where that chain
+    did, so the results match it bit for bit. The product goes through
+    Tensor.__matmul__ on constants, so it counts as a matmul.
     """
-    x = as_tensor(x)
-
-    def cdf():
-        c = x.data * _INV_SQRT2  # a float64 constant: float32 x is promoted
-        _erf(c, out=c)
-        c += 1.0
-        c *= 0.5
-        return c
+    h, w, b = as_tensor(h), as_tensor(w), as_tensor(b)
+    act = h.data * _normal_cdf(h.data)
+    product = (Tensor(act) @ Tensor(w.data)).data
+    act_dtype, product_dtype = act.dtype, product.dtype
+    del act
+    nh, nw, nb = h.node, w.node, b.node
+    h_data = h.data if nh is not None or nw is not None else None
+    w_data = w.data if nh is not None else None
 
     def back(g):
-        d = x.data ** 2
+        g_product = g.astype(product_dtype, copy=False)
+        if nb is not None:
+            nb._accum(_unbroadcast(g, nb.shape))
+        if h_data is None:
+            return
+        cdf = _normal_cdf(h_data)
+        if nw is not None:
+            act = h_data * cdf
+            nw._accum(_unbroadcast(act.swapaxes(-1, -2) @ g_product, nw.shape))
+            del act
+        if nh is None:
+            return
+        d = h_data ** 2
         d *= -0.5
         np.exp(d, out=d)
-        d = d * _INV_SQRT2PI  # promotes float32 x here, not before
-        d *= x.data
-        d += cdf()
-        d *= g
-        x._accum(d)
-    return Tensor._result(x.data * cdf(), (x,), back)
+        d = d * _INV_SQRT2PI  # promotes float32 h here, not before
+        d *= h_data
+        d += cdf
+        del cdf
+        g_act = _unbroadcast(g_product @ w_data.swapaxes(-1, -2), nh.shape)
+        d *= g_act.astype(act_dtype, copy=False)
+        del g_act
+        nh._accum(d)
+    return Tensor._result(product + b.data, (h, w, b), back)
 
 
 def _softmax_exps(x: np.ndarray, scale, bias, overwrite: bool = False):
@@ -493,7 +599,7 @@ def masked_softmax(x: Tensor, scale, bias) -> Tensor:
     bias is a constant broadcast against x, e.g. MASK_FILL on blocked keys.
     Rows are shifted by their max, which softmax is invariant to. Forward
     shifts, exponentiates and normalizes in the buffer it returns; the node
-    keeps only x alive, and backward recomputes the exponentials from x.data.
+    keeps only x's array, and backward recomputes the exponentials from it.
     Both directions do the arithmetic of the composed generic ops
     ((x * scale + bias - max).exp(), then e / e.sum()) in the same order, so
     they match those ops bit for bit.
@@ -502,9 +608,10 @@ def masked_softmax(x: Tensor, scale, bias) -> Tensor:
     scale = np.asarray(scale)  # 0-d array: promotes x like a Tensor constant
     out, total = _softmax_exps(x.data, scale, bias)
     out /= total
+    node, data = x.node, x.data
 
     def back(g):
-        x._accum(_softmax_grad(g, *_softmax_exps(x.data, scale, bias), scale))
+        node._accum(_softmax_grad(g, *_softmax_exps(data, scale, bias), scale))
     return Tensor._result(out, (x,), back)
 
 
@@ -517,8 +624,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale, bias) -> Tensor:
     Both directions work one batch row at a time, as FlashAttention (Dao et
     al., 2022) works one tile at a time: a row's (H, n, n) scores are shifted,
     exponentiated and normalised in their own buffer, so no (B, H, n, n)
-    array exists at any time. The node keeps only q, k and v, which the
-    graph holds anyway; backward recomputes each row's scores and
+    array exists at any time. The node keeps only the arrays of q, k and v
+    (v's only when q or k requires a gradient); backward recomputes each row's scores and
     exponentials, fills full-size q, k and v gradients row by row and
     accumulates each once, v then q then k. The forward products go through
     Tensor.__matmul__ on constants, so they count as matmuls, two per row.
@@ -547,37 +654,40 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale, bias) -> Tensor:
         out[i] = (Tensor(p) @ Tensor(v.data[i])).data.swapaxes(0, 1)
         del p  # one row's block goes before the next row's is made
     out = out.reshape(b, n, h * dh)
+    nq, nk, nv = q.node, k.node, v.node
+    q_data, k_data = q.data, k.data
+    v_data = v.data if nq is not None or nk is not None else None
 
     def back(g):
         g_o = g.reshape(b, n, h, dh).swapaxes(1, 2)
         # full-size gradients, filled row by row; k's is laid out as the
         # batched (q^T @ g_s)^T was
-        g_v = np.empty(v.shape, np.result_type(exps_dtype, g.dtype)) \
-            if v.requires_grad else None
-        g_q = np.empty(q.shape, np.result_type(scores_dtype, k.dtype)) \
-            if q.requires_grad else None
-        g_kt = np.empty((b, h, dh, n), np.result_type(q.dtype, scores_dtype)) \
-            if k.requires_grad else None
+        g_v = np.empty(nv.shape, np.result_type(exps_dtype, g.dtype)) \
+            if nv is not None else None
+        g_q = np.empty(nq.shape, np.result_type(scores_dtype, k_data.dtype)) \
+            if nq is not None else None
+        g_kt = np.empty((b, h, dh, n), np.result_type(q_data.dtype, scores_dtype)) \
+            if nk is not None else None
         for i in range(b):
-            e, s = exps(i, q.data[i] @ k.data[i].swapaxes(-1, -2))
+            e, s = exps(i, q_data[i] @ k_data[i].swapaxes(-1, -2))
             if g_v is not None:
                 np.matmul((e / s).swapaxes(-1, -2), g_o[i], out=g_v[i])
             if g_q is None and g_kt is None:
                 continue
-            g_p = (g_o[i] @ v.data[i].swapaxes(-1, -2)).astype(e.dtype, copy=False)
+            g_p = (g_o[i] @ v_data[i].swapaxes(-1, -2)).astype(e.dtype, copy=False)
             g_s = _softmax_grad(g_p, e, s, scale).astype(scores_dtype, copy=False)
             del g_p, e
             if g_q is not None:
-                np.matmul(g_s, k.data[i], out=g_q[i])
+                np.matmul(g_s, k_data[i], out=g_q[i])
             if g_kt is not None:
-                np.matmul(q.data[i].swapaxes(-1, -2), g_s, out=g_kt[i])
+                np.matmul(q_data[i].swapaxes(-1, -2), g_s, out=g_kt[i])
             del g_s
         if g_v is not None:
-            v._accum(g_v)
+            nv._accum(g_v)
         if g_q is not None:
-            q._accum(g_q)
+            nq._accum(g_q)
         if g_kt is not None:
-            k._accum(g_kt.swapaxes(-1, -2))
+            nk._accum(g_kt.swapaxes(-1, -2))
     return Tensor._result(out, (q, k, v), back)
 
 
@@ -590,10 +700,11 @@ def dropout(x: Tensor, keep: np.ndarray, rate: float) -> Tensor:
     x * Tensor(keep.astype(x.dtype) / (1 - rate)) bit for bit.
     """
     x = as_tensor(x)
+    node, dtype = x.node, x.dtype
 
     def scaled():
-        return keep.astype(x.dtype) / (1.0 - rate)
+        return keep.astype(dtype) / (1.0 - rate)
 
     def back(g):
-        x._accum(g * scaled())
+        node._accum(g * scaled())
     return Tensor._result(x.data * scaled(), (x,), back)

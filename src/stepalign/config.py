@@ -1,13 +1,16 @@
 """Run configuration: one JSON object covering corpus, model, and training.
 
-Strict by design: unknown keys are rejected with the offending name, because
-a silently ignored typo in an experiment config costs hours. Absent sections
-and absent keys fall back to dataclass defaults.
+Strict by design: unknown keys and values of the wrong JSON type are rejected
+with the offending name, because a silently ignored typo in an experiment
+config costs hours. Absent sections and absent keys fall back to dataclass
+defaults.
 """
 
 from __future__ import annotations
 
 import json
+import types
+import typing
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -23,14 +26,40 @@ class ConfigError(ValueError):
     pass
 
 
+def _fits(value, hint) -> bool:
+    """Whether a JSON value can stand for a field annotated hint: an int or a
+    float for a float, an int but not a bool for an int, a list of fitting
+    values, one per element, for a tuple."""
+    origin = typing.get_origin(hint)
+    if origin in (typing.Union, types.UnionType):
+        return any(_fits(value, arg) for arg in typing.get_args(hint))
+    if origin is tuple:
+        args = typing.get_args(hint)
+        return (isinstance(value, (list, tuple)) and len(value) == len(args)
+                and all(_fits(v, a) for v, a in zip(value, args)))
+    if hint is float:
+        return isinstance(value, (int, float)) and not isinstance(value, bool)
+    if hint is int:
+        return isinstance(value, int) and not isinstance(value, bool)
+    return isinstance(value, hint)
+
+
 def build_section(cls, data: dict, where: str):
-    """Instantiate a config dataclass from a JSON object, strictly."""
+    """Instantiate a config dataclass from a JSON object, strictly: unknown
+    keys and values of the wrong type are rejected with their names."""
     if not isinstance(data, dict):
         raise ConfigError(f"{where}: expected an object, got {type(data).__name__}")
     known = {f.name for f in fields(cls)}
     unknown = sorted(set(data) - known)
     if unknown:
         raise ConfigError(f"{where}: unknown keys {unknown}")
+    hints = typing.get_type_hints(cls)
+    for name, value in data.items():
+        hint = hints[name]
+        if not _fits(value, hint):
+            expected = hint.__name__ if isinstance(hint, type) else str(hint)
+            raise ConfigError(f"{where}.{name}: expected {expected}, "
+                              f"got {json.dumps(value)}")
     kwargs = {k: tuple(v) if isinstance(v, list) else v for k, v in data.items()}
     try:
         return cls(**kwargs)

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
-from stepalign.autodiff import (_ERF_BLOCK, GradientError, Tensor, _erf,
-                                attention, concat, dropout, gelu, layer_norm,
-                                linear, masked_softmax)
+from stepalign import encoder
+from stepalign.autodiff import (_ERF_BLOCK, GradientError, Node, Tensor, _erf,
+                                attention, concat, dropout, gelu_linear,
+                                layer_norm, linear, masked_softmax)
 from stepalign.corpus import SynthConfig, generate_synthetic
 from stepalign.corpus.batching import LabelSource, batch_iter
 from stepalign.encoder import MASK_FILL, ModelConfig, forward_batch, init_params
@@ -74,7 +75,7 @@ def _attention_fd(t, operand):
     lambda t: ((t * t + 0.5).sqrt()).sum(),
     lambda t: (t.exp()).mean(),
     lambda t: ((t * t + 0.1).log()).sum(),
-    lambda t: gelu(t).sum(),
+    lambda t: gelu_linear(t, Tensor(np.eye(4)), Tensor(np.zeros((1, 4)))).sum(),
     lambda t: masked_softmax(t, 1.0, 0.0).__getitem__((0, 1)).sum(),
     lambda t: (masked_softmax(t, 1.0, 0.0) * masked_softmax(t, 1.0, 0.0)).sum(),
     lambda t: t.swapaxes(0, 1).reshape(12).__getitem__(slice(2, 9)).sum(),
@@ -91,10 +92,12 @@ def _attention_fd(t, operand):
     lambda t: (layer_norm(t, Tensor(_B), Tensor(_B), 1e-5) * _WEIGHTS).sum(),
     lambda t: (layer_norm(Tensor(_X), t, Tensor(_B), 1e-5) * _WEIGHTS).sum(),
     lambda t: (layer_norm(Tensor(_X), Tensor(_B), t, 1e-5) * _WEIGHTS).sum(),
-    lambda t: (gelu(t) * _WEIGHTS).sum(),
+    lambda t: (gelu_linear(t, Tensor(_W), Tensor(_B)) * _WEIGHTS).sum(),
     lambda t: _attention_fd(t, 0),
     lambda t: _attention_fd(t, 1),
     lambda t: _attention_fd(t, 2),
+    lambda t: (gelu_linear(Tensor(_X[:, :3]), t[:3], Tensor(_B)) * _WEIGHTS).sum(),
+    lambda t: (gelu_linear(Tensor(_X), Tensor(_W), t) * _WEIGHTS).sum(),
 ])
 def test_op_gradients_match_finite_differences(build):
     check_grad(build, (3, 4))
@@ -239,14 +242,16 @@ def _composed_layer_norm(x, g, b, eps):
 
 
 def _cdf_gelu(x):
-    """GELU as a node that keeps its CDF alive: the reference gelu, which
-    recomputes the CDF in backward, must match bit for bit."""
-    cdf = 0.5 * (1.0 + erf(x.data * (1.0 / np.sqrt(2.0))))
+    """GELU as a node that keeps its input and CDF alive: followed by
+    _composed_linear, the reference gelu_linear, which recomputes the CDF in
+    backward, must match bit for bit."""
+    data, node = x.data, x.node
+    cdf = 0.5 * (1.0 + erf(data * (1.0 / np.sqrt(2.0))))
 
     def back(g):
-        pdf = 1.0 / np.sqrt(2.0 * np.pi) * np.exp(-0.5 * x.data ** 2)
-        x._accum(g * (cdf + x.data * pdf))
-    return Tensor._result(x.data * cdf, (x,), back)
+        pdf = 1.0 / np.sqrt(2.0 * np.pi) * np.exp(-0.5 * data ** 2)
+        node._accum(g * (cdf + data * pdf))
+    return Tensor._result(data * cdf, (x,), back)
 
 
 _FUSED = {  # op, its reference, operand shapes
@@ -254,7 +259,9 @@ _FUSED = {  # op, its reference, operand shapes
     "layer_norm": (lambda x, g, b: layer_norm(x, g, b, 1e-5),
                    lambda x, g, b: _composed_layer_norm(x, g, b, 1e-5),
                    [(2, 5, 6), (1, 6), (1, 6)]),
-    "gelu": (gelu, _cdf_gelu, [(2, 5, 6)]),
+    # the GELU, folded into the linear that follows it
+    "gelu": (gelu_linear, lambda h, w, b: _composed_linear(_cdf_gelu(h), w, b),
+             [(2, 5, 6), (6, 6), (1, 6)]),
 }
 
 
@@ -287,7 +294,7 @@ def test_fused_node_matches_composed_ops_bit_for_bit(name, dtype, residual):
         assert np.array_equal(fused_grad, composed_grad)
 
 
-@pytest.mark.parametrize("name", ["linear", "layer_norm"])
+@pytest.mark.parametrize("name", ["linear", "layer_norm", "gelu"])
 def test_fused_nodes_skip_operands_without_gradient(name):
     fused, composed, shapes = _FUSED[name]
     rng = np.random.default_rng(10)
@@ -385,9 +392,11 @@ def test_dropout_matches_product_with_scaled_mask_bit_for_bit(dtype):
 
 
 def test_gelu_values():
-    # gelu(0) = 0, gelu is odd-symmetric around the identity: g(x) - g(-x) = x
+    # gelu(0) = 0, gelu is odd-symmetric around the identity: g(x) - g(-x) = x;
+    # the identity weight and a zero bias leave gelu(x) as it is
     x = np.linspace(-3, 3, 13)
-    g = gelu(Tensor(x)).data
+    g = gelu_linear(Tensor(x[:, None]), Tensor(np.eye(1)), Tensor(np.zeros((1, 1))))
+    g = g.data[:, 0]
     assert g[6] == 0.0
     np.testing.assert_allclose(g - g[::-1], x, atol=1e-12)
 
@@ -457,11 +466,11 @@ def test_deep_chain_avoids_recursion_limit():
 def test_backward_releases_intermediates():
     x = Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
     w = Tensor(np.array([0.5, 0.25, 2.0]), requires_grad=True)
-    hidden = gelu(x * w)
-    probe = weakref.ref(hidden)
+    hidden = (x * w).exp()
+    probe = weakref.ref(hidden.data)
     loss = (hidden * hidden).sum()
     del hidden
-    assert probe() is not None  # the graph still holds it before backward
+    assert probe() is not None  # the closures still hold it before backward
     loss.backward()
     assert probe() is None
 
@@ -525,48 +534,58 @@ def _curriculum_step():
 
 def test_training_step_accumulates_only_into_tensors_that_require_grad(monkeypatch):
     # curriculum sizes: masks, attention biases, dropout keeps, loss weights
-    # and the input features all enter the graph as constant operands
+    # and the input features all enter the graph as constant operands, which
+    # get no node; so every leaf node a gradient reaches is a parameter's
     mc, params, batch = _curriculum_step()
-    calls = {True: 0, False: 0}
-    accum = Tensor._accum
+    receivers = []
+    accum = Node._accum
 
-    def counting_accum(self, grad):
-        calls[bool(self.requires_grad)] += 1
+    def recording_accum(self, grad):
+        receivers.append(self)
         accum(self, grad)
-    monkeypatch.setattr(Tensor, "_accum", counting_accum)
+    monkeypatch.setattr(Node, "_accum", recording_accum)
     alignments = forward_batch(params, mc, batch,
                                dropout_rng=np.random.default_rng(7))
     loss, _ = total_loss(alignments, batch, LossConfig())
     gradients(loss, params)
-    assert calls[True] > 0 and calls[False] == 0
+    leaves = {id(r) for r in receivers if r.backward is None}
+    assert leaves and leaves <= {id(p.node) for p in params.values()}
+    assert len(receivers) > len(leaves)
     assert all(p.grad is not None for p in params.values())
 
 
 def _captured(fn) -> list:
-    """What a function's closure holds, through the functions it holds."""
-    found, fns = [], [fn]
-    while fns:
-        for cell in getattr(fns.pop(), "__closure__", None) or ():
-            value = cell.cell_contents
-            (fns if callable(value) else found).append(value)
+    """What a function's closure holds, through the functions, tuples and
+    lists it holds."""
+    found, todo = [], [fn]
+    while todo:
+        value = todo.pop()
+        if isinstance(value, (tuple, list)):
+            todo.extend(value)
+        elif callable(value):
+            todo.extend(cell.cell_contents
+                        for cell in getattr(value, "__closure__", None) or ())
+        else:
+            found.append(value)
     return found
 
 
 def _held_arrays(loss) -> list[np.ndarray]:
     """The distinct arrays the graph under loss keeps alive, from forward to
-    backward: the data of every node and the arrays its backward closure
-    captures. A view counts as the array that owns its memory."""
-    held, seen, stack = {}, set(), [loss]
+    backward: nodes hold no array, so these are the arrays the backward
+    closures of its nodes capture. A view counts as the array that owns its
+    memory."""
+    held, seen, stack = {}, set(), [loss.node]
     while stack:
         node = stack.pop()
         if id(node) in seen:
             continue
         seen.add(id(node))
-        for array in [node.data] + _captured(node._backward):
+        for array in _captured(node.backward):
             if isinstance(array, np.ndarray):
                 owner = array if array.base is None else array.base
                 held[id(owner)] = owner
-        stack.extend(node._parents)
+        stack.extend(node.parents)
     return list(held.values())
 
 
@@ -615,22 +634,76 @@ def test_attention_never_allocates_a_score_sized_array():
 
 
 def test_fused_nodes_keep_the_token_sized_arrays_down():
-    # linear keeps one output array, layer_norm none but its (B, n, 1)
-    # statistics, gelu none beyond its input: 60 (B, n, model_dim) and 8
-    # (B, n, ffn_dim) arrays when each was a chain of generic nodes
+    # a node keeps only what its backward reads: linear its input, not its
+    # output; layer_norm its input and (B, n, 1) statistics; gelu_linear its
+    # input, not the GELU. 60 (B, n, model_dim) and 8 (B, n, ffn_dim) arrays
+    # when each was a chain of generic nodes, 30 and 4 while every node kept
+    # its output
     mc, b, n_tok, held = _curriculum_graph()
-    assert _count(held, (b, n_tok, mc.model_dim)) <= 30
-    # the first FFN layer's output and its GELU
-    assert _count(held, (b, n_tok, mc.ffn_dim)) == 2 * mc.num_layers
+    assert _count(held, (b, n_tok, mc.model_dim)) <= 21
+    # the first FFN layer's output, which gelu_linear keeps
+    assert _count(held, (b, n_tok, mc.ffn_dim)) == mc.num_layers
 
 
 def test_training_graph_bytes_stay_bounded():
     # every array the graph holds, parameters included: 44.0 MB while
     # attention was a chain that kept q @ k^T and the probabilities and
-    # dropout kept float64 masks, 28.5 MB with the attention node and 26.4 MB
-    # with the dropout node's bool masks
+    # dropout kept float64 masks, 28.5 MB with the attention node, 26.4 MB
+    # with the dropout node's bool masks and 15.0 MB once nodes kept only
+    # what their backward reads
     *_, held = _curriculum_graph()
-    assert sum(a.nbytes for a in held) <= 26_369_768
+    assert sum(a.nbytes for a in held) <= 15_040_888
+
+
+def test_graph_drops_the_outputs_no_backward_reads(monkeypatch):
+    # the wo and FFN outputs feed only dropout, and each residual branch's
+    # dropout output only an addition; no backward reads them, so their
+    # arrays go as soon as forward drops their tensors, long before backward
+    probes = {"wo": [], "ffn": [], "dropout": []}
+    linear_, mlp, dropout_ = encoder._linear, encoder._mlp, encoder._dropout
+
+    def probe(kind, out):
+        probes[kind].append(weakref.ref(out.data))
+        return out
+    monkeypatch.setattr(encoder, "_linear", lambda params, name, x: (
+        probe("wo", linear_(params, name, x)) if name.endswith(".wo")
+        else linear_(params, name, x)))
+    monkeypatch.setattr(encoder, "_mlp", lambda params, name, x: (
+        probe("ffn", mlp(params, name, x)) if name.endswith(".ffn")
+        else mlp(params, name, x)))
+    monkeypatch.setattr(encoder, "_dropout", lambda x, rate, rng: probe(
+        "dropout", dropout_(x, rate, rng)))
+    mc, params, batch = _curriculum_step()
+    alignments = forward_batch(params, mc, batch,
+                               dropout_rng=np.random.default_rng(7))
+    loss, _ = total_loss(alignments, batch, LossConfig())  # the graph lives on
+    # the first dropout is the token embeddings', the residual stream itself
+    residual = probes["dropout"][1:]
+    assert len(probes["wo"]) == len(probes["ffn"]) == mc.num_layers
+    assert len(residual) == 2 * mc.num_layers
+    assert all(ref() is None for ref in probes["wo"] + probes["ffn"] + residual)
+    assert probes["dropout"][0]() is not None
+
+
+def test_gelu_linear_keeps_at_most_three_ffn_sized_temporaries():
+    # forward keeps no GELU output and backward recomputes the CDF once for
+    # both the GELU output and its slope; the peak above the inputs holds
+    # h's gradient and up to three (B, n, ffn_dim) temporaries
+    b, n, ffn, d = 8, 140, 256, 64
+    rng = np.random.default_rng(14)
+    h = Tensor(rng.normal(size=(b, n, ffn)), requires_grad=True)
+    w = Tensor(rng.normal(size=(ffn, d)) * 0.1, requires_grad=True)
+    bias = Tensor(rng.normal(size=(1, d)), requires_grad=True)
+    seed = rng.normal(size=(b, n, d))
+    tracemalloc.start()
+    try:
+        inputs = tracemalloc.get_traced_memory()[0]
+        gelu_linear(h, w, bias).backward(seed)
+        peak = tracemalloc.get_traced_memory()[1] - inputs
+    finally:
+        tracemalloc.stop()
+    assert h.grad.shape == h.shape and w.grad.shape == w.shape
+    assert peak < 4 * b * n * ffn * np.dtype(np.float64).itemsize
 
 
 def test_subtraction_is_one_node_with_exact_gradients(monkeypatch):

@@ -311,6 +311,17 @@ def test_checkpoint_with_an_unknown_model_key_is_protocol_error(ws, tmp_path, ca
         assert "pe_for_steps" in capsys.readouterr().err
 
 
+def test_checkpoint_with_a_wrong_typed_model_value_is_protocol_error(ws, tmp_path,
+                                                                     capsys):
+    from stepalign.encoder import load_checkpoint, save_checkpoint
+    arrays, meta = load_checkpoint(ws.ckpt)
+    meta["model_config"]["num_heads"] = "2"
+    ckpt = tmp_path / "typed.ckpt"
+    save_checkpoint(ckpt, arrays, meta=meta)
+    assert main(["eval", "--corpus", str(ws.corpus), "--checkpoint", str(ckpt)]) == 3
+    assert "num_heads" in capsys.readouterr().err
+
+
 def no_gt_corpus(tmp_path):
     art = make_article("bake", 2, d_s=8)
     rng = np.random.default_rng(0)
@@ -502,6 +513,28 @@ def test_nan_config_value_is_config_error(ws, tmp_path, capsys, section, name):
                  "--config", str(config)]) == 2
     assert name in capsys.readouterr().err
     assert not workdir.exists()
+
+
+WRONG_TYPES = [{"train": {"base_lr": "0.01"}}, {"model": {"num_heads": "4"}},
+               {"train": {"epochs": 2.5}}]
+
+
+@pytest.mark.parametrize("data", WRONG_TYPES,
+                         ids=["str_for_float", "str_for_int", "float_for_int"])
+def test_wrong_typed_config_value_is_config_error(ws, tmp_path, capsys, data):
+    # a string reached validate()'s comparisons and raised TypeError, exit 1;
+    # a float epoch count passed validate() and failed in train()
+    [(section, values)] = data.items()
+    [name] = values
+    config = tmp_path / "typed.json"
+    config.write_text(json.dumps(data))
+    out, workdir = tmp_path / "corpus", tmp_path / "run"
+    assert main(["generate", "--out", str(out), "--config", str(config)]) == 2
+    assert f"{section}.{name}" in capsys.readouterr().err
+    assert main(["train", "--corpus", str(ws.corpus), "--workdir", str(workdir),
+                 "--config", str(config)]) == 2
+    assert f"{section}.{name}" in capsys.readouterr().err
+    assert not out.exists() and not workdir.exists()
 
 
 def test_usage_error_exits_two():
