@@ -42,6 +42,11 @@ matching that chain bit for bit and keeping less of it alive:
     dropout(x, keep, rate) x * keep / (1 - rate); keeps the bool mask and
                           rebuilds the scaled mask in backward
 
+The model gives layer_norm, gelu_linear and attention operands that all
+require a gradient (training) or none (inference). So their backward forms
+every operand's gradient and accumulates it into each operand that has a
+node.
+
 Anything fancier belongs in the calling code.
 """
 
@@ -260,8 +265,6 @@ class Tensor:
         return Tensor._result(self.data.swapaxes(a, b), (self,), back)
 
     def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
         x = self.node
 
         def back(g):
@@ -333,6 +336,12 @@ def as_tensor(value) -> Tensor:
     return value if isinstance(value, Tensor) else Tensor(value)
 
 
+def _accum(node: Optional[Node], grad: np.ndarray) -> None:
+    """Accumulate grad into an operand's node, if the operand has one."""
+    if node is not None:
+        node._accum(grad)
+
+
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     tensors = [as_tensor(t) for t in tensors]
     nodes = [t.node for t in tensors]
@@ -340,8 +349,7 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
 
     def back(g):
         for node, piece in zip(nodes, np.split(g, splits, axis=axis)):
-            if node is not None:
-                node._accum(piece)
+            _accum(node, piece)
     return Tensor._result(np.concatenate([t.data for t in tensors], axis=axis),
                           tensors, back)
 
@@ -398,30 +406,22 @@ def layer_norm(x: Tensor, g: Tensor, b: Tensor, eps: float) -> Tensor:
     sd = np.sqrt(var + eps)
     out = centered / sd * g.data + b.data
     nx, ng, nb = x.node, g.node, b.node
-    x_dtype, g_dtype = x.dtype, g.dtype
-    x_data = x.data if nx is not None or ng is not None else None
-    g_data = g.data if nx is not None else None
+    x_data, g_data, g_shape, b_shape = x.data, g.data, g.shape, b.shape
 
     def back(grad):
-        if nb is not None:
-            nb._accum(_unbroadcast(grad, nb.shape))
-        if x_data is None:
-            return
+        _accum(nb, _unbroadcast(grad, b_shape))
         c = x_data - mu
         normed = c / sd
-        g_scaled = grad.astype(np.result_type(normed, g_dtype), copy=False)
-        if ng is not None:
-            ng._accum(_unbroadcast(g_scaled * normed, ng.shape))
-        if nx is None:
-            return
+        g_scaled = grad.astype(np.result_type(normed, g_data.dtype), copy=False)
+        _accum(ng, _unbroadcast(g_scaled * normed, g_shape))
         g_normed = (g_scaled * g_data).astype(mu.dtype, copy=False)
         g_sd = _unbroadcast(-g_normed * c / (sd ** 2), sd.shape)
         g_sq = np.broadcast_to(g_sd * 0.5 / sd / count, c.shape)
         # c's gradient: the division's term, then both operands of c * c
         g_c = g_normed / sd + g_sq * c + g_sq * c
-        nx._accum(g_c)
-        g_sum = (_unbroadcast(-g_c, mu.shape) / count).astype(x_dtype, copy=False)
-        nx._accum(np.broadcast_to(g_sum, nx.shape))
+        _accum(nx, g_c)
+        g_sum = (_unbroadcast(-g_c, mu.shape) / count).astype(x_data.dtype, copy=False)
+        _accum(nx, np.broadcast_to(g_sum, x_data.shape))
     return Tensor._result(out, (x, g, b), back)
 
 
@@ -530,22 +530,15 @@ def gelu_linear(h: Tensor, w: Tensor, b: Tensor) -> Tensor:
     act_dtype, product_dtype = act.dtype, product.dtype
     del act
     nh, nw, nb = h.node, w.node, b.node
-    h_data = h.data if nh is not None or nw is not None else None
-    w_data = w.data if nh is not None else None
+    h_data, w_data, b_shape = h.data, w.data, b.shape
 
     def back(g):
         g_product = g.astype(product_dtype, copy=False)
-        if nb is not None:
-            nb._accum(_unbroadcast(g, nb.shape))
-        if h_data is None:
-            return
+        _accum(nb, _unbroadcast(g, b_shape))
         cdf = _normal_cdf(h_data)
-        if nw is not None:
-            act = h_data * cdf
-            nw._accum(_unbroadcast(act.swapaxes(-1, -2) @ g_product, nw.shape))
-            del act
-        if nh is None:
-            return
+        act = h_data * cdf
+        _accum(nw, _unbroadcast(act.swapaxes(-1, -2) @ g_product, w_data.shape))
+        del act
         d = h_data ** 2
         d *= -0.5
         np.exp(d, out=d)
@@ -553,10 +546,10 @@ def gelu_linear(h: Tensor, w: Tensor, b: Tensor) -> Tensor:
         d *= h_data
         d += cdf
         del cdf
-        g_act = _unbroadcast(g_product @ w_data.swapaxes(-1, -2), nh.shape)
+        g_act = _unbroadcast(g_product @ w_data.swapaxes(-1, -2), h_data.shape)
         d *= g_act.astype(act_dtype, copy=False)
         del g_act
-        nh._accum(d)
+        _accum(nh, d)
     return Tensor._result(product + b.data, (h, w, b), back)
 
 
@@ -618,17 +611,17 @@ def masked_softmax(x: Tensor, scale, bias) -> Tensor:
 def attention(q: Tensor, k: Tensor, v: Tensor, scale, bias) -> Tensor:
     """Multi-head attention, softmax(q @ k^T * scale + bias) @ v, as one node.
 
-    q, k and v are (B, H, n, dh); bias is a constant broadcast against the
-    (B, H, n, n) scores, e.g. MASK_FILL on blocked keys, whose leading dim is
-    B or 1 when it has four. The result has the heads merged, (B, n, H * dh).
+    q, k and v are (B, H, n, dh); bias is a 4-d constant broadcast against
+    the (B, H, n, n) scores, e.g. MASK_FILL on blocked keys, with a leading
+    dim of B or 1. The result has the heads merged, (B, n, H * dh).
     Both directions work one batch row at a time, as FlashAttention (Dao et
     al., 2022) works one tile at a time: a row's (H, n, n) scores are shifted,
     exponentiated and normalised in their own buffer, so no (B, H, n, n)
-    array exists at any time. The node keeps only the arrays of q, k and v
-    (v's only when q or k requires a gradient); backward recomputes each row's scores and
-    exponentials, fills full-size q, k and v gradients row by row and
-    accumulates each once, v then q then k. The forward products go through
-    Tensor.__matmul__ on constants, so they count as matmuls, two per row.
+    array exists at any time. The node keeps only the arrays of q, k and v;
+    backward recomputes each row's scores and exponentials, fills full-size
+    q, k and v gradients row by row and accumulates each once, v then q then
+    k. The forward products go through Tensor.__matmul__ on constants, so
+    they count as matmuls, two per row.
     Both directions repeat the arithmetic and dtype casts of the composed
     chain (q @ k.swapaxes(-1, -2), masked_softmax, @ v, swapaxes(1, 2),
     reshape), so they match it bit for bit.
@@ -636,10 +629,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale, bias) -> Tensor:
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
     b, h, n, dh = q.shape
     scale = np.asarray(scale)  # 0-d array: promotes the scores like masked_softmax
-    bias = np.asarray(bias)
-    if bias.ndim < 4:
-        bias = bias[None]
-    bias = np.broadcast_to(bias, (b,) + bias.shape[1:])  # a row per video
+    bias = np.broadcast_to(bias, (b,) + np.shape(bias)[1:])  # a row per video
     scores_dtype = np.result_type(q.dtype, k.dtype)
     exps_dtype = np.result_type(scores_dtype, scale)
 
@@ -655,39 +645,27 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale, bias) -> Tensor:
         del p  # one row's block goes before the next row's is made
     out = out.reshape(b, n, h * dh)
     nq, nk, nv = q.node, k.node, v.node
-    q_data, k_data = q.data, k.data
-    v_data = v.data if nq is not None or nk is not None else None
+    q_data, k_data, v_data = q.data, k.data, v.data
 
     def back(g):
         g_o = g.reshape(b, n, h, dh).swapaxes(1, 2)
         # full-size gradients, filled row by row; k's is laid out as the
         # batched (q^T @ g_s)^T was
-        g_v = np.empty(nv.shape, np.result_type(exps_dtype, g.dtype)) \
-            if nv is not None else None
-        g_q = np.empty(nq.shape, np.result_type(scores_dtype, k_data.dtype)) \
-            if nq is not None else None
-        g_kt = np.empty((b, h, dh, n), np.result_type(q_data.dtype, scores_dtype)) \
-            if nk is not None else None
+        g_v = np.empty(v_data.shape, np.result_type(exps_dtype, g.dtype))
+        g_q = np.empty(q_data.shape, np.result_type(scores_dtype, k_data.dtype))
+        g_kt = np.empty((b, h, dh, n), np.result_type(q_data.dtype, scores_dtype))
         for i in range(b):
             e, s = exps(i, q_data[i] @ k_data[i].swapaxes(-1, -2))
-            if g_v is not None:
-                np.matmul((e / s).swapaxes(-1, -2), g_o[i], out=g_v[i])
-            if g_q is None and g_kt is None:
-                continue
+            np.matmul((e / s).swapaxes(-1, -2), g_o[i], out=g_v[i])
             g_p = (g_o[i] @ v_data[i].swapaxes(-1, -2)).astype(e.dtype, copy=False)
             g_s = _softmax_grad(g_p, e, s, scale).astype(scores_dtype, copy=False)
             del g_p, e
-            if g_q is not None:
-                np.matmul(g_s, k_data[i], out=g_q[i])
-            if g_kt is not None:
-                np.matmul(q_data[i].swapaxes(-1, -2), g_s, out=g_kt[i])
+            np.matmul(g_s, k_data[i], out=g_q[i])
+            np.matmul(q_data[i].swapaxes(-1, -2), g_s, out=g_kt[i])
             del g_s
-        if g_v is not None:
-            nv._accum(g_v)
-        if g_q is not None:
-            nq._accum(g_q)
-        if g_kt is not None:
-            nk._accum(g_kt.swapaxes(-1, -2))
+        _accum(nv, g_v)
+        _accum(nq, g_q)
+        _accum(nk, g_kt.swapaxes(-1, -2))
     return Tensor._result(out, (q, k, v), back)
 
 

@@ -9,9 +9,7 @@ Layout under the corpus root:
         articles/<task_id>/steps  step features, (S, D_s) float32
 
 The manifest pins every shape, so a block that was truncated or swapped on
-disk fails loudly at read time instead of training on garbage. Writing over
-a format-1 corpus, which kept one file per matrix under videos/ and
-articles/, deletes those files.
+disk fails loudly at read time instead of training on garbage.
 """
 
 from __future__ import annotations
@@ -30,25 +28,6 @@ FEATURES = "features.bin"
 
 def _span_list(spans: tuple[Segment, ...]) -> list[list[int]]:
     return [[s.start, s.end] for s in spans]
-
-
-# the per-matrix files of a format-1 corpus, by directory
-_FORMAT_1_FILES = (("videos", ("*.frames.bin", "*.narr.bin")),
-                   ("articles", ("*.steps.bin",)))
-
-
-def _remove_format_1_files(root: Path) -> None:
-    """Delete a format-1 corpus's matrix files under root, then their
-    directories if nothing else is left in them."""
-    for name, patterns in _FORMAT_1_FILES:
-        folder = root / name
-        if not folder.is_dir():
-            continue
-        for pattern in patterns:
-            for path in folder.glob(pattern):
-                path.unlink()
-        if not any(folder.iterdir()):
-            folder.rmdir()
 
 
 def write_corpus(corpus: Corpus, root: str | Path) -> Path:
@@ -94,7 +73,6 @@ def write_corpus(corpus: Corpus, root: str | Path) -> Path:
     with open(path, "w") as f:
         json.dump(manifest, f, indent=2)
         f.write("\n")
-    _remove_format_1_files(root)
     return path
 
 

@@ -17,15 +17,13 @@ class CorpusError(ValueError):
     """A record or corpus violates its structural invariants."""
 
 
-def as_features(arr, cols: int | None = None, what: str = "features") -> np.ndarray:
+def as_features(arr, what: str = "features") -> np.ndarray:
     """Validate and freeze a 2-D float32 feature array (rows may be 0)."""
     out = np.ascontiguousarray(arr, dtype=np.float32)
     if out.ndim != 2:
         raise CorpusError(f"{what}: expected 2-D array, got shape {out.shape}")
     if out.shape[1] < 1:
         raise CorpusError(f"{what}: need at least one column, got {out.shape}")
-    if cols is not None and out.shape[1] != cols:
-        raise CorpusError(f"{what}: expected {cols} columns, got {out.shape[1]}")
     if not np.isfinite(out).all():
         raise CorpusError(f"{what}: non-finite values")
     out.flags.writeable = False
@@ -166,9 +164,6 @@ class Corpus:
 
     def video_by_id(self, video_id: str) -> VideoRecord:
         return self._by_id[video_id]
-
-    def __len__(self) -> int:
-        return len(self.videos)
 
 
 def split_corpus(corpus: Corpus, eval_fraction: float, seed: int) -> tuple[Corpus, Corpus]:

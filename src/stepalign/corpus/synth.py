@@ -75,10 +75,14 @@ class SynthConfig:
         if not self.noise_std >= 0:
             raise CorpusError(f"noise_std must be >= 0, got {self.noise_std}")
         d_v, d_n, d_s = self.dims
-        if self.latent_dim < 1 or self.latent_dim > min(d_n, d_s):
+        if d_n != d_s:
+            # the step map is a drift of the narration map, and training
+            # scores steps through the narration pathway
             raise CorpusError(
-                f"latent_dim {self.latent_dim} must be in [1, min text dim "
-                f"{min(d_n, d_s)}]")
+                f"narration and step dims must be equal, got {d_n} and {d_s}")
+        if self.latent_dim < 1 or self.latent_dim > d_n:
+            raise CorpusError(
+                f"latent_dim {self.latent_dim} must be in [1, text dim {d_n}]")
         if self.background_dim < 0:
             raise CorpusError("background_dim must be >= 0")
         if self.latent_dim + self.background_dim > d_v:
@@ -146,20 +150,17 @@ def generate_synthetic(config: SynthConfig) -> Corpus:
     ordinal) so generation parallelizes per video without changing output.
     """
     config.validate()
-    d_v, d_n, d_s = config.dims
+    d_v, d_n, _ = config.dims
     lat = config.latent_dim
     full = lat + config.background_dim
 
     map_rng = _rng(config.seed, 0)
     map_v = _orthonormal_map(map_rng.normal(size=(d_v, full)))
-    text_base = map_rng.normal(size=(max(d_n, d_s), lat))
-    map_n = _orthonormal_map(text_base[:d_n])
-    if d_s == d_n:
-        # nearby but distinct map: narration-trained encoders transfer to steps
-        drift = map_rng.normal(size=(d_s, lat)) * TEXT_MAP_DRIFT
-        map_s = _orthonormal_map(text_base[:d_s] + drift)
-    else:
-        map_s = _orthonormal_map(map_rng.normal(size=(d_s, lat)))
+    text_base = map_rng.normal(size=(d_n, lat))
+    map_n = _orthonormal_map(text_base)
+    # nearby but distinct map: narration-trained encoders transfer to steps
+    drift = map_rng.normal(size=(d_n, lat)) * TEXT_MAP_DRIFT
+    map_s = _orthonormal_map(text_base + drift)
 
     steps_lo, steps_hi = config.steps_range()
     articles: dict[str, Article] = {}

@@ -9,7 +9,7 @@ similarities between the contextualized tokens:
     a_nv  narration x frame        a_sv  step x frame
     a_sn  step x narration
     a_snv step x frame routed through narrations: softmax(a_sn / xi) @ a_nv
-    a_fused = (a_sv + a_snv) / 2
+    a_fused = (a_sv + a_snv) / 2, or a_sv for a video without narrations
 
 The indirect pathway lets noisy narrations vote on where a step lives even
 when the step text itself matches the frames poorly.
@@ -266,9 +266,6 @@ class BatchAlignments:
     a_sn: Tensor
     a_snv: Tensor
     a_fused: Tensor
-    frame_mask: np.ndarray
-    narration_mask: np.ndarray
-    step_mask: np.ndarray
 
 
 @dataclass
@@ -317,10 +314,7 @@ def forward_batch(params, config: ModelConfig, batch: Batch,
     a_sn = cosine_alignment(z_s, z_n)
     a_snv = indirect_alignment(a_sn, a_nv, batch.narration_mask, config.xi)
     return BatchAlignments(a_nv=a_nv, a_sv=a_sv, a_sn=a_sn, a_snv=a_snv,
-                           a_fused=fuse(a_sv, a_snv),
-                           frame_mask=batch.frame_mask,
-                           narration_mask=batch.narration_mask,
-                           step_mask=batch.step_mask)
+                           a_fused=fuse(a_sv, a_snv))
 
 
 def forward(params, config: ModelConfig, batch: Batch,
@@ -333,9 +327,9 @@ def forward(params, config: ModelConfig, batch: Batch,
     out = forward_batch(detach_params(params), config, batch, steps_as_narrations)
     results = []
     for i, vid in enumerate(batch.video_ids):
-        t = int(out.frame_mask[i].sum())
-        n = int(out.narration_mask[i].sum())
-        s = int(out.step_mask[i].sum())
+        t = int(batch.frame_mask[i].sum())
+        n = int(batch.narration_mask[i].sum())
+        s = int(batch.step_mask[i].sum())
         a_sv = out.a_sv.data[i, :s, :t]
         if n > 0:
             a_snv = out.a_snv.data[i, :s, :t]

@@ -58,17 +58,14 @@ class PseudoConfig:
 class PseudoLabel:
     video_id: str
     step: int
-    kept: bool
+    # discarded rows carry no segment at all; a tempting "segment anyway,
+    # just flagged" representation invites accidental training on it
     segment: Optional[Segment]
     peak: float
 
-    def __post_init__(self):
-        # discarded rows carry no segment at all; a tempting "segment anyway,
-        # just flagged" representation invites accidental training on it
-        if self.kept == (self.segment is None):
-            raise PseudoError(
-                f"({self.video_id}, {self.step}): kept={self.kept} "
-                f"inconsistent with segment={self.segment}")
+    @property
+    def kept(self) -> bool:
+        return self.segment is not None
 
 
 def extract_segment(scores: np.ndarray, zeta: float) -> tuple[int, Segment]:
@@ -155,12 +152,11 @@ class PseudoLabelSet:
                     continue
                 try:
                     row = json.loads(line)
-                    kept = bool(row["kept"])
                     seg = (Segment(int(row["start"]), int(row["end"]))
-                           if kept else None)
+                           if row["kept"] else None)
                     out.add(PseudoLabel(
                         video_id=row["video_id"], step=int(row["step"]),
-                        kept=kept, segment=seg, peak=float(row["peak"])))
+                        segment=seg, peak=float(row["peak"])))
                 except (KeyError, TypeError, ValueError, json.JSONDecodeError) as e:
                     raise PseudoError(f"{path}:{line_no}: bad record ({e})") from e
         return out
@@ -182,8 +178,8 @@ def generate_pseudolabels(alignments: Iterable[AlignmentSet],
         for s in range(matrix.shape[0]):
             peak_idx, segment = extract_segment(matrix[s], config.zeta)
             peak = float(matrix[s, peak_idx])
-            kept = bool(peak > 0.0 and peak >= config.gamma)
-            out.add(PseudoLabel(video_id=alignment.video_id, step=s, kept=kept,
+            kept = peak > 0.0 and peak >= config.gamma
+            out.add(PseudoLabel(video_id=alignment.video_id, step=s,
                                 segment=segment if kept else None, peak=peak))
     return out
 

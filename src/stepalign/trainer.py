@@ -24,10 +24,10 @@ import numpy as np
 from .autodiff import Tensor
 from .corpus.batching import LabelSource, batch_iter
 from .corpus.records import Corpus
-from .encoder import (ModelConfig, detach_params, forward, forward_batch,
+from .encoder import (ModelConfig, ModelError, forward, forward_batch,
                       init_params, load_checkpoint, params_from_arrays,
                       save_checkpoint)
-from .evalkit import MetricReport, evaluate_video, merge_reports
+from .evalkit import EvalError, MetricReport, evaluate_video, merge_reports
 from .objective import LossConfig, gradients, total_loss
 from .pseudolabel import (PseudoConfig, PseudoLabelSet, TeacherAction,
                           generate_pseudolabels, teacher_action)
@@ -217,6 +217,52 @@ def _mix_seed(seed: int, stage: int, epoch: int) -> int:
     return (seed * 1_000_003 + stage * 101 + epoch) % (2 ** 63)
 
 
+def _corpus_digest(corpus: Corpus,
+                   assignment: Optional[Mapping[str, str]]) -> str:
+    """SHA-256 of what training reads from a corpus: each video's id, task
+    (from assignment, else its metadata), frame and narration features and
+    narration spans, then each article's step features. Ground truth is left
+    out. The arrays are hashed in place, one update each."""
+    # imported here: hashlib loads OpenSSL, which adds ~3.5 MB to the
+    # resident size of `import stepalign`
+    import hashlib
+    h = hashlib.sha256()
+    for v in corpus.videos:
+        task = v.task_id if assignment is None else assignment.get(v.id, v.task_id)
+        spans = [[s.start, s.end] for s in v.narration_spans]
+        h.update(json.dumps([v.id, task, v.frame_features.shape,
+                             v.narration_features.shape, spans]).encode())
+        h.update(v.frame_features)
+        h.update(v.narration_features)
+    for task_id in sorted(corpus.articles):
+        steps = corpus.articles[task_id].step_features
+        h.update(json.dumps([task_id, steps.shape]).encode())
+        h.update(steps)
+    return h.hexdigest()
+
+
+def _check_corpora(corpus: Corpus, eval_corpus: Optional[Corpus],
+                   model_config: ModelConfig, pseudo_cfg: PseudoConfig,
+                   train_cfg: TrainConfig) -> None:
+    """Reject corpora that the model or the curriculum cannot run on, so
+    that a run fails before its first epoch, not in it."""
+    for what, c in (("corpus", corpus), ("eval corpus", eval_corpus)):
+        if c is not None and tuple(c.dims) != tuple(model_config.feature_dims):
+            raise ModelError(f"model expects feature dims "
+                             f"{model_config.feature_dims}, {what} provides {c.dims}")
+    _, d_n, d_s = corpus.dims
+    if d_n != d_s and (train_cfg.teacher_pre_epochs > 0
+                       or pseudo_cfg.burn_in_epochs > 0):
+        # the teacher and the initial labels score steps as narrations
+        raise ModelError(f"the teacher needs equal narration and step dims, "
+                         f"corpus has {d_n} and {d_s}")
+    if eval_corpus is not None:
+        missing = [v.id for v in eval_corpus.videos if v.task_id is None]
+        if missing:
+            raise EvalError(f"eval corpus videos {missing[:3]} have no task id "
+                            f"to score against ({len(missing)} in all)")
+
+
 def train(corpus: Corpus, model_config: ModelConfig, train_cfg: TrainConfig,
           loss_cfg: LossConfig, pseudo_cfg: PseudoConfig, *,
           assignment: Optional[Mapping[str, str]] = None,
@@ -230,7 +276,8 @@ def train(corpus: Corpus, model_config: ModelConfig, train_cfg: TrainConfig,
     label files under pseudo/. Every epoch appends one JSONL log line, label
     sets land under pseudo/, and last.ckpt carries enough to resume mid-run
     (per-epoch shuffling and labeling are derived from (seed, epoch), so no
-    generator state needs saving).
+    generator state needs saving), with the configs and the corpus digest a
+    resume must match.
     """
     train_cfg.validate()
     loss_cfg.validate()
@@ -247,6 +294,7 @@ def train(corpus: Corpus, model_config: ModelConfig, train_cfg: TrainConfig,
         raise TrainError(
             f"epochs {train_cfg.epochs} shorter than burn-in "
             f"{pseudo_cfg.burn_in_epochs}")
+    _check_corpora(corpus, eval_corpus, model_config, pseudo_cfg, train_cfg)
 
     workdir = Path(workdir) if workdir is not None else None
     if workdir is not None:
@@ -265,6 +313,7 @@ def train(corpus: Corpus, model_config: ModelConfig, train_cfg: TrainConfig,
     # recorded in every checkpoint; a resume must match all four
     configs = {"model_config": model_config, "train_config": train_cfg,
                "loss_config": loss_cfg, "pseudo_config": pseudo_cfg}
+    digest = _corpus_digest(corpus, assignment)
     steps_per_epoch = math.ceil(len(corpus.videos) / train_cfg.batch_size)
     main_total = train_cfg.epochs * steps_per_epoch
 
@@ -289,6 +338,10 @@ def train(corpus: Corpus, model_config: ModelConfig, train_cfg: TrainConfig,
         if differ:
             raise TrainError(f"{ckpt} was saved with other configs "
                              f"(checkpoint != this run): {', '.join(differ)}")
+        if meta.get("corpus_sha256") != digest:
+            raise TrainError(f"{ckpt} was saved for another corpus or task "
+                             f"assignment (checkpoint != this run): corpus_sha256 "
+                             f"{meta.get('corpus_sha256')} != {digest}")
         # drop log lines of an epoch that was killed before its checkpoint
         log_size = log_path.stat().st_size if log_path.exists() else 0
         if log_size < meta["log_bytes"]:
@@ -328,7 +381,7 @@ def train(corpus: Corpus, model_config: ModelConfig, train_cfg: TrainConfig,
         if labels is None or action == TeacherAction.REFRESH:
             initial = action == TeacherAction.USE_INITIAL
             labels = label_corpus(
-                detach_params(params), model_config, corpus, pseudo_cfg,
+                params, model_config, corpus, pseudo_cfg,
                 batch_size=train_cfg.batch_size, max_frames=train_cfg.max_frames,
                 assignment=assignment, steps_as_narrations=initial,
                 meta={"teacher": "initial" if initial else "student_snapshot",
@@ -357,6 +410,7 @@ def train(corpus: Corpus, model_config: ModelConfig, train_cfg: TrainConfig,
                 "next_epoch": epoch + 1,
                 "labels_file": labels_file,
                 **{key: asdict(cfg) for key, cfg in configs.items()},
+                "corpus_sha256": digest,
                 "log_bytes": log_path.stat().st_size,
             })
 

@@ -1,11 +1,13 @@
 """Names the benchmark harness in perfbench/ binds by string still resolve.
 
 perfbench/tracer.py patches stepalign functions and methods by module and
-attribute name, and perfbench/workloads.py calls a few private CLI and trainer
-helpers. A refactor that moves or renames one of them fails here instead of
-in a long traced benchmark run.
+attribute name, and perfbench/workloads.py reads names off the package and
+its cli and trainer modules, some of them private. A refactor that moves,
+renames or stops exporting one of them fails here instead of in a long
+benchmark run.
 """
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
@@ -18,7 +20,8 @@ from stepalign.corpus.batching import LabelSource, batch_iter
 from stepalign.encoder import ModelConfig, forward_batch, init_params
 from stepalign.objective import LossConfig, gradients, total_loss
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+TRACER = PERFBENCH / "tracer.py"
 
 
 def _load_tracer():
@@ -31,9 +34,6 @@ def _load_tracer():
 def test_benchmark_bindings_resolve():
     tracer = _load_tracer()
     functions = [(m, a) for m, a, _ in tracer.TIMED_FUNCTIONS + tracer.TIMED_GENERATORS]
-    functions += [("stepalign.cli", "_load_model"),
-                  ("stepalign.cli", "_strip_narrations"),
-                  ("stepalign.trainer", "adamw_step")]
     # the tracer patches methods through vars(cls), so they must be defined
     # on the class itself, not inherited
     methods = [(m, c, meth) for m, c, meth, _ in tracer.TIMED_METHODS]
@@ -47,6 +47,21 @@ def test_benchmark_bindings_resolve():
         if cls is None or meth not in vars(cls):
             missing.append(f"{m}.{c}.{meth}")
     assert not missing, f"perfbench binds names that no longer exist: {missing}"
+
+
+def test_workload_attributes_resolve():
+    # workloads.py binds `import stepalign as sa` and `from stepalign import
+    # cli, trainer`, and reads every name it uses off those three
+    modules = {"sa": "stepalign", "cli": "stepalign.cli",
+               "trainer": "stepalign.trainer"}
+    tree = ast.parse((PERFBENCH / "workloads.py").read_text())
+    used = {(node.value.id, node.attr) for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id in modules}
+    assert {alias for alias, _ in used} == set(modules)
+    missing = [f"{alias}.{name}" for alias, name in sorted(used)
+               if not hasattr(importlib.import_module(modules[alias]), name)]
+    assert not missing, f"perfbench/workloads.py reads names that do not exist: {missing}"
 
 
 def test_tracer_counts_every_autodiff_node():

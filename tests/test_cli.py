@@ -160,6 +160,33 @@ def test_rejected_resume_leaves_run_config(tmp_path, ws, capsys, seed, ffn_dim):
     assert (workdir / "run_config.json").read_bytes() == before
 
 
+@pytest.mark.parametrize("problem", ["other_dims", "no_task_ids"])
+def test_train_checks_the_eval_corpus_before_its_first_epoch(tmp_path, ws, capsys,
+                                                             problem):
+    # both used to surface only after the teacher stage and one main epoch:
+    # other dims as an uncaught numpy ValueError, missing task ids as a
+    # scoring error about a step matrix with 0 rows
+    eval_dir = tmp_path / "eval"
+    if problem == "other_dims":
+        cfg = tmp_path / "narrow.json"
+        cfg.write_text(json.dumps({**TINY_CONFIG, "corpus": {
+            **TINY_CONFIG["corpus"], "dims": [10, 6, 6], "latent_dim": 4,
+            "background_dim": 2}}))
+        assert main(["generate", "--out", str(eval_dir), "--config", str(cfg)]) == 0
+    else:
+        shutil.copytree(ws.corpus, eval_dir)
+        manifest = json.loads((eval_dir / "manifest.json").read_text())
+        for video in manifest["videos"]:
+            video["task_id"] = None
+        (eval_dir / "manifest.json").write_text(json.dumps(manifest))
+    capsys.readouterr()
+    workdir = tmp_path / "run"
+    assert main(["train", "--corpus", str(ws.corpus), "--workdir", str(workdir),
+                 "--config", str(ws.config), "--eval-corpus", str(eval_dir)]) == 3
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (workdir / "train_log.jsonl").exists()
+
+
 def test_train_missing_corpus_is_data_error(tmp_path, ws):
     assert main(["train", "--corpus", str(tmp_path / "nowhere"),
                  "--workdir", str(tmp_path / "w"),

@@ -220,29 +220,6 @@ def test_write_leaves_a_manifest_and_one_feature_file(tmp_path):
     assert len(arrays) == 2 * len(corpus.videos) + len(corpus.articles)
 
 
-def test_write_over_a_format_1_corpus_removes_its_matrix_files(tmp_path):
-    # the layout before features.bin: one file per matrix
-    corpus = generate_synthetic(SynthConfig(num_tasks=2, videos_per_task=2, seed=0))
-    (tmp_path / "videos").mkdir()
-    (tmp_path / "articles").mkdir()
-    for v in corpus.videos:
-        for kind in ("frames", "narr"):
-            (tmp_path / "videos" / f"{v.id}.{kind}.bin").write_bytes(b"old")
-    for task_id in corpus.articles:
-        (tmp_path / "articles" / f"{task_id}.steps.bin").write_bytes(b"old")
-    (tmp_path / "manifest.json").write_text('{"format_version": 1}')
-    write_corpus(corpus, tmp_path)
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["features.bin",
-                                                          "manifest.json"]
-    assert len(read_corpus(tmp_path).videos) == len(corpus.videos)
-    # a file the old layout did not write is kept, and so is its directory
-    (tmp_path / "videos").mkdir()
-    (tmp_path / "videos" / "notes.txt").write_text("mine")
-    (tmp_path / "videos" / f"{corpus.videos[0].id}.frames.bin").write_bytes(b"old")
-    write_corpus(corpus, tmp_path)
-    assert [p.name for p in (tmp_path / "videos").iterdir()] == ["notes.txt"]
-
-
 def test_read_rejects_truncated_feature_file(tmp_path):
     corpus = generate_synthetic(SynthConfig(num_tasks=1, videos_per_task=1, seed=0))
     write_corpus(corpus, tmp_path)
@@ -372,8 +349,8 @@ def test_shuffle_determinism_and_coverage():
 
 def test_pseudo_label_source():
     corpus = _single_video_corpus()
-    store = {("v", 0): PseudoLabel("v", 0, True, Segment(2, 4), 0.9),
-             ("v", 1): PseudoLabel("v", 1, False, None, 0.1)}
+    store = {("v", 0): PseudoLabel("v", 0, Segment(2, 4), 0.9),
+             ("v", 1): PseudoLabel("v", 1, None, 0.1)}
     batch = next(batch_iter(corpus, 1, 64, None,
                             LabelSource.PROVIDED_PSEUDO, pseudo_store=store))
     assert batch.sup_sv[0].tolist() == [True, False]
@@ -385,7 +362,7 @@ def test_pseudo_label_source():
 
 def test_pseudo_label_fully_truncated_becomes_unsupervised():
     corpus = _single_video_corpus(t=10, spans=(Segment(0, 1),))
-    store = {("v", 0): PseudoLabel("v", 0, True, Segment(6, 8), 0.9)}
+    store = {("v", 0): PseudoLabel("v", 0, Segment(6, 8), 0.9)}
     batch = next(batch_iter(corpus, 1, 4, None,
                             LabelSource.PROVIDED_PSEUDO, pseudo_store=store))
     assert not batch.sup_sv[0, 0]

@@ -194,24 +194,17 @@ def test_config_validation():
 # record consistency and serialization
 
 
-def test_label_consistency_enforced():
-    with pytest.raises(PseudoError):
-        PseudoLabel("v", 0, kept=True, segment=None, peak=0.9)
-    with pytest.raises(PseudoError):
-        PseudoLabel("v", 0, kept=False, segment=Segment(0, 1), peak=0.9)
-
-
 def test_duplicate_add_rejected():
     store = PseudoLabelSet()
-    store.add(PseudoLabel("v", 0, True, Segment(0, 1), 0.9))
+    store.add(PseudoLabel("v", 0, Segment(0, 1), 0.9))
     with pytest.raises(PseudoError):
-        store.add(PseudoLabel("v", 0, False, None, 0.1))
+        store.add(PseudoLabel("v", 0, None, 0.1))
 
 
 def test_coverage():
     store = PseudoLabelSet()
-    store.add(PseudoLabel("v", 0, True, Segment(0, 1), 0.9))
-    store.add(PseudoLabel("v", 1, False, None, 0.2))
+    store.add(PseudoLabel("v", 0, Segment(0, 1), 0.9))
+    store.add(PseudoLabel("v", 1, None, 0.2))
     assert store.coverage() == 0.5
     assert PseudoLabelSet().coverage() == 0.0
 

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from stepalign.autodiff import Tensor
-from stepalign.corpus import SynthConfig, generate_synthetic
-from stepalign.encoder import ModelConfig, forward_batch, init_params
+from stepalign.corpus import Corpus, CorpusError, SynthConfig, generate_synthetic
+from stepalign.encoder import ModelConfig, ModelError, forward_batch, init_params
 from stepalign.objective import LossConfig
 from stepalign.pseudolabel import PseudoConfig, TeacherAction, teacher_action
 from stepalign.trainer import (
@@ -121,10 +121,10 @@ def test_config_validation():
 # the full loop on a tiny noiseless corpus
 
 
-def tiny_corpus():
+def tiny_corpus(seed=7):
     return generate_synthetic(SynthConfig(
         num_tasks=2, steps_per_task=(3, 3), videos_per_task=10,
-        frames_range=(32, 64), noise_std=0.0, p_miss_step=0.2, seed=7))
+        frames_range=(32, 64), noise_std=0.0, p_miss_step=0.2, seed=seed))
 
 
 def tiny_model(dims):
@@ -388,6 +388,51 @@ def test_resume_names_a_field_only_the_checkpoint_has(tmp_path):
     # eval and infer refuse it too, as an artifact mismatch
     with pytest.raises(ProtocolError, match="pe_for_steps"):
         _load_model(str(ckpt))
+
+
+def test_resume_refuses_another_corpus_or_task_assignment(tmp_path, monkeypatch):
+    # another seed's corpus has the same video ids: without a check, the
+    # resumed run would train it on the first corpus's initial labels
+    _kill_at_rename(monkeypatch, epoch=1)
+    with pytest.raises(Interrupted):
+        run_tiny(seed=4, workdir=tmp_path)
+    monkeypatch.undo()
+    log = tmp_path / "train_log.jsonl"
+    before = log.read_bytes()
+    corpus, other = tiny_corpus(), tiny_corpus(seed=8)
+    assert [v.id for v in other.videos] == [v.id for v in corpus.videos]
+    one_task = {v.id: "task000" for v in corpus.videos}
+    for c, assignment in [(other, None), (corpus, one_task)]:
+        with pytest.raises(TrainError, match="another corpus.*corpus_sha256"):
+            train(c, tiny_model(c.dims), tiny_train_cfg(seed=4), LossConfig(),
+                  PseudoConfig(burn_in_epochs=2, refresh_every=2),
+                  assignment=assignment, workdir=tmp_path, resume=True)
+    assert log.read_bytes() == before
+    # ground truth is not a training input: a corpus without it resumes
+    no_gt = Corpus(tuple(replace(v, gt_step_segments=None, gt_narration_steps=None)
+                         for v in corpus.videos), corpus.articles, corpus.dims)
+    done = train(no_gt, tiny_model(corpus.dims), tiny_train_cfg(seed=4),
+                 LossConfig(), PseudoConfig(burn_in_epochs=2, refresh_every=2),
+                 workdir=tmp_path, resume=True)
+    assert [e["epoch"] for e in done.history] == [1, 2, 3, 4]
+
+
+def test_unequal_text_widths_fail_before_the_first_epoch(tmp_path):
+    # the teacher scores steps as narrations, so the two widths must match:
+    # the generator refuses other dims, and train() refuses such a corpus
+    # before it writes anything, instead of at the first teacher batch
+    with pytest.raises(CorpusError, match="narration and step dims"):
+        SynthConfig(dims=(48, 32, 24)).validate()
+    corpus = tiny_corpus()
+    d_v, d_n, d_s = corpus.dims
+    wide = {t: replace(a, step_features=np.hstack([a.step_features] * 2))
+            for t, a in corpus.articles.items()}
+    corpus = Corpus(corpus.videos, wide, (d_v, d_n, 2 * d_s))
+    with pytest.raises(ModelError, match="equal narration and step dims"):
+        train(corpus, tiny_model(corpus.dims), tiny_train_cfg(), LossConfig(),
+              PseudoConfig(burn_in_epochs=2, refresh_every=2),
+              workdir=tmp_path / "run")
+    assert not (tmp_path / "run").exists()
 
 
 def test_fresh_run_starts_an_empty_log(tmp_path):
