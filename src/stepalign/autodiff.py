@@ -26,10 +26,14 @@ matching that chain bit for bit and keeping less of it alive:
 
     linear(x, w, b)       x @ w + b; the matmul's node, with b among its
                           parents; keeps x and w, not the product or the sum
-    gelu_linear(h, w, b)  linear(gelu(h), w, b) with the exact GELU; keeps
-                          only h and w and recomputes the normal CDF once in
-                          backward, for both the GELU output and its slope;
-                          erf is _erf, this module's port of Cephes' erf
+    mlp(x, w1, b1, w2, b2) linear(gelu(linear(x, w1, b1)), w2, b2) with the
+                          exact GELU; keeps x and the weights, not the hidden
+                          layer; both directions work one video (batch row)
+                          at a time, so no (B, n, hidden) array exists at any
+                          time, and backward recomputes each row's hidden
+                          layer and its normal CDF once, for both the GELU
+                          output and its slope; erf is _erf, this module's
+                          port of Cephes' erf
     layer_norm(x, g, b)   keeps x, g and the row means and deviations,
                           (..., 1), and recomputes x - mean in backward
     masked_softmax(x, ..) softmax(x * scale + bias); keeps only x and
@@ -42,10 +46,11 @@ matching that chain bit for bit and keeping less of it alive:
     dropout(x, keep, rate) x * keep / (1 - rate); keeps the bool mask and
                           rebuilds the scaled mask in backward
 
-The model gives layer_norm, gelu_linear and attention operands that all
-require a gradient (training) or none (inference). So their backward forms
-every operand's gradient and accumulates it into each operand that has a
-node.
+The model gives layer_norm, mlp and attention operands that all require a
+gradient (training) or none (inference), save mlp's input x, which is a
+constant for the unimodal MLPs. So their backward forms every operand's
+gradient, x's only when x has a node, and accumulates it into each operand
+that has a node.
 
 Anything fancier belongs in the calling code.
 """
@@ -511,46 +516,85 @@ def _normal_cdf(x: np.ndarray) -> np.ndarray:
     return c
 
 
-def gelu_linear(h: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """linear(gelu(h), w, b) as one node, gelu being the exact Gaussian-error
-    linear unit 0.5 h (1 + erf(h / sqrt(2))).
+def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """gelu(x @ w1 + b1) @ w2 + b2 as one node, gelu being the exact
+    Gaussian-error linear unit 0.5 h (1 + erf(h / sqrt(2))); x is (B, n, d),
+    b1 and b2 are (1, hidden) and (1, d_out).
 
-    The node keeps only h and w, not the GELU output. Backward recomputes the
-    normal CDF from h once and reads it twice: for the GELU output, h * cdf,
-    which w's gradient is formed from, and for the GELU slope, cdf + h * pdf.
-    At most three h-sized temporaries are alive at once. Both directions
-    evaluate the expressions of the composed chain, a GELU node that keeps h
-    followed by linear, in their order and dtypes, in place where that chain
-    did, so the results match it bit for bit. The product goes through
-    Tensor.__matmul__ on constants, so it counts as a matmul.
+    Both directions work one video (batch row) at a time, as attention
+    does, so the hidden layer exists only as one row's (n, hidden) arrays:
+    the node keeps x and the weights, not h = x @ w1 + b1 nor its GELU.
+    Backward recomputes each row's h, computes the normal CDF from it once
+    and reads it twice: for the GELU output, h * cdf, which w2's gradient is
+    formed from, and for the GELU slope, cdf + h * pdf. x's gradient is
+    filled row by row; the gradients of w1, w2 and b1 are summed over the
+    rows one after another, the order in which numpy sums a batch axis.
+    Both directions evaluate the expressions of the composed chain, linear
+    followed by a GELU node that keeps h and another linear, in their order
+    and dtypes, with the casts of the nodes in between, so the results match
+    it bit for bit. The forward products go through Tensor.__matmul__ on
+    constants, so they count as matmuls, two per row.
     """
-    h, w, b = as_tensor(h), as_tensor(w), as_tensor(b)
-    act = h.data * _normal_cdf(h.data)
-    product = (Tensor(act) @ Tensor(w.data)).data
-    act_dtype, product_dtype = act.dtype, product.dtype
-    del act
-    nh, nw, nb = h.node, w.node, b.node
-    h_data, w_data, b_shape = h.data, w.data, b.shape
+    x, w1, b1, w2, b2 = (as_tensor(t) for t in (x, w1, b1, w2, b2))
+    x_data, w1_data, b1_data, w2_data = x.data, w1.data, b1.data, w2.data
+    out = None
+    for i in range(x.shape[0]):
+        h = (Tensor(x_data[i]) @ Tensor(w1_data)).data + b1_data
+        act = _normal_cdf(h)
+        act *= h
+        y = (Tensor(act) @ Tensor(w2_data)).data
+        if out is None:
+            out = np.empty(x.shape[:1] + y.shape, np.result_type(y, b2.data))
+            h_dtype, act_dtype, y_dtype = h.dtype, act.dtype, y.dtype
+            product_dtype = np.result_type(x_data, w1_data)
+        np.add(y, b2.data, out=out[i])
+        del h, act, y  # one row's arrays go before the next row's are made
+    nx, nw1, nb1, nw2, nb2 = x.node, w1.node, b1.node, w2.node, b2.node
+    b1_shape, b2_shape = b1.shape, b2.shape
 
     def back(g):
-        g_product = g.astype(product_dtype, copy=False)
-        _accum(nb, _unbroadcast(g, b_shape))
-        cdf = _normal_cdf(h_data)
-        act = h_data * cdf
-        _accum(nw, _unbroadcast(act.swapaxes(-1, -2) @ g_product, w_data.shape))
-        del act
-        d = h_data ** 2
-        d *= -0.5
-        np.exp(d, out=d)
-        d = d * _INV_SQRT2PI  # promotes float32 h here, not before
-        d *= h_data
-        d += cdf
-        del cdf
-        g_act = _unbroadcast(g_product @ w_data.swapaxes(-1, -2), h_data.shape)
-        d *= g_act.astype(act_dtype, copy=False)
-        del g_act
-        _accum(nh, d)
-    return Tensor._result(product + b.data, (h, w, b), back)
+        g_y = g.astype(y_dtype, copy=False)
+        _accum(nb2, _unbroadcast(g, b2_shape))
+        g_x = (np.empty(x_data.shape, np.result_type(product_dtype, w1_data))
+               if nx is not None else None)
+        g_w1 = g_w2 = g_b1 = None
+        for i in range(x_data.shape[0]):
+            h = x_data[i] @ w1_data + b1_data
+            cdf = _normal_cdf(h)
+            act = h * cdf
+            g_w2 = _row_sum(g_w2, act.swapaxes(-1, -2) @ g_y[i])
+            del act
+            d = h ** 2
+            d *= -0.5
+            np.exp(d, out=d)
+            d = d * _INV_SQRT2PI  # promotes float32 h here, not before
+            d *= h
+            d += cdf
+            del cdf, h
+            d *= (g_y[i] @ w2_data.swapaxes(-1, -2)).astype(act_dtype, copy=False)
+            g_h = d.astype(h_dtype, copy=False)  # as h's node stored it
+            del d
+            g_b1 = _row_sum(g_b1, g_h)
+            g_product = g_h.astype(product_dtype, copy=False)
+            del g_h
+            if g_x is not None:
+                np.matmul(g_product, w1_data.swapaxes(-1, -2), out=g_x[i])
+            g_w1 = _row_sum(g_w1, x_data[i].swapaxes(-1, -2) @ g_product)
+            del g_product
+        _accum(nw2, g_w2)
+        _accum(nx, g_x)
+        _accum(nw1, g_w1)
+        _accum(nb1, _unbroadcast(g_b1, b1_shape))
+    return Tensor._result(out, (x, w1, b1, w2, b2), back)
+
+
+def _row_sum(total: Optional[np.ndarray], row: np.ndarray) -> np.ndarray:
+    """total + row, in place in total from the second row on: the first row
+    becomes the total, so the caller must not read it after the next call."""
+    if total is None:
+        return row
+    total += row
+    return total
 
 
 def _softmax_exps(x: np.ndarray, scale, bias, overwrite: bool = False):

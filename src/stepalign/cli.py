@@ -122,17 +122,22 @@ def cmd_train(args) -> int:
     eval_corpus = _read_corpus(args.eval_corpus) if args.eval_corpus else None
 
     workdir = Path(args.workdir)
-    workdir.mkdir(parents=True, exist_ok=True)
-    if not args.resume:
-        # a resume keeps the run_config.json of the run it continues; train()
-        # rejects a model, train, loss or pseudo config other than its checkpoint's
-        resolved = dataclasses.replace(config, model=model_config)
-        save_run_config(resolved, workdir / "run_config.json")
+    # a fresh run records its config with its first log entry, so a run that
+    # train() rejects before its first epoch leaves none behind; a resume
+    # keeps the run_config.json of the run it continues, and train() rejects
+    # a model, train, loss or pseudo config other than its checkpoint's
+    resolved = None if args.resume else dataclasses.replace(config, model=model_config)
+
+    def save_config(entry: dict) -> None:
+        nonlocal resolved
+        if resolved is not None:
+            save_run_config(resolved, workdir / "run_config.json")
+            resolved = None
 
     result = train(corpus, model_config, config.train, config.loss,
                    config.pseudo, assignment=assignment,
                    eval_corpus=eval_corpus, workdir=workdir,
-                   resume=args.resume)
+                   resume=args.resume, log_fn=save_config)
     last = next((h for h in reversed(result.history) if h.get("stage") == "main"),
                 None)
     if last is not None:

@@ -24,8 +24,8 @@ from typing import Mapping, Optional
 import numpy as np
 
 from . import tensorio
-from .autodiff import (Tensor, attention, concat, dropout, gelu_linear,
-                       layer_norm, linear, masked_softmax)
+from .autodiff import (Tensor, attention, concat, dropout, layer_norm, linear,
+                       masked_softmax, mlp)
 from .corpus.batching import Batch
 
 LAYERNORM_EPS = 1e-5
@@ -141,8 +141,8 @@ def _linear(params, name: str, x: Tensor) -> Tensor:
 
 
 def _mlp(params, name: str, x: Tensor) -> Tensor:
-    return gelu_linear(_linear(params, f"{name}.l1", x), params[f"{name}.l2.w"],
-                       params[f"{name}.l2.b"])
+    return mlp(x, params[f"{name}.l1.w"], params[f"{name}.l1.b"],
+               params[f"{name}.l2.w"], params[f"{name}.l2.b"])
 
 
 def _layer_norm(params, name: str, x: Tensor) -> Tensor:

@@ -257,6 +257,8 @@ def _check_corpora(corpus: Corpus, eval_corpus: Optional[Corpus],
         raise ModelError(f"the teacher needs equal narration and step dims, "
                          f"corpus has {d_n} and {d_s}")
     if eval_corpus is not None:
+        if not any(v.gt_step_segments for v in eval_corpus.videos):
+            raise EvalError("eval corpus carries no step ground truth to score against")
         missing = [v.id for v in eval_corpus.videos if v.task_id is None]
         if missing:
             raise EvalError(f"eval corpus videos {missing[:3]} have no task id "

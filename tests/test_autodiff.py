@@ -9,12 +9,14 @@ from scipy.special import erf
 
 from stepalign import encoder
 from stepalign.autodiff import (_ERF_BLOCK, GradientError, Node, Tensor, _erf,
-                                attention, concat, dropout, gelu_linear,
-                                layer_norm, linear, masked_softmax)
+                                attention, concat, dropout, layer_norm, linear,
+                                masked_softmax, mlp)
 from stepalign.corpus import SynthConfig, generate_synthetic
 from stepalign.corpus.batching import LabelSource, batch_iter
 from stepalign.encoder import MASK_FILL, ModelConfig, forward_batch, init_params
 from stepalign.objective import LossConfig, gradients, total_loss
+from stepalign.pseudolabel import PseudoConfig
+from stepalign.trainer import TrainConfig, train
 
 
 def numeric_grad(f, x, eps=1e-6):
@@ -58,12 +60,24 @@ _WEIGHTS = Tensor(_FD.normal(size=(3, 4)))  # so no output sum is constant
 # q, k, v of one batch row with 2 heads of 3 tokens x 2 dims; key 1 is blocked
 _QKV = [Tensor(a) for a in _FD.normal(size=(3, 1, 2, 3, 2))]
 _KEY_BIAS = np.array([0.0, MASK_FILL, 0.3])[None, None, None, :]
+# x, w1, b1, w2, b2 of an MLP on 2 videos of 3 tokens x 2 dims, hidden width 4,
+# and how each is cut from a (3, 4) input
+_MLP = [_FD.normal(size=s) for s in [(2, 3, 2), (2, 4), (1, 4), (4, 2), (1, 2)]]
+_MLP_WEIGHTS = Tensor(_FD.normal(size=(2, 3, 2)))
+_MLP_CUTS = [lambda t: t.reshape(2, 3, 2), lambda t: t[:2], lambda t: t[:1],
+             lambda t: t.swapaxes(0, 1)[:, :2], lambda t: t[:1, :2]]
 
 
 def _attention_fd(t, operand):
     qkv = list(_QKV)
     qkv[operand] = t.reshape(1, 2, 3, 2)
     return (attention(*qkv, 0.7, _KEY_BIAS) * _WEIGHTS).sum()
+
+
+def _mlp_fd(t, operand):
+    operands = [Tensor(a) for a in _MLP]
+    operands[operand] = _MLP_CUTS[operand](t)
+    return (mlp(*operands) * _MLP_WEIGHTS).sum()
 
 
 @pytest.mark.parametrize("build", [
@@ -75,7 +89,7 @@ def _attention_fd(t, operand):
     lambda t: ((t * t + 0.5).sqrt()).sum(),
     lambda t: (t.exp()).mean(),
     lambda t: ((t * t + 0.1).log()).sum(),
-    lambda t: gelu_linear(t, Tensor(np.eye(4)), Tensor(np.zeros((1, 4)))).sum(),
+    lambda t: _mlp_fd(t, 0),
     lambda t: masked_softmax(t, 1.0, 0.0).__getitem__((0, 1)).sum(),
     lambda t: (masked_softmax(t, 1.0, 0.0) * masked_softmax(t, 1.0, 0.0)).sum(),
     lambda t: t.swapaxes(0, 1).reshape(12).__getitem__(slice(2, 9)).sum(),
@@ -92,12 +106,13 @@ def _attention_fd(t, operand):
     lambda t: (layer_norm(t, Tensor(_B), Tensor(_B), 1e-5) * _WEIGHTS).sum(),
     lambda t: (layer_norm(Tensor(_X), t, Tensor(_B), 1e-5) * _WEIGHTS).sum(),
     lambda t: (layer_norm(Tensor(_X), Tensor(_B), t, 1e-5) * _WEIGHTS).sum(),
-    lambda t: (gelu_linear(t, Tensor(_W), Tensor(_B)) * _WEIGHTS).sum(),
+    lambda t: _mlp_fd(t, 1),
     lambda t: _attention_fd(t, 0),
     lambda t: _attention_fd(t, 1),
     lambda t: _attention_fd(t, 2),
-    lambda t: (gelu_linear(Tensor(_X[:, :3]), t[:3], Tensor(_B)) * _WEIGHTS).sum(),
-    lambda t: (gelu_linear(Tensor(_X), Tensor(_W), t) * _WEIGHTS).sum(),
+    lambda t: _mlp_fd(t, 3),
+    lambda t: _mlp_fd(t, 4),
+    lambda t: _mlp_fd(t, 2),
 ])
 def test_op_gradients_match_finite_differences(build):
     check_grad(build, (3, 4))
@@ -242,9 +257,9 @@ def _composed_layer_norm(x, g, b, eps):
 
 
 def _cdf_gelu(x):
-    """GELU as a node that keeps its input and CDF alive: followed by
-    _composed_linear, the reference gelu_linear, which recomputes the CDF in
-    backward, must match bit for bit."""
+    """GELU as a node that keeps its input and CDF alive: between two
+    _composed_linear, the reference mlp, which recomputes the hidden layer
+    and its CDF in backward, must match bit for bit."""
     data, node = x.data, x.node
     cdf = 0.5 * (1.0 + erf(data * (1.0 / np.sqrt(2.0))))
 
@@ -254,14 +269,18 @@ def _cdf_gelu(x):
     return Tensor._result(data * cdf, (x,), back)
 
 
+def _composed_mlp(x, w1, b1, w2, b2):
+    return _composed_linear(_cdf_gelu(_composed_linear(x, w1, b1)), w2, b2)
+
+
 _FUSED = {  # op, its reference, operand shapes
     "linear": (linear, _composed_linear, [(2, 5, 6), (6, 6), (1, 6)]),
     "layer_norm": (lambda x, g, b: layer_norm(x, g, b, 1e-5),
                    lambda x, g, b: _composed_layer_norm(x, g, b, 1e-5),
                    [(2, 5, 6), (1, 6), (1, 6)]),
-    # the GELU, folded into the linear that follows it
-    "gelu": (gelu_linear, lambda h, w, b: _composed_linear(_cdf_gelu(h), w, b),
-             [(2, 5, 6), (6, 6), (1, 6)]),
+    # the GELU MLP, with the linears on either side of the GELU; 3 rows, so
+    # the order in which the rows' weight gradients are summed shows
+    "gelu": (mlp, _composed_mlp, [(3, 5, 6), (6, 7), (1, 7), (7, 6), (1, 6)]),
 }
 
 
@@ -299,15 +318,44 @@ def test_fused_nodes_skip_operands_without_gradient(name):
     fused, composed, shapes = _FUSED[name]
     rng = np.random.default_rng(10)
     data = [rng.normal(size=shape) for shape in shapes]
-    for needs in [(True, False, False), (False, True, False), (False, False, True)]:
+    # each operand alone, and all but the input, as in the unimodal MLPs
+    count = len(shapes)
+    for needs in ([tuple(j == i for j in range(count)) for i in range(count)]
+                  + [tuple(j > 0 for j in range(count))]):
         grads = []
         for build in (fused, composed):
             operands = [Tensor(d.copy(), requires_grad=r) for d, r in zip(data, needs)]
-            build(*operands).backward(np.ones((2, 5, 6)))
+            out = build(*operands)
+            out.backward(np.ones(out.shape))
             grads.append([t.grad for t in operands])
         for fused_grad, composed_grad, r in zip(*grads, needs):
             assert (fused_grad is None) == (composed_grad is None) == (not r)
             assert not r or np.array_equal(fused_grad, composed_grad)
+
+
+@pytest.mark.parametrize("calls", [1, 2], ids=["once", "twice"])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_mlp_on_constant_input_matches_composed_chain_bit_for_bit(dtype, calls):
+    # the unimodal MLPs: x is a batch of features, with no node; the teacher
+    # runs both narrations and steps through one MLP, so with two calls each
+    # weight receives two gradients
+    rng = np.random.default_rng(15)
+    shapes = _FUSED["gelu"][2]
+    xs = [rng.normal(size=(3, 5 + k, 6)).astype(dtype) for k in range(calls)]
+    weights = [(rng.normal(size=s) * 0.5 + 1.0).astype(dtype) for s in shapes[1:]]
+    seed = rng.normal(size=(3, sum(x.shape[1] for x in xs), 6))
+    outs, grads = [], []
+    for build in (mlp, _composed_mlp):
+        leaves = [Tensor(w.copy(), requires_grad=True) for w in weights]
+        out = concat([build(Tensor(x), *leaves) for x in xs], axis=1)
+        out.backward(seed)
+        outs.append(out.data)
+        grads.append([t.grad for t in leaves])
+    assert outs[0].dtype == outs[1].dtype
+    assert np.array_equal(outs[0], outs[1])
+    for fused_grad, composed_grad in zip(*grads):
+        assert fused_grad.dtype == composed_grad.dtype == dtype
+        assert np.array_equal(fused_grad, composed_grad)
 
 
 def _composed_attention(q, k, v, scale, bias):
@@ -393,10 +441,10 @@ def test_dropout_matches_product_with_scaled_mask_bit_for_bit(dtype):
 
 def test_gelu_values():
     # gelu(0) = 0, gelu is odd-symmetric around the identity: g(x) - g(-x) = x;
-    # the identity weight and a zero bias leave gelu(x) as it is
+    # identity weights and zero biases leave gelu(x) as it is
     x = np.linspace(-3, 3, 13)
-    g = gelu_linear(Tensor(x[:, None]), Tensor(np.eye(1)), Tensor(np.zeros((1, 1))))
-    g = g.data[:, 0]
+    eye, zero = Tensor(np.eye(1)), Tensor(np.zeros((1, 1)))
+    g = mlp(Tensor(x.reshape(13, 1, 1)), eye, zero, eye, zero).data.reshape(13)
     assert g[6] == 0.0
     np.testing.assert_allclose(g - g[::-1], x, atol=1e-12)
 
@@ -635,14 +683,14 @@ def test_attention_never_allocates_a_score_sized_array():
 
 def test_fused_nodes_keep_the_token_sized_arrays_down():
     # a node keeps only what its backward reads: linear its input, not its
-    # output; layer_norm its input and (B, n, 1) statistics; gelu_linear its
-    # input, not the GELU. 60 (B, n, model_dim) and 8 (B, n, ffn_dim) arrays
-    # when each was a chain of generic nodes, 30 and 4 while every node kept
-    # its output
+    # output; layer_norm its input and (B, n, 1) statistics; mlp its input,
+    # not the hidden layer or its GELU. 60 (B, n, model_dim) and 8
+    # (B, n, ffn_dim) arrays when each was a chain of generic nodes, 30 and 4
+    # while every node kept its output, 21 and 2 while the FFN's GELU node
+    # kept its input, the first FFN linear's output
     mc, b, n_tok, held = _curriculum_graph()
     assert _count(held, (b, n_tok, mc.model_dim)) <= 21
-    # the first FFN layer's output, which gelu_linear keeps
-    assert _count(held, (b, n_tok, mc.ffn_dim)) == mc.num_layers
+    assert _count(held, (b, n_tok, mc.ffn_dim)) == 0
 
 
 def test_training_graph_bytes_stay_bounded():
@@ -650,9 +698,10 @@ def test_training_graph_bytes_stay_bounded():
     # attention was a chain that kept q @ k^T and the probabilities and
     # dropout kept float64 masks, 28.5 MB with the attention node, 26.4 MB
     # with the dropout node's bool masks and 15.0 MB once nodes kept only
-    # what their backward reads
+    # what their backward reads, 10.9 MB once the FFN's hidden layer was
+    # recomputed in backward
     *_, held = _curriculum_graph()
-    assert sum(a.nbytes for a in held) <= 15_040_888
+    assert sum(a.nbytes for a in held) <= 10_929_272
 
 
 def test_graph_drops_the_outputs_no_backward_reads(monkeypatch):
@@ -685,25 +734,62 @@ def test_graph_drops_the_outputs_no_backward_reads(monkeypatch):
     assert probes["dropout"][0]() is not None
 
 
-def test_gelu_linear_keeps_at_most_three_ffn_sized_temporaries():
-    # forward keeps no GELU output and backward recomputes the CDF once for
-    # both the GELU output and its slope; the peak above the inputs holds
-    # h's gradient and up to three (B, n, ffn_dim) temporaries
+def test_mlp_never_allocates_a_hidden_layer_sized_array():
+    # forward and backward work one video at a time: the peak above the
+    # inputs holds the output and x's gradient, (B, n, d) each, a few of one
+    # row's (n, ffn) temporaries and _erf's fixed scratch. With the hidden
+    # layer as a node of its own, forward kept h, (B, n, ffn), and backward
+    # added up to three more arrays of that size
     b, n, ffn, d = 8, 140, 256, 64
     rng = np.random.default_rng(14)
-    h = Tensor(rng.normal(size=(b, n, ffn)), requires_grad=True)
-    w = Tensor(rng.normal(size=(ffn, d)) * 0.1, requires_grad=True)
-    bias = Tensor(rng.normal(size=(1, d)), requires_grad=True)
+    x = Tensor(rng.normal(size=(b, n, d)), requires_grad=True)
+    weights = [Tensor(rng.normal(size=shape) * scale, requires_grad=True)
+               for shape, scale in [((d, ffn), 0.1), ((1, ffn), 1.0),
+                                    ((ffn, d), 0.1), ((1, d), 1.0)]]
     seed = rng.normal(size=(b, n, d))
     tracemalloc.start()
     try:
         inputs = tracemalloc.get_traced_memory()[0]
-        gelu_linear(h, w, bias).backward(seed)
+        mlp(x, *weights).backward(seed)
         peak = tracemalloc.get_traced_memory()[1] - inputs
     finally:
         tracemalloc.stop()
-    assert h.grad.shape == h.shape and w.grad.shape == w.shape
-    assert peak < 4 * b * n * ffn * np.dtype(np.float64).itemsize
+    assert x.grad.shape == x.shape
+    assert all(w.grad.shape == w.shape for w in weights)
+    assert peak < 2 * b * n * ffn * np.dtype(np.float64).itemsize
+
+
+def test_training_with_the_mlp_node_matches_the_composed_chain(tmp_path, monkeypatch):
+    # one teacher and one main epoch, dropout on, 4 videos a batch: the
+    # teacher runs narrations and steps through mlp_n, so its weights take
+    # two gradients a step, and the initial labels come from the teacher
+    corpus = generate_synthetic(SynthConfig(
+        num_tasks=2, steps_per_task=(3, 3), videos_per_task=4,
+        frames_range=(24, 40), seed=3))
+    mc = ModelConfig(feature_dims=corpus.dims, model_dim=16, num_layers=1,
+                     num_heads=2, mlp_hidden=12, ffn_dim=24, max_frames=40,
+                     max_narrations=8, max_steps=4, dropout=0.1)
+    cfg = TrainConfig(epochs=1, batch_size=4, teacher_pre_epochs=1,
+                      max_frames=40, seed=2)
+    pseudo = PseudoConfig(burn_in_epochs=1, refresh_every=1)
+
+    def composed(params, name, x):
+        return _composed_mlp(x, *(params[f"{name}.{k}"]
+                                  for k in ("l1.w", "l1.b", "l2.w", "l2.b")))
+    runs = []
+    for patch in (False, True):
+        if patch:
+            monkeypatch.setattr(encoder, "_mlp", composed)
+        workdir = tmp_path / ("composed" if patch else "node")
+        result = train(corpus, mc, cfg, LossConfig(), pseudo, workdir=workdir)
+        runs.append((result, (workdir / "pseudo" / "initial.jsonl").read_bytes()))
+    (node, node_labels), (chain, chain_labels) = runs
+    assert [e["stage"] for e in node.history] == ["teacher", "main"]
+    assert node_labels == chain_labels
+    for name, p in node.params.items():
+        assert np.array_equal(p.data, chain.params[name].data)
+        assert np.array_equal(node.opt_state.m[name], chain.opt_state.m[name])
+        assert np.array_equal(node.opt_state.v[name], chain.opt_state.v[name])
 
 
 def test_subtraction_is_one_node_with_exact_gradients(monkeypatch):

@@ -160,12 +160,14 @@ def test_rejected_resume_leaves_run_config(tmp_path, ws, capsys, seed, ffn_dim):
     assert (workdir / "run_config.json").read_bytes() == before
 
 
-@pytest.mark.parametrize("problem", ["other_dims", "no_task_ids"])
+@pytest.mark.parametrize("problem", ["other_dims", "no_task_ids", "no_ground_truth"])
 def test_train_checks_the_eval_corpus_before_its_first_epoch(tmp_path, ws, capsys,
                                                              problem):
-    # both used to surface only after the teacher stage and one main epoch:
-    # other dims as an uncaught numpy ValueError, missing task ids as a
-    # scoring error about a step matrix with 0 rows
+    # all three used to surface only after the teacher stage and one main
+    # epoch, or never: other dims as an uncaught numpy ValueError, missing
+    # task ids as a scoring error about a step matrix with 0 rows, missing
+    # ground truth as main epochs logged without eval_* keys; and each
+    # rejected run left the run_config.json it had written first
     eval_dir = tmp_path / "eval"
     if problem == "other_dims":
         cfg = tmp_path / "narrow.json"
@@ -177,14 +179,25 @@ def test_train_checks_the_eval_corpus_before_its_first_epoch(tmp_path, ws, capsy
         shutil.copytree(ws.corpus, eval_dir)
         manifest = json.loads((eval_dir / "manifest.json").read_text())
         for video in manifest["videos"]:
-            video["task_id"] = None
+            if problem == "no_task_ids":
+                video["task_id"] = None
+            else:
+                video["gt_segments"] = video["gt_narration_steps"] = None
         (eval_dir / "manifest.json").write_text(json.dumps(manifest))
     capsys.readouterr()
     workdir = tmp_path / "run"
     assert main(["train", "--corpus", str(ws.corpus), "--workdir", str(workdir),
                  "--config", str(ws.config), "--eval-corpus", str(eval_dir)]) == 3
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    if problem == "no_ground_truth":
+        assert "no step ground truth" in err
+        # `stepalign eval` refuses the same corpus alike
+        assert main(["eval", "--corpus", str(eval_dir),
+                     "--checkpoint", str(ws.ckpt)]) == 3
+        assert "no step ground truth" in capsys.readouterr().err
     assert not (workdir / "train_log.jsonl").exists()
+    assert not (workdir / "run_config.json").exists()
 
 
 def test_train_missing_corpus_is_data_error(tmp_path, ws):
