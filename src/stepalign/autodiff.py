@@ -11,33 +11,31 @@ A node holds no array of its own, and a node keeps only what its backward
 reads: each op's closure captures the arrays its gradients are formed from
 and the parent nodes it pushes them into, never a handle. So an op output
 that no backward reads is freed as soon as the forward code drops its
-handle, as an addition's operands, a residual branch's output or a
-linear's result are. backward() seeds the output gradient and walks the
-nodes once in reverse topological order, consuming them: once a node has
-pushed its gradient back, it drops that gradient, its parents and its
-closure, so each array a closure kept is freed once nothing downstream needs
-it. Leaves keep their .grad; a second backward() through a graph raises
-GradientError.
+handle, as an addition's operands or a residual branch's output are.
+backward() seeds the output gradient and walks the nodes once in reverse
+topological order, consuming them: once a node has pushed its gradient back,
+it drops that gradient, its parents and its closure, so each array a closure
+kept is freed once nothing downstream needs it. Leaves keep their .grad; a
+second backward() through a graph raises GradientError.
 
 Kept deliberately small: broadcasting binary ops (subtraction is one, not an
 add of a negation), matmul, shape ops and the few pointwise functions the
-model needs. Six fused nodes stand in for chains of generic ones, each
-matching that chain bit for bit and keeping less of it alive:
+model needs. A chain of generic ops becomes one fused node only where the
+chain would keep more arrays in the graph than the node does; x @ w + b, for
+one, keeps x and w either way, so it stays two generic nodes. Four fused
+nodes stand in for chains of generic ones, each matching its chain bit for
+bit and keeping less of it alive:
 
-    linear(x, w, b)       x @ w + b; the matmul's node, with b among its
-                          parents; keeps x and w, not the product or the sum
-    mlp(x, w1, b1, w2, b2) linear(gelu(linear(x, w1, b1)), w2, b2) with the
-                          exact GELU; keeps x and the weights, not the hidden
-                          layer; both directions work one video (batch row)
-                          at a time, so no (B, n, hidden) array exists at any
+    mlp(x, w1, b1, w2, b2) gelu(x @ w1 + b1) @ w2 + b2 with the exact GELU;
+                          keeps x and the weights, not the hidden layer;
+                          both directions work one video (batch row) at a
+                          time, so no (B, n, hidden) array exists at any
                           time, and backward recomputes each row's hidden
                           layer and its normal CDF once, for both the GELU
                           output and its slope; erf is _erf, this module's
                           port of Cephes' erf
     layer_norm(x, g, b)   keeps x, g and the row means and deviations,
                           (..., 1), and recomputes x - mean in backward
-    masked_softmax(x, ..) softmax(x * scale + bias); keeps only x and
-                          recomputes the exponentials in backward
     attention(q, k, v, ..) softmax(q @ k^T * scale + bias) @ v with the heads
                           merged; keeps only q, k and v and recomputes the
                           scores and their exponentials in backward; both
@@ -359,35 +357,6 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
                           tensors, back)
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """x @ w + b as one node.
-
-    The product goes through Tensor.__matmul__, and its node's parents and
-    backward become the sum's: the bias is added to the product's array, b
-    joins the parents, the product's backward gets the output gradient cast
-    to the product's dtype, as the add node's accumulation cast it, and b's
-    gradient is the output gradient summed down to b's shape.
-    """
-    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
-    out = x @ w
-    product_dtype = out.dtype
-    out.data = out.data + b.data  # the product's own array is freed here
-    product, bias = out.node, b.node
-    if product is None and bias is None:
-        return out
-    product_back = product.backward if product is not None else None
-
-    def back(g):
-        if product_back is not None:
-            product_back(g.astype(product_dtype, copy=False))
-        if bias is not None:
-            bias._accum(_unbroadcast(g, bias.shape))
-    parents = (product.parents if product is not None else ()) \
-        + ((bias,) if bias is not None else ())
-    out.node = Node(out.data.dtype, out.data.shape, parents, back)
-    return out
-
-
 def layer_norm(x: Tensor, g: Tensor, b: Tensor, eps: float) -> Tensor:
     """(x - mean) / sqrt(var + eps) * g + b over the last axis, as one node.
 
@@ -517,9 +486,9 @@ def _normal_cdf(x: np.ndarray) -> np.ndarray:
 
 
 def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
-    """gelu(x @ w1 + b1) @ w2 + b2 as one node, gelu being the exact
-    Gaussian-error linear unit 0.5 h (1 + erf(h / sqrt(2))); x is (B, n, d),
-    b1 and b2 are (1, hidden) and (1, d_out).
+    """gelu(x @ w1 + b1) @ w2 + b2 as one node, gelu being the exact GELU
+    0.5 h (1 + erf(h / sqrt(2))); x is (B, n, d), b1 and b2 are (1, hidden)
+    and (1, d_out).
 
     Both directions work one video (batch row) at a time, as attention
     does, so the hidden layer exists only as one row's (n, hidden) arrays:
@@ -529,11 +498,11 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     formed from, and for the GELU slope, cdf + h * pdf. x's gradient is
     filled row by row; the gradients of w1, w2 and b1 are summed over the
     rows one after another, the order in which numpy sums a batch axis.
-    Both directions evaluate the expressions of the composed chain, linear
-    followed by a GELU node that keeps h and another linear, in their order
-    and dtypes, with the casts of the nodes in between, so the results match
-    it bit for bit. The forward products go through Tensor.__matmul__ on
-    constants, so they count as matmuls, two per row.
+    Both directions evaluate the expressions of the composed chain (x @ w1
+    + b1, a GELU node that keeps h, @ w2 + b2) in their order and dtypes,
+    with the casts of the nodes in between, so the results match it bit for
+    bit. The forward products go through Tensor.__matmul__ on constants, so
+    they count as matmuls, two per row.
     """
     x, w1, b1, w2, b2 = (as_tensor(t) for t in (x, w1, b1, w2, b2))
     x_data, w1_data, b1_data, w2_data = x.data, w1.data, b1.data, w2.data
@@ -597,16 +566,17 @@ def _row_sum(total: Optional[np.ndarray], row: np.ndarray) -> np.ndarray:
     return total
 
 
-def _softmax_exps(x: np.ndarray, scale, bias, overwrite: bool = False):
-    """exp(x * scale + bias - row max) in one buffer, and its row sums.
+def _softmax_exps(scores: np.ndarray, scale, bias):
+    """exp(scores * scale + bias - row max) in one buffer, and its row sums.
 
-    With overwrite, that buffer is x itself when x * scale keeps x's dtype;
-    otherwise it is a new array and x is left as it was.
+    attention passes a fresh product that nothing else reads, so the buffer
+    is scores itself when scores * scale keeps its dtype, and a new array
+    otherwise.
     """
-    if overwrite and x.dtype == np.result_type(x, scale):
-        z = np.multiply(x, scale, out=x)
+    if scores.dtype == np.result_type(scores, scale):
+        z = np.multiply(scores, scale, out=scores)
     else:
-        z = x * scale
+        z = scores * scale
     z += bias
     z -= z.max(axis=-1, keepdims=True)
     np.exp(z, out=z)
@@ -614,11 +584,12 @@ def _softmax_exps(x: np.ndarray, scale, bias, overwrite: bool = False):
 
 
 def _softmax_grad(g: np.ndarray, e: np.ndarray, s: np.ndarray, scale) -> np.ndarray:
-    """Gradient of softmax(x * scale + bias) with respect to x, from g, that
-    of the probabilities, and _softmax_exps(x, scale, bias); the arithmetic
-    of the composed ops' backward (e / s, then x * scale) in their order,
-    in place in one buffer of g's shape. g has e's dtype, and so does the
-    result: e's dtype already absorbs scale's."""
+    """Gradient of softmax(x * scale + bias) with respect to x, for
+    attention's backward, from g, that of the probabilities, and
+    _softmax_exps(x, scale, bias); the arithmetic of the composed ops'
+    backward (e / s, then x * scale) in their order, in place in one buffer
+    of g's shape. g has e's dtype, and so does the result: e's dtype already
+    absorbs scale's."""
     ge = np.negative(g)
     ge *= e
     ge /= s ** 2
@@ -628,28 +599,6 @@ def _softmax_grad(g: np.ndarray, e: np.ndarray, s: np.ndarray, scale) -> np.ndar
     ge *= e
     ge *= scale
     return ge
-
-
-def masked_softmax(x: Tensor, scale, bias) -> Tensor:
-    """softmax(x * scale + bias) over the last axis, as one node.
-
-    bias is a constant broadcast against x, e.g. MASK_FILL on blocked keys.
-    Rows are shifted by their max, which softmax is invariant to. Forward
-    shifts, exponentiates and normalizes in the buffer it returns; the node
-    keeps only x's array, and backward recomputes the exponentials from it.
-    Both directions do the arithmetic of the composed generic ops
-    ((x * scale + bias - max).exp(), then e / e.sum()) in the same order, so
-    they match those ops bit for bit.
-    """
-    x = as_tensor(x)
-    scale = np.asarray(scale)  # 0-d array: promotes x like a Tensor constant
-    out, total = _softmax_exps(x.data, scale, bias)
-    out /= total
-    node, data = x.node, x.data
-
-    def back(g):
-        node._accum(_softmax_grad(g, *_softmax_exps(data, scale, bias), scale))
-    return Tensor._result(out, (x,), back)
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, scale, bias) -> Tensor:
@@ -667,23 +616,22 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale, bias) -> Tensor:
     k. The forward products go through Tensor.__matmul__ on constants, so
     they count as matmuls, two per row.
     Both directions repeat the arithmetic and dtype casts of the composed
-    chain (q @ k.swapaxes(-1, -2), masked_softmax, @ v, swapaxes(1, 2),
-    reshape), so they match it bit for bit.
+    chain of generic ops, so they match it bit for bit: s = q @
+    k.swapaxes(-1, -2), z = s * scale + bias, e = (z - z's row max).exp(),
+    p = e / e.sum(axis=-1, keepdims=True), then p @ v, .swapaxes(1, 2) and
+    .reshape.
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
     b, h, n, dh = q.shape
-    scale = np.asarray(scale)  # 0-d array: promotes the scores like masked_softmax
+    scale = np.asarray(scale)  # 0-d array: promotes the scores like a Tensor constant
     bias = np.broadcast_to(bias, (b,) + np.shape(bias)[1:])  # a row per video
     scores_dtype = np.result_type(q.dtype, k.dtype)
     exps_dtype = np.result_type(scores_dtype, scale)
-
-    def exps(i, scores):
-        """Row i's _softmax_exps, in the buffer of its (H, n, n) scores."""
-        return _softmax_exps(scores, scale, bias[i], overwrite=True)
-
     out = np.empty((b, n, h, dh), np.result_type(exps_dtype, v.dtype))
     for i in range(b):
-        p, total = exps(i, (Tensor(q.data[i]) @ Tensor(k.data[i].swapaxes(-1, -2))).data)
+        p, total = _softmax_exps(
+            (Tensor(q.data[i]) @ Tensor(k.data[i].swapaxes(-1, -2))).data,
+            scale, bias[i])
         p /= total
         out[i] = (Tensor(p) @ Tensor(v.data[i])).data.swapaxes(0, 1)
         del p  # one row's block goes before the next row's is made
@@ -699,7 +647,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale, bias) -> Tensor:
         g_q = np.empty(q_data.shape, np.result_type(scores_dtype, k_data.dtype))
         g_kt = np.empty((b, h, dh, n), np.result_type(q_data.dtype, scores_dtype))
         for i in range(b):
-            e, s = exps(i, q_data[i] @ k_data[i].swapaxes(-1, -2))
+            e, s = _softmax_exps(q_data[i] @ k_data[i].swapaxes(-1, -2),
+                                 scale, bias[i])
             np.matmul((e / s).swapaxes(-1, -2), g_o[i], out=g_v[i])
             g_p = (g_o[i] @ v_data[i].swapaxes(-1, -2)).astype(e.dtype, copy=False)
             g_s = _softmax_grad(g_p, e, s, scale).astype(scores_dtype, copy=False)

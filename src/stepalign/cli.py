@@ -138,11 +138,15 @@ def cmd_train(args) -> int:
                    config.pseudo, assignment=assignment,
                    eval_corpus=eval_corpus, workdir=workdir,
                    resume=args.resume, log_fn=save_config)
+    # train() writes last.ckpt after each main epoch, so only a call that ran
+    # one has a checkpoint to name
     last = next((h for h in reversed(result.history) if h.get("stage") == "main"),
                 None)
-    if last is not None:
-        print(f"finished epoch {last['epoch']}: loss {last['loss']:.4f}, "
-              f"pseudo coverage {last['pseudo_coverage']:.2f}")
+    if last is None:
+        print("no epoch ran: no checkpoint written")
+        return EXIT_OK
+    print(f"finished epoch {last['epoch']}: loss {last['loss']:.4f}, "
+          f"pseudo coverage {last['pseudo_coverage']:.2f}")
     print(f"checkpoint: {workdir / 'last.ckpt'}")
     return EXIT_OK
 

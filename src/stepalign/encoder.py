@@ -24,8 +24,7 @@ from typing import Mapping, Optional
 import numpy as np
 
 from . import tensorio
-from .autodiff import (Tensor, attention, concat, dropout, layer_norm, linear,
-                       masked_softmax, mlp)
+from .autodiff import Tensor, attention, concat, dropout, layer_norm, mlp
 from .corpus.batching import Batch
 
 LAYERNORM_EPS = 1e-5
@@ -137,7 +136,7 @@ def detach_params(params: Mapping[str, Tensor]) -> dict[str, Tensor]:
 
 
 def _linear(params, name: str, x: Tensor) -> Tensor:
-    return linear(x, params[f"{name}.w"], params[f"{name}.b"])
+    return x @ params[f"{name}.w"] + params[f"{name}.b"]
 
 
 def _mlp(params, name: str, x: Tensor) -> Tensor:
@@ -242,11 +241,14 @@ def indirect_alignment(a_sn: Tensor, a_nv: Tensor, narration_mask: np.ndarray,
 
     Rows are convex combinations of valid narration rows of a_nv: the softmax
     weights are nonnegative and sum to one, with invalid narrations forced to
-    exactly zero weight by the additive mask.
+    exactly zero weight by the additive mask. The softmax is built from
+    generic nodes: the loss never reads a_snv, so a fused node, which would
+    keep fewer arrays for backward, would save nothing in training.
     """
     bias = np.where(narration_mask, 0.0, MASK_FILL).astype(a_sn.dtype)
-    weights = masked_softmax(a_sn, 1.0 / xi, bias[:, None, :])
-    return weights @ a_nv
+    z = a_sn * (1.0 / xi) + bias[:, None, :]
+    e = (z - z.data.max(axis=-1, keepdims=True)).exp()
+    return (e / e.sum(axis=-1, keepdims=True)) @ a_nv
 
 
 def fuse(a_sv: Tensor, a_snv: Tensor) -> Tensor:

@@ -9,11 +9,11 @@ from scipy.special import erf
 
 from stepalign import encoder
 from stepalign.autodiff import (_ERF_BLOCK, GradientError, Node, Tensor, _erf,
-                                attention, concat, dropout, layer_norm, linear,
-                                masked_softmax, mlp)
+                                attention, concat, dropout, layer_norm, mlp)
 from stepalign.corpus import SynthConfig, generate_synthetic
 from stepalign.corpus.batching import LabelSource, batch_iter
-from stepalign.encoder import MASK_FILL, ModelConfig, forward_batch, init_params
+from stepalign.encoder import (MASK_FILL, ModelConfig, forward_batch,
+                               indirect_alignment, init_params)
 from stepalign.objective import LossConfig, gradients, total_loss
 from stepalign.pseudolabel import PseudoConfig
 from stepalign.trainer import TrainConfig, train
@@ -55,7 +55,7 @@ def test_sum_of_squares_gradient_exact():
 
 
 _FD = np.random.default_rng(9)
-_X, _W, _B = _FD.normal(size=(3, 4)), _FD.normal(size=(4, 4)), _FD.normal(size=(1, 4))
+_X, _B = _FD.normal(size=(3, 4)), _FD.normal(size=(1, 4))
 _WEIGHTS = Tensor(_FD.normal(size=(3, 4)))  # so no output sum is constant
 # q, k, v of one batch row with 2 heads of 3 tokens x 2 dims; key 1 is blocked
 _QKV = [Tensor(a) for a in _FD.normal(size=(3, 1, 2, 3, 2))]
@@ -66,6 +66,13 @@ _MLP = [_FD.normal(size=s) for s in [(2, 3, 2), (2, 4), (1, 4), (4, 2), (1, 2)]]
 _MLP_WEIGHTS = Tensor(_FD.normal(size=(2, 3, 2)))
 _MLP_CUTS = [lambda t: t.reshape(2, 3, 2), lambda t: t[:2], lambda t: t[:1],
              lambda t: t.swapaxes(0, 1)[:, :2], lambda t: t[:1, :2]]
+# a_sn and a_nv of one video, 3 steps x 4 narrations x 3 frames, narration 1
+# blocked; and of 3 videos of 1 step, with different narrations blocked
+_A_SN, _A_NV = Tensor(_FD.uniform(-1, 1, size=(1, 3, 4))), Tensor(_FD.normal(size=(1, 4, 3)))
+_ONE_BLOCKED = np.array([[True, False, True, True]])
+_A_NV3 = Tensor(_FD.normal(size=(3, 4, 2)))
+_BLOCKED_PER_VIDEO = np.array([[True, True, False, True], [False, True, True, False],
+                               [True] * 4])
 
 
 def _attention_fd(t, operand):
@@ -80,6 +87,11 @@ def _mlp_fd(t, operand):
     return (mlp(*operands) * _MLP_WEIGHTS).sum()
 
 
+def _indirect_fd(a_sn, a_nv, mask, xi=0.5):
+    out = indirect_alignment(a_sn, a_nv, mask, xi)
+    return (out * Tensor(np.arange(out.data.size).reshape(out.shape) - 2.0)).sum()
+
+
 @pytest.mark.parametrize("build", [
     lambda t: (t + 2.0).sum(),
     lambda t: (Tensor(2.0) - t).sum(),
@@ -89,20 +101,22 @@ def _mlp_fd(t, operand):
     lambda t: ((t * t + 0.5).sqrt()).sum(),
     lambda t: (t.exp()).mean(),
     lambda t: ((t * t + 0.1).log()).sum(),
-    lambda t: _mlp_fd(t, 0),
-    lambda t: masked_softmax(t, 1.0, 0.0).__getitem__((0, 1)).sum(),
-    lambda t: (masked_softmax(t, 1.0, 0.0) * masked_softmax(t, 1.0, 0.0)).sum(),
     lambda t: t.swapaxes(0, 1).reshape(12).__getitem__(slice(2, 9)).sum(),
     lambda t: t.mean(axis=0).sum(),
     lambda t: t.sum(axis=1, keepdims=True).mean(),
-    # a masked column, a scale and a bias that is not a mask
-    lambda t: (masked_softmax(t, 0.5, np.array([0.0, MASK_FILL, 0.3, 0.0]))
-               * Tensor(np.arange(12.0).reshape(3, 4))).sum(),
     lambda t: t[1:, ::2].sum() + t[np.array([0, 0, 2]), 1].sum(),
+    # the softmax over narrations, built from generic nodes: with respect to
+    # a_sn, to a_nv and to both at once, with one narration blocked, with
+    # different ones blocked in each video, and with none blocked
+    lambda t: _indirect_fd(t.reshape(1, 3, 4), _A_NV, _ONE_BLOCKED),
+    lambda t: _indirect_fd(_A_SN, t.reshape(1, 4, 3), _ONE_BLOCKED),
+    lambda t: _indirect_fd(t.reshape(1, 3, 4), t.swapaxes(0, 1).reshape(1, 4, 3),
+                           _ONE_BLOCKED, xi=0.07),
+    lambda t: _indirect_fd(t.reshape(3, 1, 4), _A_NV3, _BLOCKED_PER_VIDEO),
+    lambda t: _indirect_fd(t.reshape(1, 3, 4), _A_NV, np.ones((1, 4), bool), xi=1.0),
+    lambda t: _indirect_fd(_A_SN, t.reshape(1, 4, 3), np.ones((1, 4), bool), xi=1.0),
+    lambda t: _mlp_fd(t, 0),
     # the fused nodes, with respect to each operand
-    lambda t: (linear(t, Tensor(_W), Tensor(_B)) * _WEIGHTS).sum(),
-    lambda t: (linear(Tensor(_X[:, :3]), t[:3], Tensor(_B)) * _WEIGHTS).sum(),
-    lambda t: (linear(Tensor(_X), Tensor(_W), t) * _WEIGHTS).sum(),
     lambda t: (layer_norm(t, Tensor(_B), Tensor(_B), 1e-5) * _WEIGHTS).sum(),
     lambda t: (layer_norm(Tensor(_X), t, Tensor(_B), 1e-5) * _WEIGHTS).sum(),
     lambda t: (layer_norm(Tensor(_X), Tensor(_B), t, 1e-5) * _WEIGHTS).sum(),
@@ -184,67 +198,28 @@ def test_reuse_accumulates_gradient():
 
 
 def test_softmax_rows_sum_to_one_and_shift_invariant():
+    # routed through identity narration rows, indirect_alignment returns its
+    # softmax weights over the narrations as they are
     rng = np.random.default_rng(2)
-    x = rng.normal(size=(5, 7)) * 10
-    s = masked_softmax(Tensor(x), 1.0, 0.0).data
+    x = rng.normal(size=(1, 5, 7)) * 10
+    eye, valid = Tensor(np.eye(7)[None]), np.ones((1, 7), bool)
+    s = indirect_alignment(Tensor(x), eye, valid, 1.0).data
     np.testing.assert_allclose(s.sum(axis=-1), 1.0, atol=1e-12)
-    shifted = masked_softmax(Tensor(x + 123.0), 1.0, 0.0).data
+    shifted = indirect_alignment(Tensor(x + 123.0), eye, valid, 1.0).data
     np.testing.assert_allclose(s, shifted, atol=1e-12)
-    # extreme logits stay finite
-    s = masked_softmax(Tensor(np.array([[0.0, -1e9, -1e9]])), 1.0, 0.0).data
-    assert s[0, 0] == 1.0 and s[0, 1] == 0.0
+    # extreme logits stay finite, and a blocked narration gets no weight
+    s = indirect_alignment(Tensor(np.array([[[0.0, -1e9, 5.0]]])), Tensor(np.eye(3)[None]),
+                           np.array([[True, True, False]]), 1.0).data
+    assert s[0, 0, 0] == 1.0 and s[0, 0, 1] == 0.0 and s[0, 0, 2] == 0.0
 
 
 def _composed_softmax(x, scale, bias):
-    """softmax(x * scale + bias) built from generic nodes: the reference
-    masked_softmax must match bit for bit."""
+    """softmax(x * scale + bias) built from generic nodes, as
+    indirect_alignment builds it: the reference the softmax inside the
+    attention node must match bit for bit."""
     z = x * scale + Tensor(bias)
     e = (z - np.max(z.data, axis=-1, keepdims=True)).exp()
     return e / e.sum(axis=-1, keepdims=True)
-
-
-def _attention_case(rng, dtype):
-    b, h, n = 2, 3, 7
-    keys = np.ones((b, n), dtype=bool)
-    keys[0, 5:] = keys[1, 2] = False  # padded and masked keys
-    bias = np.where(keys, 0.0, MASK_FILL)[:, None, None, :]
-    return rng.normal(size=(b, h, n, n)).astype(dtype), 1.0 / np.sqrt(16), bias
-
-
-def _narration_case(rng, dtype):
-    # steps x narrations; the second video has no narrations at all, so every
-    # entry of its rows is masked
-    b, s, n = 3, 4, 5
-    narrations = np.ones((b, n), dtype=bool)
-    narrations[0, 3:] = False
-    narrations[1] = False
-    bias = np.where(narrations, 0.0, MASK_FILL)[:, None, :]
-    return rng.uniform(-1, 1, size=(b, s, n)).astype(dtype), 1.0 / 0.07, bias
-
-
-@pytest.mark.parametrize("case", [_attention_case, _narration_case])
-@pytest.mark.parametrize("dtype", [np.float64, np.float32])
-def test_masked_softmax_matches_composed_ops_bit_for_bit(case, dtype):
-    rng = np.random.default_rng(5)
-    x_data, scale, bias = case(rng, dtype)
-    seed = rng.normal(size=x_data.shape)
-    outs, grads = [], []
-    for build in (masked_softmax, _composed_softmax):
-        x = Tensor(x_data.copy(), requires_grad=True)
-        out = build(x, scale, bias)
-        outs.append(out.data)
-        out.backward(seed)
-        grads.append(x.grad)
-    assert outs[0].dtype == outs[1].dtype and grads[0].dtype == dtype
-    assert np.array_equal(outs[0], outs[1])
-    assert np.array_equal(grads[0], grads[1])
-    np.testing.assert_allclose(outs[0].sum(axis=-1), 1.0, atol=1e-12)
-
-
-def _composed_linear(x, w, b):
-    """x @ w + b as two generic nodes: the reference linear must match bit
-    for bit."""
-    return x @ w + b
 
 
 def _composed_layer_norm(x, g, b, eps):
@@ -257,9 +232,9 @@ def _composed_layer_norm(x, g, b, eps):
 
 
 def _cdf_gelu(x):
-    """GELU as a node that keeps its input and CDF alive: between two
-    _composed_linear, the reference mlp, which recomputes the hidden layer
-    and its CDF in backward, must match bit for bit."""
+    """GELU as a node that keeps its input and CDF alive: between x @ w1 + b1
+    and @ w2 + b2, the reference mlp, which recomputes the hidden layer and
+    its CDF in backward, must match bit for bit."""
     data, node = x.data, x.node
     cdf = 0.5 * (1.0 + erf(data * (1.0 / np.sqrt(2.0))))
 
@@ -270,15 +245,14 @@ def _cdf_gelu(x):
 
 
 def _composed_mlp(x, w1, b1, w2, b2):
-    return _composed_linear(_cdf_gelu(_composed_linear(x, w1, b1)), w2, b2)
+    return _cdf_gelu(x @ w1 + b1) @ w2 + b2
 
 
 _FUSED = {  # op, its reference, operand shapes
-    "linear": (linear, _composed_linear, [(2, 5, 6), (6, 6), (1, 6)]),
     "layer_norm": (lambda x, g, b: layer_norm(x, g, b, 1e-5),
                    lambda x, g, b: _composed_layer_norm(x, g, b, 1e-5),
                    [(2, 5, 6), (1, 6), (1, 6)]),
-    # the GELU MLP, with the linears on either side of the GELU; 3 rows, so
+    # the GELU MLP, with the affine maps on either side of the GELU; 3 rows, so
     # the order in which the rows' weight gradients are summed shows
     "gelu": (mlp, _composed_mlp, [(3, 5, 6), (6, 7), (1, 7), (7, 6), (1, 6)]),
 }
@@ -313,7 +287,7 @@ def test_fused_node_matches_composed_ops_bit_for_bit(name, dtype, residual):
         assert np.array_equal(fused_grad, composed_grad)
 
 
-@pytest.mark.parametrize("name", ["linear", "layer_norm", "gelu"])
+@pytest.mark.parametrize("name", ["layer_norm", "gelu"])
 def test_fused_nodes_skip_operands_without_gradient(name):
     fused, composed, shapes = _FUSED[name]
     rng = np.random.default_rng(10)
@@ -359,10 +333,10 @@ def test_mlp_on_constant_input_matches_composed_chain_bit_for_bit(dtype, calls):
 
 
 def _composed_attention(q, k, v, scale, bias):
-    """Attention built from generic nodes and masked_softmax, with the heads
-    merged: the fused attention must match bit for bit."""
+    """Attention built from generic nodes, with the heads merged: the fused
+    attention must match bit for bit."""
     b, h, n, dh = q.shape
-    p = masked_softmax(q @ k.swapaxes(-1, -2), scale, bias)
+    p = _composed_softmax(q @ k.swapaxes(-1, -2), scale, bias)
     return (p @ v).swapaxes(1, 2).reshape(b, n, h * dh)
 
 
@@ -531,7 +505,7 @@ def test_release_keeps_leaf_gradients():
     grads = []
     for _ in range(2):  # leaves outlive each graph, like parameters across steps
         a.grad = b.grad = None
-        (masked_softmax(a @ b, 1.0, 0.0) * (a @ b)).sum().backward()
+        (_composed_softmax(a @ b, 1.0, 0.0) * (a @ b)).sum().backward()
         grads.append((a.grad, b.grad))
     assert all(np.array_equal(g, h) for g, h in zip(*grads))
     # closed form of the same expression, written out by hand
@@ -682,12 +656,12 @@ def test_attention_never_allocates_a_score_sized_array():
 
 
 def test_fused_nodes_keep_the_token_sized_arrays_down():
-    # a node keeps only what its backward reads: linear its input, not its
+    # a node keeps only what its backward reads: x @ w + b its input, not its
     # output; layer_norm its input and (B, n, 1) statistics; mlp its input,
     # not the hidden layer or its GELU. 60 (B, n, model_dim) and 8
     # (B, n, ffn_dim) arrays when each was a chain of generic nodes, 30 and 4
     # while every node kept its output, 21 and 2 while the FFN's GELU node
-    # kept its input, the first FFN linear's output
+    # kept its input, the first FFN product's sum
     mc, b, n_tok, held = _curriculum_graph()
     assert _count(held, (b, n_tok, mc.model_dim)) <= 21
     assert _count(held, (b, n_tok, mc.ffn_dim)) == 0
@@ -702,6 +676,43 @@ def test_training_graph_bytes_stay_bounded():
     # recomputed in backward
     *_, held = _curriculum_graph()
     assert sum(a.nbytes for a in held) <= 10_929_272
+
+
+_KEEP = np.random.default_rng(16).random((2, 5, 6)) >= 0.1
+_PADDED_KEYS = np.where(np.arange(5) < np.array([[4], [5]]), 0.0, MASK_FILL)[:, None, None, :]
+_HOLDERS = {  # fused op, its composed reference, operand shapes
+    "layer_norm": _FUSED["layer_norm"],
+    "mlp": _FUSED["gelu"],
+    "attention": (lambda q, k, v: attention(q, k, v, 0.5, _PADDED_KEYS),
+                  lambda q, k, v: _composed_attention(q, k, v, 0.5, _PADDED_KEYS),
+                  [(2, 2, 5, 4)] * 3),
+    "dropout": (lambda x: dropout(x, _KEEP, 0.1),
+                lambda x: x * Tensor(_KEEP.astype(x.dtype) / (1.0 - 0.1)),
+                [_KEEP.shape]),
+}
+
+
+@pytest.mark.parametrize("name", list(_HOLDERS))
+def test_fused_node_holds_fewer_graph_bytes_than_its_chain(name):
+    # the rule for fusing: a fused node earns its code only by keeping fewer
+    # bytes alive for backward than the chain of generic ops it stands for
+    fused, composed, shapes = _HOLDERS[name]
+    rng = np.random.default_rng(17)
+    data = [rng.normal(size=shape) for shape in shapes]
+    held = []
+    for build in (fused, composed):
+        out = build(*(Tensor(d, requires_grad=True) for d in data))
+        held.append(sum(a.nbytes for a in _held_arrays(out)))
+    assert held[0] < held[1]
+
+
+def test_affine_map_keeps_only_what_a_fused_node_would():
+    # why x @ w + b is two generic nodes: they keep only x and w, all that
+    # the backward of a fused node would read
+    x, w, b = (Tensor(np.ones(shape), requires_grad=True)
+               for shape in [(2, 5, 6), (6, 3), (1, 3)])
+    held = _held_arrays(x @ w + b)
+    assert sorted(map(id, held)) == sorted([id(x.data), id(w.data)])
 
 
 def test_graph_drops_the_outputs_no_backward_reads(monkeypatch):

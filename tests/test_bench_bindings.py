@@ -80,17 +80,14 @@ def test_tracer_counts_every_autodiff_node():
 
 
 def test_tracer_counts_every_matmul_of_a_training_step():
-    # a fused op may cut the node count (173 here while each softmax was six
-    # nodes, 163 before linear, layer_norm and gelu were single nodes, 121
-    # before attention was one node), but every matmul of the model must stay
-    # a Tensor matmul, so the benchmark's FLOP count does not move. The
-    # attention node multiplies one video at a time, q @ k^T and p @ v per
-    # row, so a layer counts 2 * B products instead of 2, and so does each
-    # of the four MLPs (mlp_v, mlp_n, mlp_s and the FFN), x @ w1 and
-    # act @ w2 per row: 28 here at B = 2 and 1 layer, 20 while the MLPs
-    # multiplied the whole batch at once and 18 while attention did too.
-    # The tracer counts every op result as a node, these constant products
-    # too, so the node bound rises by the same counts, from 118 to 120 to 128
+    # every matmul of the model must stay a Tensor matmul, so that the
+    # benchmark's FLOP count holds. The attention node multiplies one video
+    # at a time, q @ k^T and p @ v per row, so a layer counts 2 * B products,
+    # and so does each of the four MLPs (mlp_v, mlp_n, mlp_s and the FFN),
+    # x @ w1 and act @ w2 per row: 28 here at B = 2 and 1 layer. The tracer
+    # counts every op result as a node, these constant products too. The
+    # node bound is the exact count at this size, so a change that adds
+    # nodes to a training step shows here
     corpus = generate_synthetic(SynthConfig(
         num_tasks=2, steps_per_task=2, videos_per_task=2, frames_range=(8, 10),
         dims=(6, 4, 4), latent_dim=4, background_dim=2, seed=1))
@@ -105,4 +102,4 @@ def test_tracer_counts_every_matmul_of_a_training_step():
                                    dropout_rng=np.random.default_rng(1))
         gradients(total_loss(alignments, batch, LossConfig())[0], params)
     assert (t.counts["matmuls"], t.counts["matmul_flop"]) == (28, 44176)
-    assert t.counts["nodes"] <= 128
+    assert t.counts["nodes"] <= 137

@@ -128,6 +128,19 @@ def test_train_artifacts(ws):
     assert saved.train.seed == 5
 
 
+def test_train_with_zero_epochs_names_no_checkpoint(tmp_path, ws, capsys):
+    zero = tmp_path / "zero.json"
+    zero.write_text(json.dumps(
+        {**TINY_CONFIG, "train": {**TINY_CONFIG["train"], "epochs": 0}}))
+    workdir = tmp_path / "run"
+    assert main(["train", "--corpus", str(ws.corpus), "--workdir", str(workdir),
+                 "--config", str(zero), "--seed", "5"]) == 0
+    out = capsys.readouterr().out
+    assert "checkpoint:" not in out
+    assert "no epoch ran" in out and "no checkpoint written" in out
+    assert not workdir.exists() or not any(workdir.iterdir())
+
+
 def test_train_resume_without_checkpoint_fails(tmp_path, ws):
     assert main(["train", "--corpus", str(ws.corpus), "--workdir",
                  str(tmp_path / "fresh"), "--config", str(ws.config),
