@@ -1,12 +1,18 @@
-"""Print SHA-256 digests of the files a training run writes, to show that a
-change keeps training bit-identical.
+"""Print SHA-256 digests of the files a training run writes and of the
+trained model's alignments, to show that a change keeps training and
+inference bit-identical.
 
 For each seed, this trains the acceptance-gate configuration of
 tests/test_acceptance.py (a 4 x 25-video synthetic corpus, its 80/20 split,
 model_dim 64, 2 layers, 8 teacher and 12 main epochs) with a workdir in a
 temporary directory, and prints one line per file it wrote: the seed, the
 file's path in the workdir and its digest, for last.ckpt, train_log.jsonl
-and each pseudo/*.jsonl. Run it from two checkouts and compare the output:
+and each pseudo/*.jsonl. Two more lines, forward/held_out and
+forward/held_out_no_narrations, digest the five matrices that forward()
+returns for every video of the held-out 20%, batched as `stepalign eval`
+batches them, with its narrations and with them stripped as
+`stepalign eval --no-narrations` strips them. Run it from two checkouts
+and compare the output:
 
     python3 scripts/fingerprint.py          # seeds 0 and 3
     python3 scripts/fingerprint.py 0 1 2
@@ -29,15 +35,31 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from stepalign import (LossConfig, ModelConfig, PseudoConfig,  # noqa: E402
-                       SynthConfig, TrainConfig, generate_synthetic,
-                       split_corpus, train)
+from stepalign import (LabelSource, LossConfig, ModelConfig,  # noqa: E402
+                       PseudoConfig, SynthConfig, TrainConfig, batch_iter,
+                       forward, generate_synthetic, split_corpus, train)
+from stepalign.cli import _strip_narrations  # noqa: E402
+
+
+def forward_digest(params, mc: ModelConfig, corpus) -> str:
+    """SHA-256 over each video's id and the shape and bytes of its five
+    forward() matrices, in corpus order, eight videos to a batch."""
+    h = hashlib.sha256()
+    for batch in batch_iter(corpus, 8, mc.max_frames, None,
+                            LabelSource.ASR_TIMESTAMPS):
+        for al in forward(params, mc, batch):
+            h.update(al.video_id.encode())
+            for m in (al.a_nv, al.a_sv, al.a_sn, al.a_snv, al.a_fused):
+                h.update(repr((m.dtype.str, m.shape)).encode())
+                h.update(m.tobytes())
+    return h.hexdigest()
 
 
 def fingerprint(seed: int) -> list[tuple[str, str]]:
-    """(path in the workdir, SHA-256) of each file one seeded run writes."""
+    """(path in the workdir, SHA-256) of each file one seeded run writes,
+    then (forward/..., SHA-256) of its held-out alignments."""
     corpus = generate_synthetic(SynthConfig(seed=seed))
-    train_part, _ = split_corpus(corpus, 0.2, seed)
+    train_part, held_out = split_corpus(corpus, 0.2, seed)
     mc = ModelConfig(feature_dims=corpus.dims, model_dim=64, num_layers=2,
                      num_heads=4, dropout=0.1)
     tc = TrainConfig(epochs=12, batch_size=8, base_lr=5e-3, weight_decay=0.001,
@@ -45,11 +67,16 @@ def fingerprint(seed: int) -> list[tuple[str, str]]:
                      seed=seed)
     with tempfile.TemporaryDirectory() as tmp:
         workdir = Path(tmp)
-        train(train_part, mc, tc, LossConfig(), PseudoConfig(), workdir=workdir)
+        result = train(train_part, mc, tc, LossConfig(), PseudoConfig(),
+                       workdir=workdir)
         files = [workdir / "last.ckpt", workdir / "train_log.jsonl"]
         files += sorted((workdir / "pseudo").glob("*.jsonl"))
-        return [(f.relative_to(workdir).as_posix(),
-                 hashlib.sha256(f.read_bytes()).hexdigest()) for f in files]
+        digests = [(f.relative_to(workdir).as_posix(),
+                    hashlib.sha256(f.read_bytes()).hexdigest()) for f in files]
+    return digests + [
+        ("forward/held_out", forward_digest(result.params, mc, held_out)),
+        ("forward/held_out_no_narrations",
+         forward_digest(result.params, mc, _strip_narrations(held_out)))]
 
 
 def main(argv=None) -> int:

@@ -178,7 +178,6 @@ def cmd_eval(args) -> int:
                                       iou_thresholds=args.iou)
         if not merged:
             raise ProtocolError("corpus carries no step ground truth to score against")
-        per_video = None
     else:
         if not args.checkpoint:
             raise ConfigError("eval needs --checkpoint (or --predictions)")
@@ -187,7 +186,7 @@ def cmd_eval(args) -> int:
 
     for name, report in merged.items():
         print(f"{name} {report.value:.6f} ({report.numerator:g}/{report.denominator:g})")
-    if args.per_video and per_video is not None:
+    if args.per_video:
         path = Path(args.per_video)
         path.parent.mkdir(parents=True, exist_ok=True)
         with open(path, "w", newline="") as f:
@@ -300,7 +299,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="score a checkpoint or a predictions file")
     p.add_argument("--corpus", required=True)
     p.add_argument("--checkpoint")
-    p.add_argument("--predictions", help="JSONL of ranked segments to score instead")
+    scored = p.add_mutually_exclusive_group()
+    scored.add_argument("--predictions", help="JSONL of ranked segments to score instead")
     p.add_argument("--matrix", default="fused",
                    choices=["fused", "direct_sv", "indirect"])
     p.add_argument("--no-narrations", action="store_true",
@@ -310,7 +310,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, action="append", default=None)
     p.add_argument("--iou", type=float, action="append", default=None)
     p.add_argument("--batch-size", type=int, default=8)
-    p.add_argument("--per-video", help="write per-video metric CSV here")
+    scored.add_argument("--per-video", help="write per-video metric CSV here")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("infer", help="emit alignments for one video")

@@ -85,11 +85,6 @@ class RunConfig:
         except (CorpusError, ModelError, TrainError, PseudoError, ValueError) as e:
             raise ConfigError(str(e)) from e
 
-    def to_dict(self) -> dict:
-        return {"corpus": asdict(self.corpus), "model": asdict(self.model),
-                "train": asdict(self.train), "loss": asdict(self.loss),
-                "pseudo": asdict(self.pseudo)}
-
 
 _SECTIONS = {"corpus": SynthConfig, "model": ModelConfig, "train": TrainConfig,
              "loss": LossConfig, "pseudo": PseudoConfig}
@@ -124,5 +119,5 @@ def save_run_config(config: RunConfig, path: str | Path) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as f:
-        json.dump(config.to_dict(), f, indent=2)
+        json.dump(asdict(config), f, indent=2)
         f.write("\n")

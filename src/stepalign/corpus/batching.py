@@ -52,7 +52,8 @@ class Batch:
         return len(self.video_ids)
 
 
-def _video_slices(video: VideoRecord, max_frames: int):
+def video_slices(video: VideoRecord, max_frames: int):
+    """Frames kept in a crop to max_frames, kept narrations, clipped spans."""
     t = min(video.num_frames, max_frames)
     keep, spans = [], []
     for n, span in enumerate(video.narration_spans):
@@ -96,7 +97,7 @@ def batch_iter(
     d_v, d_n, d_s = corpus.dims
     for lo in range(0, len(order), batch_size):
         chunk = [corpus.videos[i] for i in order[lo:lo + batch_size]]
-        sliced = [_video_slices(v, max_frames) for v in chunk]
+        sliced = [video_slices(v, max_frames) for v in chunk]
         articles = []
         for v in chunk:
             task = v.task_id if assignment is None else assignment.get(v.id, v.task_id)

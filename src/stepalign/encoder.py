@@ -12,7 +12,9 @@ similarities between the contextualized tokens:
     a_fused = (a_sv + a_snv) / 2, or a_sv for a video without narrations
 
 The indirect pathway lets noisy narrations vote on where a step lives even
-when the step text itself matches the frames poorly.
+when the step text itself matches the frames poorly. Training needs only the
+first three (forward_batch); forward adds the last two, detached. The
+narration-only teacher is the model run on steps_as_narrations(params).
 """
 
 from __future__ import annotations
@@ -131,6 +133,17 @@ def detach_params(params: Mapping[str, Tensor]) -> dict[str, Tensor]:
     return {k: v.detach() for k, v in params.items()}
 
 
+def steps_as_narrations(params: Mapping[str, Tensor]) -> dict[str, Tensor]:
+    """The teacher's view of params: the step MLP and positional table are the
+    narration ones, the same Tensors, which then take all of their gradient."""
+    if params["mlp_s.l1.w"].shape != params["mlp_n.l1.w"].shape:
+        raise ModelError("steps_as_narrations needs matching text feature dims")
+    view = dict(params, pos_s=params["pos_n"])
+    for key in ("l1.w", "l1.b", "l2.w", "l2.b"):
+        view[f"mlp_s.{key}"] = params[f"mlp_n.{key}"]
+    return view
+
+
 # ---------------------------------------------------------------------------
 # forward pieces
 
@@ -155,9 +168,8 @@ _UNIMODAL = {"video": ("mlp_v", "pos_v"), "narration": ("mlp_n", "pos_n"),
 def unimodal_encode(params, x: Tensor, modality: str) -> Tensor:
     """MLP projection plus positional embedding for one modality.
 
-    x is (B, n, D_mod). Encoding steps with modality="narration" is legal and
-    deliberately so: a model trained only on narrations can then score step
-    texts through the narration pathway.
+    x is (B, n, D_mod). Under steps_as_narrations(params), "step" reads the
+    narration MLP and table: that is how the teacher scores step texts.
     """
     if modality not in _UNIMODAL:
         raise ModelError(f"unknown modality {modality!r}")
@@ -242,8 +254,8 @@ def indirect_alignment(a_sn: Tensor, a_nv: Tensor, narration_mask: np.ndarray,
     Rows are convex combinations of valid narration rows of a_nv: the softmax
     weights are nonnegative and sum to one, with invalid narrations forced to
     exactly zero weight by the additive mask. The softmax is built from
-    generic nodes: the loss never reads a_snv, so a fused node, which would
-    keep fewer arrays for backward, would save nothing in training.
+    generic nodes; only forward calls this, on detached tensors, so no
+    training graph holds it and a fused node would save nothing.
     """
     bias = np.where(narration_mask, 0.0, MASK_FILL).astype(a_sn.dtype)
     z = a_sn * (1.0 / xi) + bias[:, None, :]
@@ -261,13 +273,12 @@ def fuse(a_sv: Tensor, a_snv: Tensor) -> Tensor:
 
 @dataclass
 class BatchAlignments:
-    """Graph-bearing similarity tensors for one batch (padded shapes)."""
+    """Graph-bearing similarity tensors for one batch (padded shapes): a_nv
+    and a_sv for the loss, a_sn for forward's indirect pathway."""
 
     a_nv: Tensor
     a_sv: Tensor
     a_sn: Tensor
-    a_snv: Tensor
-    a_fused: Tensor
 
 
 @dataclass
@@ -284,23 +295,15 @@ class AlignmentSet:
 
 
 def forward_batch(params, config: ModelConfig, batch: Batch,
-                  steps_as_narrations: bool = False,
                   dropout_rng=None) -> BatchAlignments:
-    """Run the model and return all five similarity tensors with graph attached.
-
-    steps_as_narrations routes step features through the narration MLP and
-    positional table, for scoring steps with a narration-only model; it
-    requires the step and narration feature widths to match. dropout_rng, when
-    given, turns on train-mode dropout inside the joint transformer.
+    """Run the model and return a_nv, a_sv and a_sn with graph attached;
+    a_snv and a_fused are forward's. The teacher runs on
+    steps_as_narrations(params). dropout_rng, when given, turns on
+    train-mode dropout inside the joint transformer.
     """
     h_v = unimodal_encode(params, Tensor(batch.frames), "video")
     h_n = unimodal_encode(params, Tensor(batch.narrations), "narration")
-    if steps_as_narrations:
-        if batch.steps.shape[2] != batch.narrations.shape[2]:
-            raise ModelError("steps_as_narrations needs matching text feature dims")
-        h_s = unimodal_encode(params, Tensor(batch.steps), "narration")
-    else:
-        h_s = unimodal_encode(params, Tensor(batch.steps), "step")
+    h_s = unimodal_encode(params, Tensor(batch.steps), "step")
 
     token_mask = np.concatenate(
         [batch.frame_mask, batch.narration_mask, batch.step_mask], axis=1)
@@ -310,44 +313,34 @@ def forward_batch(params, config: ModelConfig, batch: Batch,
     z_v = z[:, :t]
     z_n = z[:, t:t + n]
     z_s = z[:, t + n:]
-
-    a_nv = cosine_alignment(z_n, z_v)
-    a_sv = cosine_alignment(z_s, z_v)
-    a_sn = cosine_alignment(z_s, z_n)
-    a_snv = indirect_alignment(a_sn, a_nv, batch.narration_mask, config.xi)
-    return BatchAlignments(a_nv=a_nv, a_sv=a_sv, a_sn=a_sn, a_snv=a_snv,
-                           a_fused=fuse(a_sv, a_snv))
+    return BatchAlignments(a_nv=cosine_alignment(z_n, z_v),
+                           a_sv=cosine_alignment(z_s, z_v),
+                           a_sn=cosine_alignment(z_s, z_n))
 
 
-def forward(params, config: ModelConfig, batch: Batch,
-            steps_as_narrations: bool = False) -> list[AlignmentSet]:
-    """Inference entry point: detached, per-video, trimmed alignment matrices.
+def forward(params, config: ModelConfig, batch: Batch) -> list[AlignmentSet]:
+    """Inference entry point: all five heads, detached, per video, trimmed.
 
-    Videos with no usable narrations get a_fused = a_sv; the indirect pathway
-    has nothing to route through, so its output is not meaningful there.
+    Videos with no usable narrations get a_snv = 0 and a_fused = a_sv: the
+    indirect pathway has nothing to route through there. To score steps as
+    the teacher does, pass steps_as_narrations(params).
     """
-    out = forward_batch(detach_params(params), config, batch, steps_as_narrations)
-    results = []
-    for i, vid in enumerate(batch.video_ids):
-        t = int(batch.frame_mask[i].sum())
-        n = int(batch.narration_mask[i].sum())
-        s = int(batch.step_mask[i].sum())
-        a_sv = out.a_sv.data[i, :s, :t]
-        if n > 0:
-            a_snv = out.a_snv.data[i, :s, :t]
-            fused = out.a_fused.data[i, :s, :t]
-        else:
-            a_snv = np.zeros_like(a_sv)
-            fused = a_sv
-        results.append(AlignmentSet(
-            video_id=vid,
-            a_nv=out.a_nv.data[i, :n, :t].copy(),
-            a_sv=a_sv.copy(),
-            a_sn=out.a_sn.data[i, :s, :n].copy(),
-            a_snv=a_snv.copy(),
-            a_fused=fused.copy(),
-            narration_index=batch.narration_index[i]))
-    return results
+    out = forward_batch(detach_params(params), config, batch)
+    a_snv = indirect_alignment(out.a_sn, out.a_nv, batch.narration_mask, config.xi)
+    a_fused = fuse(out.a_sv, a_snv).data
+    bare = ~batch.narration_mask.any(axis=1)
+    a_snv.data[bare] = 0.0
+    a_fused[bare] = out.a_sv.data[bare]
+    sizes = zip(*(m.sum(axis=1) for m in
+                  (batch.frame_mask, batch.narration_mask, batch.step_mask)))
+    return [AlignmentSet(video_id=vid,
+                         a_nv=out.a_nv.data[i, :n, :t].copy(),
+                         a_sv=out.a_sv.data[i, :s, :t].copy(),
+                         a_sn=out.a_sn.data[i, :s, :n].copy(),
+                         a_snv=a_snv.data[i, :s, :t].copy(),
+                         a_fused=a_fused[i, :s, :t].copy(),
+                         narration_index=batch.narration_index[i])
+            for i, (vid, (t, n, s)) in enumerate(zip(batch.video_ids, sizes))]
 
 
 # ---------------------------------------------------------------------------

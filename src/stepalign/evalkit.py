@@ -168,7 +168,6 @@ def alignability_auc(scores: Sequence[float], labels: Sequence[bool]) -> float:
 def evaluate_video(alignment: AlignmentSet, video: VideoRecord, *,
                    matrix: str = "fused", ks: Sequence[int] = (1,),
                    iou_thresholds: Sequence[float] = (0.5,),
-                   min_score: float = 0.0, zeta: float = 0.7,
                    ) -> dict[str, MetricReport]:
     """All per-video grounding metrics against stored ground truth."""
     if video.gt_step_segments is None:
@@ -180,8 +179,7 @@ def evaluate_video(alignment: AlignmentSet, video: VideoRecord, *,
     out = {"step_r1": step_recall_at_1(source, video.gt_step_segments)}
     for k in ks:
         for thr in iou_thresholds:
-            r = step_recall_at_k_iou(source, video.gt_step_segments, k, thr,
-                                     min_score=min_score, zeta=zeta)
+            r = step_recall_at_k_iou(source, video.gt_step_segments, k, thr)
             out[r.name] = r
     if video.gt_narration_steps is not None and alignment.a_nv.shape[0] > 0:
         kept_steps = [video.gt_narration_steps[i] for i in alignment.narration_index]

@@ -50,7 +50,6 @@ class LossReport:
     total: float
     loss_nv: float
     loss_sv: float
-    rows_nv: int
     rows_sv: int
     videos: int
 
@@ -103,7 +102,6 @@ def total_loss(alignments: BatchAlignments, batch: Batch,
         total=float(total.data),
         loss_nv=float(h_nv.data.mean()),
         loss_sv=float(h_sv.data.mean()),
-        rows_nv=int(batch.sup_nv.sum()),
         rows_sv=int(batch.sup_sv.sum()),
         videos=batch.size,
     )

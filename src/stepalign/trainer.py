@@ -22,11 +22,11 @@ from typing import Callable, Mapping, Optional, Sequence
 import numpy as np
 
 from .autodiff import Tensor
-from .corpus.batching import LabelSource, batch_iter
+from .corpus.batching import LabelSource, batch_iter, video_slices
 from .corpus.records import Corpus
 from .encoder import (ModelConfig, ModelError, forward, forward_batch,
                       init_params, load_checkpoint, params_from_arrays,
-                      save_checkpoint)
+                      save_checkpoint, steps_as_narrations)
 from .evalkit import EvalError, MetricReport, evaluate_video, merge_reports
 from .objective import LossConfig, gradients, total_loss
 from .pseudolabel import (PseudoConfig, PseudoLabelSet, TeacherAction,
@@ -144,14 +144,12 @@ class TrainResult:
 def label_corpus(params, model_config: ModelConfig, corpus: Corpus,
                  pseudo_config: PseudoConfig, *, batch_size: int,
                  max_frames: int, assignment=None,
-                 steps_as_narrations: bool = False,
                  meta: Optional[dict] = None) -> PseudoLabelSet:
     """Run the model over the corpus and turn step scores into pseudo-labels."""
     sets = []
     for batch in batch_iter(corpus, batch_size, max_frames, None,
                             LabelSource.ASR_TIMESTAMPS, assignment=assignment):
-        sets.extend(forward(params, model_config, batch,
-                            steps_as_narrations=steps_as_narrations))
+        sets.extend(forward(params, model_config, batch))
     return generate_pseudolabels(sets, pseudo_config, meta=meta)
 
 
@@ -179,11 +177,12 @@ def evaluate_corpus(params, model_config: ModelConfig, corpus: Corpus,
     return per_video
 
 
-def _run_epoch(params, model_config, corpus, train_cfg: TrainConfig,
+def _run_epoch(params, model_params, model_config, corpus, train_cfg: TrainConfig,
                loss_cfg: LossConfig, state: OptimizerState, total_steps: int,
                shuffle_seed: int, label_source: LabelSource,
                pseudo_store: Optional[PseudoLabelSet], assignment,
-               steps_as_narrations: bool, where: str) -> dict[str, float]:
+               where: str) -> dict[str, float]:
+    """One pass: the model runs on model_params, the update goes to params."""
     reports, norms, lr_last = [], [], 0.0
     # one dropout stream per epoch, separate key from the shuffle stream;
     # batch order is fixed by shuffle_seed, so consumption is reproducible
@@ -192,8 +191,7 @@ def _run_epoch(params, model_config, corpus, train_cfg: TrainConfig,
     for batch in batch_iter(corpus, train_cfg.batch_size, train_cfg.max_frames,
                             shuffle_seed, label_source,
                             assignment=assignment, pseudo_store=pseudo_store):
-        alignments = forward_batch(params, model_config, batch,
-                                   steps_as_narrations=steps_as_narrations,
+        alignments = forward_batch(model_params, model_config, batch,
                                    dropout_rng=drop_rng)
         loss, report = total_loss(alignments, batch, loss_cfg)
         if not math.isfinite(report.total):
@@ -242,18 +240,34 @@ def _corpus_digest(corpus: Corpus,
 
 
 def _check_corpora(corpus: Corpus, eval_corpus: Optional[Corpus],
-                   model_config: ModelConfig, pseudo_cfg: PseudoConfig,
-                   train_cfg: TrainConfig) -> None:
+                   mc: ModelConfig, pseudo_cfg: PseudoConfig,
+                   train_cfg: TrainConfig,
+                   assignment: Optional[Mapping[str, str]]) -> None:
     """Reject corpora that the model or the curriculum cannot run on, so
     that a run fails before its first epoch, not in it."""
-    for what, c in (("corpus", corpus), ("eval corpus", eval_corpus)):
-        if c is not None and tuple(c.dims) != tuple(model_config.feature_dims):
+    # the teacher and the initial labels score steps as narrations
+    teacher = train_cfg.teacher_pre_epochs > 0 or pseudo_cfg.burn_in_epochs > 0
+    for what, c, tasks, crop, max_steps in (
+            ("corpus", corpus, assignment, train_cfg.max_frames,
+             min(mc.max_steps, mc.max_narrations) if teacher else mc.max_steps),
+            ("eval corpus", eval_corpus, None, mc.max_frames, mc.max_steps)):
+        if c is None:
+            continue
+        if tuple(c.dims) != tuple(mc.feature_dims):
             raise ModelError(f"model expects feature dims "
-                             f"{model_config.feature_dims}, {what} provides {c.dims}")
+                             f"{mc.feature_dims}, {what} provides {c.dims}")
+        for v in c.videos:
+            t, kept, _ = video_slices(v, crop)
+            article = c.articles.get((tasks or {}).get(v.id, v.task_id))
+            for name, count, size in (
+                    ("frame", t, mc.max_frames),
+                    ("narration", len(kept), mc.max_narrations),
+                    ("step", article.num_steps if article else 0, max_steps)):
+                if count > size:
+                    raise ModelError(f"{what} video {v.id}: {name} count {count} "
+                                     f"exceeds positional table size {size}")
     _, d_n, d_s = corpus.dims
-    if d_n != d_s and (train_cfg.teacher_pre_epochs > 0
-                       or pseudo_cfg.burn_in_epochs > 0):
-        # the teacher and the initial labels score steps as narrations
+    if d_n != d_s and teacher:
         raise ModelError(f"the teacher needs equal narration and step dims, "
                          f"corpus has {d_n} and {d_s}")
     if eval_corpus is not None:
@@ -296,7 +310,7 @@ def train(corpus: Corpus, model_config: ModelConfig, train_cfg: TrainConfig,
         raise TrainError(
             f"epochs {train_cfg.epochs} shorter than burn-in "
             f"{pseudo_cfg.burn_in_epochs}")
-    _check_corpora(corpus, eval_corpus, model_config, pseudo_cfg, train_cfg)
+    _check_corpora(corpus, eval_corpus, model_config, pseudo_cfg, train_cfg, assignment)
 
     workdir = Path(workdir) if workdir is not None else None
     if workdir is not None:
@@ -368,14 +382,14 @@ def train(corpus: Corpus, model_config: ModelConfig, train_cfg: TrainConfig,
             pre_state = OptimizerState.fresh(params)
             pre_total = train_cfg.teacher_pre_epochs * steps_per_epoch
             pre_cfg = replace(train_cfg, base_lr=train_cfg.resolved_teacher_lr())
-            nv_only = LossConfig(eta=loss_cfg.eta, lambda_nv=loss_cfg.lambda_nv,
-                                 lambda_sv=0.0)
+            nv_only = replace(loss_cfg, lambda_sv=0.0)
             for epoch in range(train_cfg.teacher_pre_epochs):
-                stats = _run_epoch(params, model_config, corpus, pre_cfg,
+                stats = _run_epoch(params, steps_as_narrations(params),
+                                   model_config, corpus, pre_cfg,
                                    nv_only, pre_state, pre_total,
                                    _mix_seed(train_cfg.seed, 0, epoch),
                                    LabelSource.ASR_TIMESTAMPS, None,
-                                   assignment, True, f"teacher epoch {epoch}")
+                                   assignment, f"teacher epoch {epoch}")
                 emit({"stage": "teacher", "epoch": epoch, **stats})
 
     for epoch in range(start_epoch, train_cfg.epochs):
@@ -383,9 +397,9 @@ def train(corpus: Corpus, model_config: ModelConfig, train_cfg: TrainConfig,
         if labels is None or action == TeacherAction.REFRESH:
             initial = action == TeacherAction.USE_INITIAL
             labels = label_corpus(
-                params, model_config, corpus, pseudo_cfg,
-                batch_size=train_cfg.batch_size, max_frames=train_cfg.max_frames,
-                assignment=assignment, steps_as_narrations=initial,
+                steps_as_narrations(params) if initial else params, model_config,
+                corpus, pseudo_cfg, batch_size=train_cfg.batch_size,
+                max_frames=train_cfg.max_frames, assignment=assignment,
                 meta={"teacher": "initial" if initial else "student_snapshot",
                       "epoch": epoch})
             labels_file = ("pseudo/initial.jsonl" if initial
@@ -393,11 +407,11 @@ def train(corpus: Corpus, model_config: ModelConfig, train_cfg: TrainConfig,
             if workdir is not None:
                 labels.save_jsonl(workdir / labels_file)
 
-        stats = _run_epoch(params, model_config, corpus, train_cfg, loss_cfg,
-                           state, main_total,
+        stats = _run_epoch(params, params, model_config, corpus, train_cfg,
+                           loss_cfg, state, main_total,
                            _mix_seed(train_cfg.seed, 1, epoch),
                            LabelSource.PROVIDED_PSEUDO, labels, assignment,
-                           False, f"epoch {epoch}")
+                           f"epoch {epoch}")
         entry = {"stage": "main", "epoch": epoch, "teacher": action.value,
                  "pseudo_coverage": labels.coverage(), **stats}
         if eval_corpus is not None:

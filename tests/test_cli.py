@@ -213,6 +213,33 @@ def test_train_checks_the_eval_corpus_before_its_first_epoch(tmp_path, ws, capsy
     assert not (workdir / "run_config.json").exists()
 
 
+def test_train_rejects_a_corpus_too_long_for_the_step_table(tmp_path, ws, capsys):
+    # 18 steps fit the 32-row narration table the teacher encodes steps with,
+    # not the 16-row step table: the run used to fail at its first main
+    # epoch, after it had emptied the log of the run in its workdir, deleted
+    # that run's labels and written its own run_config.json
+    cfg = tmp_path / "long.json"
+    cfg.write_text(json.dumps({
+        "corpus": {"num_tasks": 2, "videos_per_task": 3,
+                   "steps_per_task": [18, 18], "frames_range": [40, 48],
+                   "seed": 1},
+        "model": {"model_dim": 16, "num_layers": 1, "num_heads": 2},
+        "train": {"epochs": 2, "teacher_pre_epochs": 1},
+        "pseudo": {"burn_in_epochs": 1}}))
+    corpus = tmp_path / "corpus"
+    assert main(["generate", "--out", str(corpus), "--config", str(cfg)]) == 0
+    workdir = tmp_path / "run"
+    shutil.copytree(ws.workdir, workdir)
+    before = {p: p.read_bytes() for p in workdir.rglob("*") if p.is_file()}
+    capsys.readouterr()
+    assert main(["train", "--corpus", str(corpus), "--workdir", str(workdir),
+                 "--config", str(cfg)]) == 3
+    captured = capsys.readouterr()
+    assert "step count 18 exceeds positional table size 16" in captured.err
+    assert captured.out == ""
+    assert {p: p.read_bytes() for p in workdir.rglob("*") if p.is_file()} == before
+
+
 def test_train_missing_corpus_is_data_error(tmp_path, ws):
     assert main(["train", "--corpus", str(tmp_path / "nowhere"),
                  "--workdir", str(tmp_path / "w"),
@@ -329,6 +356,22 @@ def test_eval_bad_numeric_argument_is_config_error(ws, capsys, flag, value):
 
 def test_eval_requires_checkpoint_or_predictions(ws, capsys):
     assert main(["eval", "--corpus", str(ws.corpus)]) == 2
+
+
+def test_eval_rejects_per_video_with_predictions(tmp_path, capsys):
+    # a predictions file is scored as a whole: this exited 0 and wrote no
+    # per-video file; it is a usage error now, raised before the corpus or
+    # the file is read, so neither needs to exist here
+    out = tmp_path / "per_video.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--corpus", str(tmp_path / "nowhere"),
+              "--predictions", str(tmp_path / "missing.jsonl"),
+              "--per-video", str(out)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--per-video" in captured.err and "--predictions" in captured.err
+    assert not out.exists()
 
 
 def test_eval_bad_checkpoint_is_data_error(ws, tmp_path, capsys):

@@ -16,7 +16,8 @@ from stepalign.encoder import (COSINE_EPS, LAYERNORM_EPS, MASK_FILL,
                                indirect_alignment, init_params,
                                load_checkpoint, multimodal_encode,
                                params_from_arrays, save_checkpoint,
-                               unimodal_encode)
+                               steps_as_narrations, unimodal_encode)
+from stepalign.objective import LossConfig, gradients, total_loss
 
 from conftest import make_article, make_video, one_batch
 
@@ -406,10 +407,10 @@ def test_steps_as_narrations_pathway():
     cfg = tiny_config()
     params = init_params(cfg, seed=3)
     batch = one_batch(corpus)
-    mirrored = forward(params, cfg, batch, steps_as_narrations=True)[0]
+    mirrored = forward(steps_as_narrations(params), cfg, batch)[0]
     # identical features through the same pathway land on the same embeddings
     assert np.all(np.diag(mirrored.a_sn) > 0.999)
-    separate = forward(params, cfg, batch, steps_as_narrations=False)[0]
+    separate = forward(params, cfg, batch)[0]
     assert not np.all(np.diag(separate.a_sn) > 0.999)
 
 
@@ -422,7 +423,28 @@ def test_steps_as_narrations_requires_matching_dims():
     video = make_video("v", rng.normal(size=(4, 4)), [], task_id="taskA")
     corpus = Corpus((video,), {"taskA": art}, (4, 3, 5))
     with pytest.raises(ModelError, match="matching text"):
-        forward(params, cfg, one_batch(corpus), steps_as_narrations=True)
+        forward(steps_as_narrations(params), cfg, one_batch(corpus))
+
+
+def test_teacher_step_leaves_the_step_encoder_at_zero_gradient():
+    # the teacher's view shares the narration MLP and table, so a teacher
+    # step trains those and gives the step MLP and table exactly zero
+    cfg = tiny_config()
+    params = init_params(cfg, seed=6)
+    view = steps_as_narrations(params)
+    step_keys = [k for k in params if k.startswith("mlp_s.")] + ["pos_s"]
+    assert len(step_keys) == 5
+    for k in step_keys:
+        assert view[k] is params[k.replace("mlp_s.", "mlp_n.").replace("pos_s", "pos_n")]
+    assert all(view[k] is params[k] for k in params if k not in step_keys)
+    batch = one_batch(_two_task_corpus())
+    loss, _ = total_loss(forward_batch(view, cfg, batch,
+                                       dropout_rng=np.random.default_rng(6)),
+                         batch, LossConfig(lambda_sv=0.0))
+    grads = gradients(loss, params)
+    for k in step_keys:
+        assert grads[k].dtype == params[k].data.dtype and not grads[k].any(), k
+    assert grads["mlp_n.l1.w"].any() and grads["pos_n"].any()
 
 
 def test_dropout_only_active_with_generator():

@@ -10,7 +10,7 @@ import pytest
 
 from stepalign.autodiff import Tensor
 from stepalign.corpus import Corpus, CorpusError, SynthConfig, generate_synthetic
-from stepalign.encoder import ModelConfig, ModelError, forward_batch, init_params
+from stepalign.encoder import ModelConfig, ModelError, forward, init_params
 from stepalign.objective import LossConfig
 from stepalign.pseudolabel import PseudoConfig, TeacherAction, teacher_action
 from stepalign.trainer import (
@@ -246,9 +246,11 @@ def test_checkpoint_reproduces_forward_pass(tmp_path):
     corpus = tiny_corpus()
     batch = one_batch(corpus, batch_size=4, max_frames=64)
     mc = tiny_model(corpus.dims)
-    a = forward_batch(result.params, mc, batch)
-    b = forward_batch(params, mc, batch)
-    assert np.array_equal(a.a_fused.data, b.a_fused.data)
+    a = forward(result.params, mc, batch)
+    b = forward(params, mc, batch)
+    assert len(a) == len(b) == 4
+    for x, y in zip(a, b):
+        assert np.array_equal(x.a_fused, y.a_fused)
 
 
 def test_resume_matches_uninterrupted_run(tmp_path):
@@ -432,6 +434,41 @@ def test_unequal_text_widths_fail_before_the_first_epoch(tmp_path):
         train(corpus, tiny_model(corpus.dims), tiny_train_cfg(), LossConfig(),
               PseudoConfig(burn_in_epochs=2, refresh_every=2),
               workdir=tmp_path / "run")
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("table", ["frame", "narration", "step", "teacher step",
+                                   "eval step"])
+def test_positional_table_overflow_fails_before_the_first_epoch(tmp_path, table):
+    # the teacher encodes steps with the narration table, so an article too
+    # long for the step table used to fail only at the first main epoch,
+    # after the teacher stage had emptied the log and written its labels
+    corpus = tiny_corpus()
+    mc, eval_corpus = tiny_model(corpus.dims), None
+    if table == "frame":  # 32-64 frames, cropped at train.max_frames 64
+        mc = replace(mc, max_frames=40)
+    elif table == "narration":
+        mc = replace(mc, max_narrations=1)
+    elif table == "step":  # 3 steps per article
+        mc = replace(mc, max_steps=2)
+    elif table == "teacher step":  # 3 steps fit max_steps 4, not this table
+        mc = replace(mc, max_narrations=2)
+        corpus = Corpus(tuple(replace(v, narration_texts=(), narration_spans=(),
+                                      narration_features=np.zeros((0, corpus.dims[1])),
+                                      gt_narration_steps=None)
+                              for v in corpus.videos), corpus.articles, corpus.dims)
+    else:
+        doubled = {t: replace(a, step_texts=a.step_texts * 2,
+                              step_features=np.vstack([a.step_features] * 2))
+                   for t, a in corpus.articles.items()}
+        eval_corpus = Corpus(corpus.videos, doubled, corpus.dims)
+    with pytest.raises(ModelError, match=f"{table.split()[-1]} count .* exceeds "
+                                         f"positional table size") as exc:
+        train(corpus, mc, tiny_train_cfg(), LossConfig(),
+              PseudoConfig(burn_in_epochs=2, refresh_every=2),
+              eval_corpus=eval_corpus, workdir=tmp_path / "run")
+    assert str(exc.value).startswith("eval corpus video" if table == "eval step"
+                                     else "corpus video")
     assert not (tmp_path / "run").exists()
 
 
