@@ -2,8 +2,11 @@
 trained model's alignments, to show that a change keeps training and
 inference bit-identical.
 
-For each seed, this trains the acceptance-gate configuration of
-tests/test_acceptance.py (a 4 x 25-video synthetic corpus, its 80/20 split,
+For each seed, this first prints corpus/generated, a digest of the
+synthetic corpus as generate_synthetic returns it, before anything is
+written to disk, so a change to the generator can show that its output is
+byte-identical. It then trains the acceptance-gate configuration of
+tests/test_acceptance.py (that 4 x 25-video synthetic corpus, its 80/20 split,
 model_dim 64, 2 layers, 8 teacher and 12 main epochs) with a workdir in a
 temporary directory, and prints one line per file it wrote: the seed, the
 file's path in the workdir and its digest, for last.ckpt, train_log.jsonl
@@ -26,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import json
 import os
 import sys
 import tempfile
@@ -39,6 +43,27 @@ from stepalign import (LabelSource, LossConfig, ModelConfig,  # noqa: E402
                        PseudoConfig, SynthConfig, TrainConfig, batch_iter,
                        forward, generate_synthetic, split_corpus, train)
 from stepalign.cli import _strip_narrations  # noqa: E402
+
+
+def corpus_digest(corpus) -> str:
+    """SHA-256 over each video's id, task, narration texts and spans, ground
+    truth and feature bytes, then each article's id, title, step texts and
+    step features."""
+    h = hashlib.sha256()
+    for v in corpus.videos:
+        spans = [[s.start, s.end] for s in v.narration_spans]
+        gt = [[step, [[s.start, s.end] for s in segs]]
+              for step, segs in (v.gt_step_segments or {}).items()]
+        h.update(json.dumps([v.id, v.task_id, list(v.narration_texts), spans,
+                             gt, v.gt_narration_steps]).encode())
+        for m in (v.frame_features, v.narration_features):
+            h.update(repr((m.dtype.str, m.shape)).encode())
+            h.update(m.tobytes())
+    for task_id, a in corpus.articles.items():
+        h.update(json.dumps([task_id, a.title, list(a.step_texts)]).encode())
+        h.update(repr((a.step_features.dtype.str, a.step_features.shape)).encode())
+        h.update(a.step_features.tobytes())
+    return h.hexdigest()
 
 
 def forward_digest(params, mc: ModelConfig, corpus) -> str:
@@ -56,9 +81,11 @@ def forward_digest(params, mc: ModelConfig, corpus) -> str:
 
 
 def fingerprint(seed: int) -> list[tuple[str, str]]:
-    """(path in the workdir, SHA-256) of each file one seeded run writes,
-    then (forward/..., SHA-256) of its held-out alignments."""
+    """(corpus/generated, SHA-256) of the generated corpus, (path in the
+    workdir, SHA-256) of each file one seeded run writes, then
+    (forward/..., SHA-256) of its held-out alignments."""
     corpus = generate_synthetic(SynthConfig(seed=seed))
+    generated = [("corpus/generated", corpus_digest(corpus))]
     train_part, held_out = split_corpus(corpus, 0.2, seed)
     mc = ModelConfig(feature_dims=corpus.dims, model_dim=64, num_layers=2,
                      num_heads=4, dropout=0.1)
@@ -73,7 +100,7 @@ def fingerprint(seed: int) -> list[tuple[str, str]]:
         files += sorted((workdir / "pseudo").glob("*.jsonl"))
         digests = [(f.relative_to(workdir).as_posix(),
                     hashlib.sha256(f.read_bytes()).hexdigest()) for f in files]
-    return digests + [
+    return generated + digests + [
         ("forward/held_out", forward_digest(result.params, mc, held_out)),
         ("forward/held_out_no_narrations",
          forward_digest(result.params, mc, _strip_narrations(held_out)))]

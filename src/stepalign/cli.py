@@ -165,6 +165,10 @@ def _eval_model(args, corpus: Corpus) -> dict:
 
 
 def cmd_eval(args) -> int:
+    # not an argparse group: --checkpoint stays legal with --per-video
+    if args.predictions and args.checkpoint:
+        raise ConfigError("--predictions is scored as it is: drop --checkpoint, "
+                          "which it would not read")
     if args.batch_size < 1:
         raise ConfigError(f"--batch-size must be >= 1, got {args.batch_size}")
     if any(k < 1 for k in args.k):

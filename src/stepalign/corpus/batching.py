@@ -47,10 +47,6 @@ class Batch:
     sup_sv: np.ndarray          # (B, S) bool
     narration_index: tuple[tuple[int, ...], ...]
 
-    @property
-    def size(self) -> int:
-        return len(self.video_ids)
-
 
 def video_slices(video: VideoRecord, max_frames: int):
     """Frames kept in a crop to max_frames, kept narrations, clipped spans."""

@@ -206,20 +206,19 @@ def generate_synthetic(config: SynthConfig) -> Corpus:
             segments = _fit_segments(vrng, t, len(order))
             # background frames are unit latents like step frames (norm gives
             # nothing away) but live in the trailing subspace text never maps to
-            bg = np.zeros((t, full))
+            z = np.zeros((t, full))
             span_dims = slice(lat, full) if config.background_dim > 0 else slice(0, lat)
-            raw = vrng.normal(size=(t, bg[:, span_dims].shape[1]))
-            bg[:, span_dims] = raw / np.linalg.norm(raw, axis=1, keepdims=True)
-            bg += vrng.normal(size=(t, full)) * config.noise_std
-            frames = bg @ map_v.T
+            raw = vrng.normal(size=(t, z[:, span_dims].shape[1]))
+            z[:, span_dims] = raw / np.linalg.norm(raw, axis=1, keepdims=True)
+            z += vrng.normal(size=(t, full)) * config.noise_std
             gt: dict[int, tuple[Segment, ...]] = {}
             narr_entries = []  # (span, features, text, gt_step)
             title_words, step_words = task_words[ti]
             for seg, s in zip(segments, order):
-                z = np.zeros((len(seg), full))
-                z[:, :lat] = latents[s]
-                z += vrng.normal(size=(len(seg), full)) * config.noise_std
-                frames[seg.start:seg.end + 1] = z @ map_v.T
+                rows = z[seg.start:seg.end + 1]
+                rows[:] = 0.0
+                rows[:, :lat] = latents[s]
+                rows += vrng.normal(size=(len(seg), full)) * config.noise_std
                 gt[s] = (seg,)
                 span = _jittered_span(vrng, seg, t)
                 feats = (latents[s] + vrng.normal(size=lat) * config.noise_std) @ map_n.T
@@ -243,6 +242,7 @@ def generate_synthetic(config: SynthConfig) -> Corpus:
                     narr_entries.append((Segment(start, start + span_len - 1),
                                          feats, text, None))
 
+            frames = z @ map_v.T
             narr_entries.sort(key=lambda e: (e[0].start, e[0].end))
             nfeat = (np.stack([e[1] for e in narr_entries])
                      if narr_entries else np.zeros((0, d_n)))

@@ -13,7 +13,7 @@ similarities between the contextualized tokens:
 
 The indirect pathway lets noisy narrations vote on where a step lives even
 when the step text itself matches the frames poorly. Training needs only the
-first three (forward_batch); forward adds the last two, detached. The
+first two (forward_batch); forward builds all five, detached. The
 narration-only teacher is the model run on steps_as_narrations(params).
 """
 
@@ -273,12 +273,10 @@ def fuse(a_sv: Tensor, a_snv: Tensor) -> Tensor:
 
 @dataclass
 class BatchAlignments:
-    """Graph-bearing similarity tensors for one batch (padded shapes): a_nv
-    and a_sv for the loss, a_sn for forward's indirect pathway."""
+    """The two heads the loss reads, graph-bearing, padded shapes."""
 
     a_nv: Tensor
     a_sv: Tensor
-    a_sn: Tensor
 
 
 @dataclass
@@ -294,13 +292,9 @@ class AlignmentSet:
     narration_index: tuple[int, ...] = ()
 
 
-def forward_batch(params, config: ModelConfig, batch: Batch,
-                  dropout_rng=None) -> BatchAlignments:
-    """Run the model and return a_nv, a_sv and a_sn with graph attached;
-    a_snv and a_fused are forward's. The teacher runs on
-    steps_as_narrations(params). dropout_rng, when given, turns on
-    train-mode dropout inside the joint transformer.
-    """
+def _encode(params, config: ModelConfig, batch: Batch,
+            dropout_rng=None) -> tuple[Tensor, Tensor, Tensor]:
+    """Frame, narration and step tokens out of the joint transformer."""
     h_v = unimodal_encode(params, Tensor(batch.frames), "video")
     h_n = unimodal_encode(params, Tensor(batch.narrations), "narration")
     h_s = unimodal_encode(params, Tensor(batch.steps), "step")
@@ -310,12 +304,17 @@ def forward_batch(params, config: ModelConfig, batch: Batch,
     z = multimodal_encode(params, config, h_v, h_n, h_s, token_mask,
                           dropout_rng=dropout_rng)
     t, n = batch.frames.shape[1], batch.narrations.shape[1]
-    z_v = z[:, :t]
-    z_n = z[:, t:t + n]
-    z_s = z[:, t + n:]
-    return BatchAlignments(a_nv=cosine_alignment(z_n, z_v),
-                           a_sv=cosine_alignment(z_s, z_v),
-                           a_sn=cosine_alignment(z_s, z_n))
+    return z[:, :t], z[:, t:t + n], z[:, t + n:]
+
+
+def forward_batch(params, config: ModelConfig, batch: Batch,
+                  dropout_rng=None) -> BatchAlignments:
+    """Training entry point: a_nv and a_sv with graph attached. The teacher
+    runs on steps_as_narrations(params). dropout_rng, when given, turns on
+    train-mode dropout inside the joint transformer.
+    """
+    z_v, z_n, z_s = _encode(params, config, batch, dropout_rng)
+    return BatchAlignments(cosine_alignment(z_n, z_v), cosine_alignment(z_s, z_v))
 
 
 def forward(params, config: ModelConfig, batch: Batch) -> list[AlignmentSet]:
@@ -325,18 +324,21 @@ def forward(params, config: ModelConfig, batch: Batch) -> list[AlignmentSet]:
     indirect pathway has nothing to route through there. To score steps as
     the teacher does, pass steps_as_narrations(params).
     """
-    out = forward_batch(detach_params(params), config, batch)
-    a_snv = indirect_alignment(out.a_sn, out.a_nv, batch.narration_mask, config.xi)
-    a_fused = fuse(out.a_sv, a_snv).data
+    z_v, z_n, z_s = _encode(detach_params(params), config, batch)
+    a_nv = cosine_alignment(z_n, z_v)
+    a_sv = cosine_alignment(z_s, z_v)
+    a_sn = cosine_alignment(z_s, z_n)
+    a_snv = indirect_alignment(a_sn, a_nv, batch.narration_mask, config.xi)
+    a_fused = fuse(a_sv, a_snv).data
     bare = ~batch.narration_mask.any(axis=1)
     a_snv.data[bare] = 0.0
-    a_fused[bare] = out.a_sv.data[bare]
+    a_fused[bare] = a_sv.data[bare]
     sizes = zip(*(m.sum(axis=1) for m in
                   (batch.frame_mask, batch.narration_mask, batch.step_mask)))
     return [AlignmentSet(video_id=vid,
-                         a_nv=out.a_nv.data[i, :n, :t].copy(),
-                         a_sv=out.a_sv.data[i, :s, :t].copy(),
-                         a_sn=out.a_sn.data[i, :s, :n].copy(),
+                         a_nv=a_nv.data[i, :n, :t].copy(),
+                         a_sv=a_sv.data[i, :s, :t].copy(),
+                         a_sn=a_sn.data[i, :s, :n].copy(),
                          a_snv=a_snv.data[i, :s, :t].copy(),
                          a_fused=a_fused[i, :s, :t].copy(),
                          narration_index=batch.narration_index[i])

@@ -51,7 +51,6 @@ class LossReport:
     loss_nv: float
     loss_sv: float
     rows_sv: int
-    videos: int
 
 
 def info_nce(a: Tensor, y: np.ndarray, supervised: np.ndarray,
@@ -103,7 +102,6 @@ def total_loss(alignments: BatchAlignments, batch: Batch,
         loss_nv=float(h_nv.data.mean()),
         loss_sv=float(h_sv.data.mean()),
         rows_sv=int(batch.sup_sv.sum()),
-        videos=batch.size,
     )
     return total, report
 

@@ -313,8 +313,6 @@ def train(corpus: Corpus, model_config: ModelConfig, train_cfg: TrainConfig,
     _check_corpora(corpus, eval_corpus, model_config, pseudo_cfg, train_cfg, assignment)
 
     workdir = Path(workdir) if workdir is not None else None
-    if workdir is not None:
-        workdir.mkdir(parents=True, exist_ok=True)
     log_path = workdir / "train_log.jsonl" if workdir else None
     history: list[dict] = []
 
@@ -370,7 +368,9 @@ def train(corpus: Corpus, model_config: ModelConfig, train_cfg: TrainConfig,
             labels = PseudoLabelSet.load_jsonl(workdir / labels_file)
     else:
         if workdir is not None:
-            # a fresh run neither extends an old log nor keeps its labels
+            # a fresh run neither extends an old log nor keeps its labels;
+            # a resume makes no directory: its workdir holds last.ckpt
+            workdir.mkdir(parents=True, exist_ok=True)
             log_path.write_bytes(b"")
             for stale in (workdir / "pseudo").glob("*.jsonl"):
                 stale.unlink()

@@ -622,7 +622,7 @@ def _curriculum_graph():
     loss, _ = total_loss(alignments, batch, LossConfig())
     n_tok = sum(m.shape[1] for m in (batch.frame_mask, batch.narration_mask,
                                      batch.step_mask))
-    return mc, batch.size, n_tok, _held_arrays(loss)
+    return mc, len(batch.video_ids), n_tok, _held_arrays(loss)
 
 
 def test_attention_keeps_no_score_sized_array():

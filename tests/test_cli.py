@@ -147,6 +147,16 @@ def test_train_resume_without_checkpoint_fails(tmp_path, ws):
                  "--resume"]) == 1
 
 
+def test_failed_resume_leaves_no_workdir(tmp_path, ws, capsys):
+    # the checkpoint is looked for before the workdir is made, so a refused
+    # resume leaves no empty directory behind
+    workdir = tmp_path / "fresh"
+    assert main(["train", "--corpus", str(ws.corpus), "--workdir",
+                 str(workdir), "--config", str(ws.config), "--resume"]) == 1
+    assert "last.ckpt does not exist" in capsys.readouterr().err
+    assert not workdir.exists()
+
+
 def test_train_resume_with_other_model_config_fails(tmp_path, ws, capsys):
     workdir = tmp_path / "run"
     shutil.copytree(ws.workdir, workdir)
@@ -451,6 +461,19 @@ def test_eval_predictions_path(ws, tmp_path, capsys):
                  "--predictions", str(preds)]) == 0
     out = capsys.readouterr().out
     assert out.startswith("recall@1_iou0.5 1.000000")
+
+
+def test_eval_rejects_checkpoint_with_predictions(ws, tmp_path, capsys):
+    # predictions are scored without a model, so a checkpoint next to them
+    # would go unread, even one that does not exist
+    preds = tmp_path / "preds.jsonl"
+    preds.write_text(json.dumps({"video_id": first_video_id(ws), "step": 0,
+                                 "segments": [[0, 1]]}) + "\n")
+    assert main(["eval", "--corpus", str(ws.corpus), "--predictions",
+                 str(preds), "--checkpoint", str(tmp_path / "missing.ckpt")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--checkpoint" in captured.err and "--predictions" in captured.err
 
 
 # ---------------------------------------------------------------------------

@@ -174,7 +174,6 @@ def test_total_loss_burn_in_configuration():
     total, report = total_loss(out, batch, LossConfig(lambda_sv=0.0))
     assert report.total == pytest.approx(report.loss_nv, abs=1e-12)
     assert report.rows_sv == 0  # timestamps only supervise narrations here
-    assert report.videos == 2
     assert float(total.data) == report.total
 
 
