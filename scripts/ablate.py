@@ -1,0 +1,240 @@
+"""Train the acceptance-gate configuration on several seeds and write the
+held-out hits of every alignment pathway, per seed and in total, to
+ABLATE_<tag>.json in the current directory.
+
+Each seed runs the configuration of the curriculum_runs fixture of
+tests/test_acceptance.py: generate_synthetic(SynthConfig(seed=seed)), its
+80/20 split, model_dim 64, 2 layers, 8 teacher and 12 main epochs. Per seed
+it records, as [hits, rows]:
+
+    step_r1              step R@1 of fused, direct_sv and indirect on the
+                         held-out videos with their narrations
+    step_r1_no_narrations  step R@1 of fused and direct_sv with the
+                         narrations stripped, as `stepalign eval
+                         --no-narrations` strips them
+    narration_r1         narration R@1 on the held-out videos
+
+and criterion_7, whether criterion 7's rule holds on the seed (fused R@1 at
+least indirect's, and within 0.02 of the better pathway). last_labels
+describes the label set the final epochs trained on, against the training
+videos' ground truth: its rows, its kept rows, the kept rows whose segment
+overlaps a true segment of that step at IoU >= 0.5, and the summed lengths
+of the kept segments and of all true segments, with their means. Scores go
+through trainer.evaluate_corpus.
+
+--set section.key=value overrides a field of one config section (corpus,
+model, train, loss or pseudo) on every seed; the value is read as JSON, or
+as a string when it is not JSON. The merged sections are checked as a
+--config file's are, before any training. Examples:
+
+    python3 scripts/ablate.py --tag shipped                 # seeds 0-9
+    python3 scripts/ablate.py 0 1 2 --tag frozen --set pseudo.burn_in_epochs=12
+    python3 scripts/ablate.py --jobs 2 --set pseudo.source='"fused"'
+
+It imports the stepalign under src/ next to this script, not an installed
+one, and runs numpy with one BLAS thread unless the environment sets another
+count. A seed takes about 30 s on one core; --jobs runs seeds in that many
+processes.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import multiprocessing
+import os
+import sys
+from concurrent.futures import ProcessPoolExecutor
+from dataclasses import asdict
+from pathlib import Path
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from stepalign import (LossConfig, ModelConfig, PseudoConfig,  # noqa: E402
+                       SynthConfig, TrainConfig, generate_synthetic,
+                       interval_iou, merge_reports, split_corpus, train)
+from stepalign.cli import _strip_narrations  # noqa: E402
+from stepalign.config import (_SECTIONS, ConfigError, RunConfig,  # noqa: E402
+                              build_section)
+from stepalign.trainer import evaluate_corpus  # noqa: E402
+
+IOU_HIT = 0.5
+LABEL_COUNTS = ("rows", "kept", "kept_iou50", "kept_len_sum", "true_segments",
+                "true_len_sum")
+
+
+def parse_override(text: str) -> tuple[str, str, object]:
+    """section.key=value, the value as JSON or else as a string."""
+    name, sep, raw = text.partition("=")
+    section, dot, key = name.partition(".")
+    if not sep or not dot or section not in _SECTIONS:
+        raise argparse.ArgumentTypeError(
+            f"expected section.key=value with a section of {sorted(_SECTIONS)}, "
+            f"got {text!r}")
+    try:
+        value = json.loads(raw)
+    except json.JSONDecodeError:
+        value = raw
+    return section, key, value
+
+
+def with_overrides(config, section: str, overrides: dict):
+    """config with overrides[section] applied, checked by build_section."""
+    fields = overrides.get(section)
+    if not fields:
+        return config
+    return build_section(type(config), {**asdict(config), **fields},
+                         f"--set {section}")
+
+
+def _hits(per_video: dict, metric: str) -> list[int]:
+    merged = merge_reports(d[metric] for d in per_video.values() if metric in d)
+    report = merged.get(metric)
+    return [0, 0] if report is None else [int(report.numerator),
+                                          int(report.denominator)]
+
+
+def _r1(pair: list[int]) -> float:
+    return pair[0] / pair[1] if pair[1] else float("nan")
+
+
+def _with_means(counts: dict) -> dict:
+    """counts with the mean kept and true segment lengths added."""
+    def ratio(a, b):
+        return counts[a] / counts[b] if counts[b] else None
+    return dict(counts, kept_len_mean=ratio("kept_len_sum", "kept"),
+                true_len_mean=ratio("true_len_sum", "true_segments"))
+
+
+def label_quality(labels, videos) -> dict:
+    """Kept and correct rows of a label set, and kept against true lengths."""
+    truth = {v.id: v.gt_step_segments or {} for v in videos}
+    kept = [l for l in labels if l.kept]
+    correct = sum(any(interval_iou(l.segment, seg) >= IOU_HIT
+                      for seg in truth[l.video_id].get(l.step, ()))
+                  for l in kept)
+    true_lengths = [len(seg) for segs in truth.values()
+                    for group in segs.values() for seg in group]
+    return _with_means({
+        "epoch": labels.meta.get("epoch"), "rows": len(labels),
+        "kept": len(kept), "kept_iou50": correct,
+        "kept_len_sum": sum(len(l.segment) for l in kept),
+        "true_segments": len(true_lengths), "true_len_sum": sum(true_lengths)})
+
+
+def run_seed(seed: int, overrides: dict) -> dict:
+    corpus = generate_synthetic(with_overrides(SynthConfig(seed=seed),
+                                               "corpus", overrides))
+    train_part, held_out = split_corpus(corpus, 0.2, seed)
+    mc = with_overrides(ModelConfig(feature_dims=corpus.dims, model_dim=64,
+                                    num_layers=2, num_heads=4, dropout=0.1),
+                        "model", overrides)
+    tc = with_overrides(TrainConfig(epochs=12, batch_size=8, base_lr=5e-3,
+                                    weight_decay=0.001, teacher_pre_epochs=8,
+                                    teacher_lr=2e-3, max_frames=128, seed=seed),
+                        "train", overrides)
+    loss = with_overrides(LossConfig(), "loss", overrides)
+    pseudo = with_overrides(PseudoConfig(), "pseudo", overrides)
+    result = train(train_part, mc, tc, loss, pseudo)
+    stripped = _strip_narrations(held_out)
+
+    def scored(corpus, matrix):
+        return evaluate_corpus(result.params, mc, corpus, 8, matrix=matrix)
+    with_narr = {m: scored(held_out, m) for m in ("fused", "direct_sv", "indirect")}
+    step_r1 = {m: _hits(pv, "step_r1") for m, pv in with_narr.items()}
+    fused, direct, indirect = (_r1(step_r1[m]) for m in ("fused", "direct_sv", "indirect"))
+    return {
+        "seed": seed,
+        "step_r1": step_r1,
+        "step_r1_no_narrations": {m: _hits(scored(stripped, m), "step_r1")
+                                  for m in ("fused", "direct_sv")},
+        "narration_r1": _hits(with_narr["fused"], "narration_r1"),
+        # the rule of test_criterion_7_fusion_benefit
+        "criterion_7": bool(fused >= indirect - 1e-9
+                            and fused >= max(direct, indirect) - 0.02 - 1e-9),
+        "last_labels": (label_quality(result.labels, train_part.videos)
+                        if result.labels is not None else None),
+    }
+
+
+def totals(runs: list[dict]) -> dict:
+    def add(pairs):
+        return [sum(p[0] for p in pairs), sum(p[1] for p in pairs)]
+    out = {
+        "step_r1": {m: add([r["step_r1"][m] for r in runs])
+                    for m in runs[0]["step_r1"]},
+        "step_r1_no_narrations": {m: add([r["step_r1_no_narrations"][m] for r in runs])
+                                  for m in runs[0]["step_r1_no_narrations"]},
+        "narration_r1": add([r["narration_r1"] for r in runs]),
+        "criterion_7": [sum(r["criterion_7"] for r in runs), len(runs)],
+    }
+    labels = [r["last_labels"] for r in runs if r["last_labels"] is not None]
+    if labels:
+        out["last_labels"] = _with_means({k: sum(l[k] for l in labels)
+                                          for k in LABEL_COUNTS})
+    return out
+
+
+def _table(runs: list[dict], total: dict) -> str:
+    """One line per seed and one of totals, hits over rows."""
+    def frac(pair):
+        return f"{pair[0]}/{pair[1]}"
+
+    def mean(value):
+        return "-" if value is None else f"{value:.2f}"
+    lines = ["| seed | fused | direct | indirect | fused, no narr. | direct, no narr. "
+             "| narration | c7 | last labels: kept, IoU>=0.5 | kept len | true len |",
+             "|---|---|---|---|---|---|---|---|---|---|---|"]
+    for r in runs + [dict(total, seed="total")]:
+        labels = r.get("last_labels") or {}
+        c7 = r["criterion_7"]
+        lines.append(" | ".join([
+            f"| {r['seed']}", *(frac(r["step_r1"][m]) for m in ("fused", "direct_sv", "indirect")),
+            *(frac(r["step_r1_no_narrations"][m]) for m in ("fused", "direct_sv")),
+            frac(r["narration_r1"]),
+            frac(c7) if isinstance(c7, list) else ("yes" if c7 else "no"),
+            f"{labels.get('kept', '-')}, {labels.get('kept_iou50', '-')}",
+            mean(labels.get("kept_len_mean")), mean(labels.get("true_len_mean"))]) + " |")
+    return "\n".join(lines)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("seeds", nargs="*", type=int, default=list(range(10)))
+    parser.add_argument("--tag", default="run",
+                        help="the output is ABLATE_<tag>.json in the current "
+                             "directory (default: run)")
+    parser.add_argument("--set", dest="overrides", action="append", default=[],
+                        type=parse_override, metavar="SECTION.KEY=VALUE",
+                        help="override a config field; repeatable")
+    parser.add_argument("--jobs", type=int, default=1,
+                        help="seeds trained at once, one process each (default: 1)")
+    args = parser.parse_args(argv)
+    if args.jobs < 1:
+        parser.error("--jobs must be >= 1")
+    overrides: dict[str, dict] = {}
+    for section, key, value in args.overrides:
+        overrides.setdefault(section, {})[key] = value
+    try:  # reject a bad override before any training
+        RunConfig(**{section: with_overrides(cls(), section, overrides)
+                     for section, cls in _SECTIONS.items()}).validate()
+    except ConfigError as e:
+        parser.error(str(e))
+
+    seeds = list(dict.fromkeys(args.seeds))
+    with ProcessPoolExecutor(max_workers=min(args.jobs, len(seeds)),
+                             mp_context=multiprocessing.get_context("spawn")) as pool:
+        runs = list(pool.map(run_seed, seeds, [overrides] * len(seeds)))
+    total = totals(runs)
+    path = Path(f"ABLATE_{args.tag}.json")
+    path.write_text(json.dumps({"seeds": seeds, "overrides": overrides,
+                                "runs": runs, "totals": total}, indent=1) + "\n")
+    print(_table(runs, total))
+    print(f"wrote {path}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -33,7 +33,8 @@ bit and keeping less of it alive:
                           time, and backward recomputes each row's hidden
                           layer and its normal CDF once, for both the GELU
                           output and its slope; erf is _erf, this module's
-                          port of Cephes' erf
+                          port of Cephes' erf, in float64, and the CDF is
+                          rounded to the hidden layer's dtype once
     layer_norm(x, g, b)   keeps x, g and the row means and deviations,
                           (..., 1), and recomputes x - mean in backward
     attention(q, k, v, ..) softmax(q @ k^T * scale + bias) @ v with the heads
@@ -43,6 +44,12 @@ bit and keeping less of it alive:
                           so no (B, H, n, n) array exists at any time
     dropout(x, keep, rate) x * keep / (1 - rate); keeps the bool mask and
                           rebuilds the scaled mask in backward
+
+One dtype policy: an op's result takes its operands' dtype, and a Python or
+NumPy scalar operand is weak, as NumPy's NEP 50 makes a Python scalar: it
+takes the dtype of the array it meets. So float32 parameters and features
+give float32 activations, scores and gradients, and float64 appears only
+where the calling code asks for it with astype, as the loss does.
 
 The model gives layer_norm, mlp and attention operands that all require a
 gradient (training) or none (inference), save mlp's input x, which is a
@@ -206,6 +213,18 @@ class Tensor:
 
     # ---- binary ops ----
 
+    def _operand(self, other) -> "Tensor":
+        """other as this tensor's operand. A Python or NumPy scalar is weak,
+        as NEP 50 makes a Python scalar in NumPy: it becomes a 0-d array of
+        the dtype NumPy gives this array combined with that Python scalar, so
+        a float constant never promotes a float32 tensor."""
+        if isinstance(other, Tensor):
+            return other
+        if np.isscalar(other):
+            value = other.item() if isinstance(other, np.generic) else other
+            return Tensor(np.asarray(value, np.result_type(self.dtype, value)))
+        return Tensor(other)
+
     def _binary(self, other: "Tensor", data, grad_self, grad_other) -> "Tensor":
         """Node for a binary op; grad_self/grad_other map the output gradient to
         that operand's. Each is kept, with the arrays it reads, only for an
@@ -224,7 +243,7 @@ class Tensor:
         return Tensor._result(data, (self, other), back)
 
     def __add__(self, other):
-        other = as_tensor(other)
+        other = self._operand(other)
         return self._binary(other, self.data + other.data, lambda g: g, lambda g: g)
 
     def __neg__(self):
@@ -235,22 +254,22 @@ class Tensor:
         return Tensor._result(-self.data, (self,), back)
 
     def __sub__(self, other):
-        other = as_tensor(other)
+        other = self._operand(other)
         return self._binary(other, self.data - other.data, lambda g: g, np.negative)
 
     def __mul__(self, other):
-        other = as_tensor(other)
+        other = self._operand(other)
         a, b = self.data, other.data
         return self._binary(other, a * b, lambda g: g * b, lambda g: g * a)
 
     def __truediv__(self, other):
-        other = as_tensor(other)
+        other = self._operand(other)
         a, b = self.data, other.data
         return self._binary(other, a / b, lambda g: g / b,
                             lambda g: -g * a / (b ** 2))
 
     def __matmul__(self, other):
-        other = as_tensor(other)
+        other = self._operand(other)
         if self.ndim < 2 or other.ndim < 2:
             raise GradientError("matmul needs operands with at least 2 dims")
         a, b = self.data, other.data
@@ -369,11 +388,10 @@ def layer_norm(x: Tensor, g: Tensor, b: Tensor, eps: float) -> Tensor:
     outputs and gradients match those ops bit for bit.
     """
     x, g, b = as_tensor(x), as_tensor(g), as_tensor(b)
-    # the 0-d constants Tensor.mean and Tensor.__add__ make of Python floats;
-    # dividing by count promotes x, so mu and every intermediate after it
-    # up to the normalised rows has mu's dtype
-    count = np.asarray(float(x.shape[-1]))
-    eps = np.asarray(eps)
+    # the 0-d constants Tensor.mean and Tensor.__add__ make of Python floats,
+    # in x's dtype, so every intermediate keeps x's dtype
+    count = np.asarray(float(x.shape[-1]), x.dtype)
+    eps = np.asarray(eps, x.dtype)
     mu = x.data.sum(axis=-1, keepdims=True) / count
     centered = x.data - mu
     var = (centered * centered).sum(axis=-1, keepdims=True) / count
@@ -478,7 +496,7 @@ def _erf(x: np.ndarray, out: np.ndarray) -> np.ndarray:
 def _normal_cdf(x: np.ndarray) -> np.ndarray:
     """0.5 * (1 + erf(x / sqrt(2))) in one new float64 array, in place, in the
     order and dtypes of that expression."""
-    c = x * _INV_SQRT2  # a float64 constant: float32 x is promoted
+    c = x * _INV_SQRT2  # a NumPy float64 constant: float32 x is promoted
     _erf(c, out=c)
     c += 1.0
     c *= 0.5
@@ -495,13 +513,15 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     the node keeps x and the weights, not h = x @ w1 + b1 nor its GELU.
     Backward recomputes each row's h, computes the normal CDF from it once
     and reads it twice: for the GELU output, h * cdf, which w2's gradient is
-    formed from, and for the GELU slope, cdf + h * pdf. x's gradient is
+    formed from, and for the GELU slope, cdf + h * pdf. The CDF is computed
+    in float64, by _erf, and rounded to h's dtype once; the GELU, its slope
+    and everything after them keep h's dtype. x's gradient is
     filled row by row; the gradients of w1, w2 and b1 are summed over the
     rows one after another, the order in which numpy sums a batch axis.
     Both directions evaluate the expressions of the composed chain (x @ w1
-    + b1, a GELU node that keeps h, @ w2 + b2) in their order and dtypes,
-    with the casts of the nodes in between, so the results match it bit for
-    bit. The forward products go through Tensor.__matmul__ on constants, so
+    + b1, a GELU node that keeps h and its rounded CDF, @ w2 + b2) in their
+    order and dtypes, with the casts of the nodes in between, so the results
+    match it bit for bit. The forward products go through Tensor.__matmul__ on constants, so
     they count as matmuls, two per row.
     """
     x, w1, b1, w2, b2 = (as_tensor(t) for t in (x, w1, b1, w2, b2))
@@ -509,12 +529,12 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     out = None
     for i in range(x.shape[0]):
         h = (Tensor(x_data[i]) @ Tensor(w1_data)).data + b1_data
-        act = _normal_cdf(h)
+        act = _normal_cdf(h).astype(h.dtype, copy=False)
         act *= h
         y = (Tensor(act) @ Tensor(w2_data)).data
         if out is None:
             out = np.empty(x.shape[:1] + y.shape, np.result_type(y, b2.data))
-            h_dtype, act_dtype, y_dtype = h.dtype, act.dtype, y.dtype
+            h_dtype, y_dtype = h.dtype, y.dtype
             product_dtype = np.result_type(x_data, w1_data)
         np.add(y, b2.data, out=out[i])
         del h, act, y  # one row's arrays go before the next row's are made
@@ -529,23 +549,21 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
         g_w1 = g_w2 = g_b1 = None
         for i in range(x_data.shape[0]):
             h = x_data[i] @ w1_data + b1_data
-            cdf = _normal_cdf(h)
+            cdf = _normal_cdf(h).astype(h.dtype, copy=False)
             act = h * cdf
             g_w2 = _row_sum(g_w2, act.swapaxes(-1, -2) @ g_y[i])
             del act
             d = h ** 2
             d *= -0.5
             np.exp(d, out=d)
-            d = d * _INV_SQRT2PI  # promotes float32 h here, not before
+            d *= _INV_SQRT2PI
             d *= h
             d += cdf
             del cdf, h
-            d *= (g_y[i] @ w2_data.swapaxes(-1, -2)).astype(act_dtype, copy=False)
-            g_h = d.astype(h_dtype, copy=False)  # as h's node stored it
+            d *= (g_y[i] @ w2_data.swapaxes(-1, -2)).astype(h_dtype, copy=False)
+            g_b1 = _row_sum(g_b1, d)  # d is now h's gradient
+            g_product = d.astype(product_dtype, copy=False)
             del d
-            g_b1 = _row_sum(g_b1, g_h)
-            g_product = g_h.astype(product_dtype, copy=False)
-            del g_h
             if g_x is not None:
                 np.matmul(g_product, w1_data.swapaxes(-1, -2), out=g_x[i])
             g_w1 = _row_sum(g_w1, x_data[i].swapaxes(-1, -2) @ g_product)
@@ -569,14 +587,10 @@ def _row_sum(total: Optional[np.ndarray], row: np.ndarray) -> np.ndarray:
 def _softmax_exps(scores: np.ndarray, scale, bias):
     """exp(scores * scale + bias - row max) in one buffer, and its row sums.
 
-    attention passes a fresh product that nothing else reads, so the buffer
-    is scores itself when scores * scale keeps its dtype, and a new array
-    otherwise.
+    attention passes a fresh product that nothing else reads, and a scale
+    of its dtype, so the buffer is scores itself.
     """
-    if scores.dtype == np.result_type(scores, scale):
-        z = np.multiply(scores, scale, out=scores)
-    else:
-        z = scores * scale
+    z = np.multiply(scores, scale, out=scores)
     z += bias
     z -= z.max(axis=-1, keepdims=True)
     np.exp(z, out=z)
@@ -588,8 +602,7 @@ def _softmax_grad(g: np.ndarray, e: np.ndarray, s: np.ndarray, scale) -> np.ndar
     attention's backward, from g, that of the probabilities, and
     _softmax_exps(x, scale, bias); the arithmetic of the composed ops'
     backward (e / s, then x * scale) in their order, in place in one buffer
-    of g's shape. g has e's dtype, and so does the result: e's dtype already
-    absorbs scale's."""
+    of g's shape. g and scale have e's dtype, and so does the result."""
     ge = np.negative(g)
     ge *= e
     ge /= s ** 2
@@ -623,11 +636,10 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale, bias) -> Tensor:
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
     b, h, n, dh = q.shape
-    scale = np.asarray(scale)  # 0-d array: promotes the scores like a Tensor constant
-    bias = np.broadcast_to(bias, (b,) + np.shape(bias)[1:])  # a row per video
     scores_dtype = np.result_type(q.dtype, k.dtype)
-    exps_dtype = np.result_type(scores_dtype, scale)
-    out = np.empty((b, n, h, dh), np.result_type(exps_dtype, v.dtype))
+    scale = np.asarray(scale, scores_dtype)  # 0-d, as the scores' Tensor * scale makes it
+    bias = np.broadcast_to(bias, (b,) + np.shape(bias)[1:])  # a row per video
+    out = np.empty((b, n, h, dh), np.result_type(scores_dtype, v.dtype))
     for i in range(b):
         p, total = _softmax_exps(
             (Tensor(q.data[i]) @ Tensor(k.data[i].swapaxes(-1, -2))).data,
@@ -643,7 +655,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale, bias) -> Tensor:
         g_o = g.reshape(b, n, h, dh).swapaxes(1, 2)
         # full-size gradients, filled row by row; k's is laid out as the
         # batched (q^T @ g_s)^T was
-        g_v = np.empty(v_data.shape, np.result_type(exps_dtype, g.dtype))
+        g_v = np.empty(v_data.shape, np.result_type(scores_dtype, g.dtype))
         g_q = np.empty(q_data.shape, np.result_type(scores_dtype, k_data.dtype))
         g_kt = np.empty((b, h, dh, n), np.result_type(q_data.dtype, scores_dtype))
         for i in range(b):

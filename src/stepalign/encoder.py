@@ -281,7 +281,8 @@ class BatchAlignments:
 
 @dataclass
 class AlignmentSet:
-    """Detached per-video similarity matrices, trimmed to true sizes."""
+    """Detached per-video similarity matrices, trimmed to true sizes, in the
+    parameters' dtype: float32 for float32 params."""
 
     video_id: str
     a_nv: np.ndarray   # (N, T)

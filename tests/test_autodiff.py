@@ -12,7 +12,7 @@ from stepalign.autodiff import (_ERF_BLOCK, GradientError, Node, Tensor, _erf,
                                 attention, concat, dropout, layer_norm, mlp)
 from stepalign.corpus import SynthConfig, generate_synthetic
 from stepalign.corpus.batching import LabelSource, batch_iter
-from stepalign.encoder import (MASK_FILL, ModelConfig, forward_batch,
+from stepalign.encoder import (MASK_FILL, ModelConfig, forward, forward_batch,
                                indirect_alignment, init_params)
 from stepalign.objective import LossConfig, gradients, total_loss
 from stepalign.pseudolabel import PseudoConfig
@@ -234,12 +234,15 @@ def _composed_layer_norm(x, g, b, eps):
 def _cdf_gelu(x):
     """GELU as a node that keeps its input and CDF alive: between x @ w1 + b1
     and @ w2 + b2, the reference mlp, which recomputes the hidden layer and
-    its CDF in backward, must match bit for bit."""
+    its CDF in backward, must match bit for bit. The CDF is computed in
+    float64 and rounded to x's dtype once, and the pdf is rounded to it
+    too, so the GELU and its slope keep x's dtype."""
     data, node = x.data, x.node
-    cdf = 0.5 * (1.0 + erf(data * (1.0 / np.sqrt(2.0))))
+    dtype = data.dtype
+    cdf = (0.5 * (1.0 + erf(data * (1.0 / np.sqrt(2.0))))).astype(dtype)
 
     def back(g):
-        pdf = 1.0 / np.sqrt(2.0 * np.pi) * np.exp(-0.5 * data ** 2)
+        pdf = (np.exp(-0.5 * data ** 2) * (1.0 / np.sqrt(2.0 * np.pi))).astype(dtype)
         node._accum(g * (cdf + data * pdf))
     return Tensor._result(data * cdf, (x,), back)
 
@@ -673,9 +676,25 @@ def test_training_graph_bytes_stay_bounded():
     # dropout kept float64 masks, 28.5 MB with the attention node, 26.4 MB
     # with the dropout node's bool masks and 15.0 MB once nodes kept only
     # what their backward reads, 10.9 MB once the FFN's hidden layer was
-    # recomputed in backward
+    # recomputed in backward, and 6.0 MB once Python and NumPy scalar
+    # constants stopped promoting float32 activations to float64
     *_, held = _curriculum_graph()
-    assert sum(a.nbytes for a in held) <= 10_929_272
+    assert sum(a.nbytes for a in held) <= 6_026_652
+
+
+def test_activations_stay_in_the_parameters_dtype():
+    # float32 parameters and features: no token-sized array the graph holds
+    # is float64, so float64 is left to the loss's (B, rows, T) arrays, and
+    # forward scores in float32. While constants were 0-d float64 arrays,
+    # every activation after the first unimodal product was promoted
+    mc, b, n_tok, held = _curriculum_graph()
+    token_sized = [a for a in held if a.shape[:2] == (b, n_tok)]
+    assert token_sized
+    assert all(a.dtype != np.float64 for a in token_sized)
+    _, params, batch = _curriculum_step()
+    for al in forward(params, mc, batch):
+        for m in (al.a_nv, al.a_sv, al.a_sn, al.a_snv, al.a_fused):
+            assert m.dtype == np.float32
 
 
 _KEEP = np.random.default_rng(16).random((2, 5, 6)) >= 0.1
