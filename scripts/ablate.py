@@ -16,11 +16,11 @@ it records, as [hits, rows]:
 
 and criterion_7, whether criterion 7's rule holds on the seed (fused R@1 at
 least indirect's, and within 0.02 of the better pathway). last_labels
-describes the label set the final epochs trained on, against the training
-videos' ground truth: its rows, its kept rows, the kept rows whose segment
-overlaps a true segment of that step at IoU >= 0.5, and the summed lengths
-of the kept segments and of all true segments, with their means. Scores go
-through trainer.evaluate_corpus.
+describes the label set the main epochs trained on, the teacher's, against
+the training videos' ground truth: its rows, its kept rows, the kept rows
+whose segment overlaps a true segment of that step at IoU >= 0.5, and the
+summed lengths of the kept segments and of all true segments, with their
+means. Scores go through trainer.evaluate_corpus.
 
 --set section.key=value overrides a field of one config section (corpus,
 model, train, loss or pseudo) on every seed; the value is read as JSON, or
@@ -28,7 +28,7 @@ as a string when it is not JSON. The merged sections are checked as a
 --config file's are, before any training. Examples:
 
     python3 scripts/ablate.py --tag shipped                 # seeds 0-9
-    python3 scripts/ablate.py 0 1 2 --tag frozen --set pseudo.burn_in_epochs=12
+    python3 scripts/ablate.py 0 1 2 --tag zeta05 --set pseudo.zeta=0.5
     python3 scripts/ablate.py --jobs 2 --set pseudo.source='"fused"'
 
 It imports the stepalign under src/ next to this script, not an installed

@@ -154,9 +154,10 @@ def cmd_train(args) -> int:
 def _eval_model(args, corpus: Corpus) -> dict:
     params, model_config = _load_model(args.checkpoint)
     _check_dims(model_config, corpus, args.checkpoint)
+    # tasks are picked from the narrations, so before they are stripped
+    assignment = assign_articles(corpus, args.task_strategy)
     if args.no_narrations:
         corpus = _strip_narrations(corpus)
-    assignment = assign_articles(corpus, args.task_strategy)
     if not any(v.gt_step_segments for v in corpus.videos):
         raise ProtocolError("corpus carries no step ground truth to score against")
     return evaluate_corpus(params, model_config, corpus, args.batch_size,

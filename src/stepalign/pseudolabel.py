@@ -1,18 +1,16 @@
-"""Teacher-generated step segments and the refresh curriculum around them.
+"""Teacher-generated step segments.
 
 A frozen teacher scores each article step against every frame; the best frame
 seeds a segment that grows outward while scores stay above a fraction zeta of
 the peak. Low-peak rows are dropped entirely (gamma filter): a wrong label
 hurts more than a missing one, and most videos simply do not show every step.
 
-Training alternates: a few burn-in epochs on labels from an initial
-narration-trained teacher, then the student replaces the teacher every
-refresh_every epochs and relabels with its own step-to-video scores.
+Training labels the corpus once, with the narration-trained teacher, and the
+student trains on those labels for every main epoch (see trainer).
 """
 
 from __future__ import annotations
 
-import enum
 import json
 import math
 from dataclasses import dataclass
@@ -29,19 +27,11 @@ class PseudoError(ValueError):
     pass
 
 
-class TeacherAction(enum.Enum):
-    USE_INITIAL = "use_initial"
-    REFRESH = "refresh"
-    REUSE = "reuse"
-
-
 @dataclass(frozen=True)
 class PseudoConfig:
     zeta: float = 0.7            # expansion keeps frames >= zeta * peak
     gamma: float = 0.65          # rows with peak below this are discarded
     source: str = "direct_sv"    # which matrix labels come from
-    burn_in_epochs: int = 3
-    refresh_every: int = 3
 
     def validate(self) -> None:
         if not (0.0 < self.zeta <= 1.0):
@@ -50,8 +40,6 @@ class PseudoConfig:
             raise PseudoError(f"gamma must be finite, got {self.gamma}")
         if self.source not in ("direct_sv", "fused"):
             raise PseudoError(f"unknown pseudo-label source {self.source!r}")
-        if self.burn_in_epochs < 0 or self.refresh_every < 1:
-            raise PseudoError("need burn_in_epochs >= 0 and refresh_every >= 1")
 
 
 @dataclass(frozen=True)
@@ -183,11 +171,3 @@ def generate_pseudolabels(alignments: Iterable[AlignmentSet],
                                 segment=segment if kept else None, peak=peak))
     return out
 
-
-def teacher_action(epoch: int, config: PseudoConfig) -> TeacherAction:
-    """What the curriculum does with the teacher at the start of this epoch."""
-    if epoch < config.burn_in_epochs:
-        return TeacherAction.USE_INITIAL
-    if (epoch - config.burn_in_epochs) % config.refresh_every == 0:
-        return TeacherAction.REFRESH
-    return TeacherAction.REUSE

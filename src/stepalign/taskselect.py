@@ -71,6 +71,14 @@ def _unit(v: np.ndarray) -> np.ndarray:
     return v / n if n > 0 else v
 
 
+def _embed_titles(embedder: TrigramEmbedder,
+                  articles: Sequence[Article]) -> np.ndarray:
+    """Unit title vectors, one row per article."""
+    if not articles:
+        raise TaskSelectError("cannot rank an empty article list")
+    return np.stack([_unit(embedder.embed(a.title)) for a in articles])
+
+
 def rank_tasks(embedder: TrigramEmbedder, narration_texts: Sequence[str],
                articles: Sequence[Article], video_id: str = "") -> TaskRanking:
     """One vote per caption for the most title-similar task.
@@ -78,9 +86,14 @@ def rank_tasks(embedder: TrigramEmbedder, narration_texts: Sequence[str],
     Videos with no captions rank every task at zero votes, which resolves to
     the first article; callers wanting randomized fallback use assign_articles.
     """
-    if not articles:
-        raise TaskSelectError("cannot rank an empty article list")
-    titles = np.stack([_unit(embedder.embed(a.title)) for a in articles])
+    return _rank(embedder, _embed_titles(embedder, articles), narration_texts,
+                 articles, video_id)
+
+
+def _rank(embedder: TrigramEmbedder, titles: np.ndarray,
+          narration_texts: Sequence[str], articles: Sequence[Article],
+          video_id: str) -> TaskRanking:
+    """rank_tasks given the articles' title rows from _embed_titles."""
     votes = np.zeros(len(articles), dtype=np.int64)
     for text in narration_texts:
         sims = titles @ _unit(embedder.embed(text))
@@ -113,9 +126,10 @@ def assign_articles(corpus: Corpus, strategy: str = "top1",
     if embedder is None:
         embedder = TrigramEmbedder()
 
+    titles = _embed_titles(embedder, articles)
     out = {}
     for ordinal, video in enumerate(corpus.videos):
-        ranking = rank_tasks(embedder, video.narration_texts, articles, video.id)
+        ranking = _rank(embedder, titles, video.narration_texts, articles, video.id)
         if strategy == "top1":
             out[video.id] = ranking.best
         else:

@@ -2,12 +2,12 @@
 
 Stage 0 trains a model on narration supervision alone, encoding article steps
 through the narration pathway so the finished model can score steps zero-shot.
-That model writes the initial step pseudo-labels and warm-starts the student.
+That model labels the corpus once and warm-starts the student.
 
-The main stage trains with both loss terms. For the first burn_in_epochs the
-step labels stay frozen at the initial set; afterwards the student snapshots
-itself every refresh_every epochs and relabels the corpus with its own scores,
-now through the proper step pathway.
+The main stage trains with both loss terms, every epoch on those labels. The
+paper refines the labels with the student's own scores; here such refresh
+passes narrowed each kept label to one or two frames and lost held-out hits
+to frozen labels (README, "How training works").
 """
 
 from __future__ import annotations
@@ -29,8 +29,10 @@ from .encoder import (ModelConfig, ModelError, forward, forward_batch,
                       save_checkpoint, steps_as_narrations)
 from .evalkit import EvalError, MetricReport, evaluate_video, merge_reports
 from .objective import LossConfig, gradients, total_loss
-from .pseudolabel import (PseudoConfig, PseudoLabelSet, TeacherAction,
-                          generate_pseudolabels, teacher_action)
+from .pseudolabel import PseudoConfig, PseudoLabelSet, generate_pseudolabels
+
+# the one label set a run trains on, relative to its workdir
+LABELS_FILE = "pseudo/initial.jsonl"
 
 
 class TrainError(RuntimeError):
@@ -240,16 +242,14 @@ def _corpus_digest(corpus: Corpus,
 
 
 def _check_corpora(corpus: Corpus, eval_corpus: Optional[Corpus],
-                   mc: ModelConfig, pseudo_cfg: PseudoConfig,
-                   train_cfg: TrainConfig,
+                   mc: ModelConfig, train_cfg: TrainConfig,
                    assignment: Optional[Mapping[str, str]]) -> None:
     """Reject corpora that the model or the curriculum cannot run on, so
     that a run fails before its first epoch, not in it."""
-    # the teacher and the initial labels score steps as narrations
-    teacher = train_cfg.teacher_pre_epochs > 0 or pseudo_cfg.burn_in_epochs > 0
+    # the teacher and its labels score steps as narrations
     for what, c, tasks, crop, max_steps in (
             ("corpus", corpus, assignment, train_cfg.max_frames,
-             min(mc.max_steps, mc.max_narrations) if teacher else mc.max_steps),
+             min(mc.max_steps, mc.max_narrations)),
             ("eval corpus", eval_corpus, None, mc.max_frames, mc.max_steps)):
         if c is None:
             continue
@@ -267,7 +267,7 @@ def _check_corpora(corpus: Corpus, eval_corpus: Optional[Corpus],
                     raise ModelError(f"{what} video {v.id}: {name} count {count} "
                                      f"exceeds positional table size {size}")
     _, d_n, d_s = corpus.dims
-    if d_n != d_s and teacher:
+    if d_n != d_s:
         raise ModelError(f"the teacher needs equal narration and step dims, "
                          f"corpus has {d_n} and {d_s}")
     if eval_corpus is not None:
@@ -289,11 +289,11 @@ def train(corpus: Corpus, model_config: ModelConfig, train_cfg: TrainConfig,
     """Full curriculum: narration-only teacher, then pseudo-labeled student.
 
     With a workdir, a fresh run starts with an empty train_log.jsonl and no
-    label files under pseudo/. Every epoch appends one JSONL log line, label
-    sets land under pseudo/, and last.ckpt carries enough to resume mid-run
-    (per-epoch shuffling and labeling are derived from (seed, epoch), so no
-    generator state needs saving), with the configs and the corpus digest a
-    resume must match.
+    label files under pseudo/. Every epoch appends one JSONL log line, the
+    teacher's labels land in pseudo/initial.jsonl, and last.ckpt carries
+    enough to resume mid-run (per-epoch shuffling and dropout are derived
+    from (seed, epoch), so no generator state needs saving), with the configs
+    and the corpus digest a resume must match.
     """
     train_cfg.validate()
     loss_cfg.validate()
@@ -306,11 +306,7 @@ def train(corpus: Corpus, model_config: ModelConfig, train_cfg: TrainConfig,
         return TrainResult(params=init_params(model_config, train_cfg.seed),
                            model_config=model_config,
                            opt_state=None, labels=None, history=[])
-    if train_cfg.epochs < pseudo_cfg.burn_in_epochs:
-        raise TrainError(
-            f"epochs {train_cfg.epochs} shorter than burn-in "
-            f"{pseudo_cfg.burn_in_epochs}")
-    _check_corpora(corpus, eval_corpus, model_config, pseudo_cfg, train_cfg, assignment)
+    _check_corpora(corpus, eval_corpus, model_config, train_cfg, assignment)
 
     workdir = Path(workdir) if workdir is not None else None
     log_path = workdir / "train_log.jsonl" if workdir else None
@@ -332,8 +328,6 @@ def train(corpus: Corpus, model_config: ModelConfig, train_cfg: TrainConfig,
     main_total = train_cfg.epochs * steps_per_epoch
 
     start_epoch = 0
-    labels: Optional[PseudoLabelSet] = None
-    labels_file = ""
     if resume:
         if workdir is None:
             raise TrainError("resume needs a workdir")
@@ -363,9 +357,7 @@ def train(corpus: Corpus, model_config: ModelConfig, train_cfg: TrainConfig,
                              f"was saved after {meta['log_bytes']}")
         os.truncate(log_path, meta["log_bytes"])
         start_epoch = int(meta["next_epoch"])
-        labels_file = meta.get("labels_file", "")
-        if labels_file:
-            labels = PseudoLabelSet.load_jsonl(workdir / labels_file)
+        labels = PseudoLabelSet.load_jsonl(workdir / LABELS_FILE)
     else:
         if workdir is not None:
             # a fresh run neither extends an old log nor keeps its labels;
@@ -377,7 +369,6 @@ def train(corpus: Corpus, model_config: ModelConfig, train_cfg: TrainConfig,
         # stage 0: narration-only teacher, steps scored through the
         # narration pathway so labeling works without a trained step encoder
         params = init_params(model_config, train_cfg.seed)
-        state = OptimizerState.fresh(params)
         if train_cfg.teacher_pre_epochs > 0:
             pre_state = OptimizerState.fresh(params)
             pre_total = train_cfg.teacher_pre_epochs * steps_per_epoch
@@ -391,28 +382,23 @@ def train(corpus: Corpus, model_config: ModelConfig, train_cfg: TrainConfig,
                                    LabelSource.ASR_TIMESTAMPS, None,
                                    assignment, f"teacher epoch {epoch}")
                 emit({"stage": "teacher", "epoch": epoch, **stats})
+            del pre_state  # the main stage keeps only its own moments
+        # the teacher labels every step row once, through the tied view
+        labels = label_corpus(
+            steps_as_narrations(params), model_config, corpus, pseudo_cfg,
+            batch_size=train_cfg.batch_size, max_frames=train_cfg.max_frames,
+            assignment=assignment, meta={"epoch": 0})
+        if workdir is not None:
+            labels.save_jsonl(workdir / LABELS_FILE)
+        state = OptimizerState.fresh(params)
 
     for epoch in range(start_epoch, train_cfg.epochs):
-        action = teacher_action(epoch, pseudo_cfg)
-        if labels is None or action == TeacherAction.REFRESH:
-            initial = action == TeacherAction.USE_INITIAL
-            labels = label_corpus(
-                steps_as_narrations(params) if initial else params, model_config,
-                corpus, pseudo_cfg, batch_size=train_cfg.batch_size,
-                max_frames=train_cfg.max_frames, assignment=assignment,
-                meta={"teacher": "initial" if initial else "student_snapshot",
-                      "epoch": epoch})
-            labels_file = ("pseudo/initial.jsonl" if initial
-                           else f"pseudo/epoch_{epoch:03d}.jsonl")
-            if workdir is not None:
-                labels.save_jsonl(workdir / labels_file)
-
         stats = _run_epoch(params, params, model_config, corpus, train_cfg,
                            loss_cfg, state, main_total,
                            _mix_seed(train_cfg.seed, 1, epoch),
                            LabelSource.PROVIDED_PSEUDO, labels, assignment,
                            f"epoch {epoch}")
-        entry = {"stage": "main", "epoch": epoch, "teacher": action.value,
+        entry = {"stage": "main", "epoch": epoch,
                  "pseudo_coverage": labels.coverage(), **stats}
         if eval_corpus is not None:
             per_video = evaluate_corpus(params, model_config, eval_corpus,
@@ -424,7 +410,6 @@ def train(corpus: Corpus, model_config: ModelConfig, train_cfg: TrainConfig,
         if workdir is not None:
             _save_train_checkpoint(workdir / "last.ckpt", params, state, {
                 "next_epoch": epoch + 1,
-                "labels_file": labels_file,
                 **{key: asdict(cfg) for key, cfg in configs.items()},
                 "corpus_sha256": digest,
                 "log_bytes": log_path.stat().st_size,

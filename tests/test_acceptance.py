@@ -459,7 +459,7 @@ def test_criterion_9_determinism_and_round_trips(tmp_path):
                      max_narrations=8, max_steps=4, dropout=0.1)
     tc = TrainConfig(epochs=3, batch_size=4, base_lr=5e-3,
                      teacher_pre_epochs=1, max_frames=32, seed=9)
-    pc = PseudoConfig(burn_in_epochs=2, refresh_every=2)
+    pc = PseudoConfig()
     for d in ("a", "b"):
         train(corpus, mc, tc, LossConfig(), pc, workdir=tmp_path / d)
     log_a = (tmp_path / "a" / "train_log.jsonl").read_bytes()

@@ -801,7 +801,7 @@ def test_training_with_the_mlp_node_matches_the_composed_chain(tmp_path, monkeyp
                      max_narrations=8, max_steps=4, dropout=0.1)
     cfg = TrainConfig(epochs=1, batch_size=4, teacher_pre_epochs=1,
                       max_frames=40, seed=2)
-    pseudo = PseudoConfig(burn_in_epochs=1, refresh_every=1)
+    pseudo = PseudoConfig()
 
     def composed(params, name, x):
         return _composed_mlp(x, *(params[f"{name}.{k}"]

@@ -20,6 +20,7 @@ from stepalign.config import (ConfigError, RunConfig, load_run_config,
 from stepalign.corpus import Corpus, Segment, read_corpus, write_corpus
 from stepalign.encoder import forward
 from stepalign.evalkit import blob_detect, merge_reports
+from stepalign.taskselect import assign_articles
 from stepalign.trainer import evaluate_corpus
 
 from conftest import make_article, make_video
@@ -39,7 +40,6 @@ TINY_CONFIG = {
         "epochs": 3, "batch_size": 4, "base_lr": 5e-3,
         "teacher_pre_epochs": 1, "max_frames": 64,
     },
-    "pseudo": {"burn_in_epochs": 2, "refresh_every": 2},
 }
 
 
@@ -234,8 +234,7 @@ def test_train_rejects_a_corpus_too_long_for_the_step_table(tmp_path, ws, capsys
                    "steps_per_task": [18, 18], "frames_range": [40, 48],
                    "seed": 1},
         "model": {"model_dim": 16, "num_layers": 1, "num_heads": 2},
-        "train": {"epochs": 2, "teacher_pre_epochs": 1},
-        "pseudo": {"burn_in_epochs": 1}}))
+        "train": {"epochs": 2, "teacher_pre_epochs": 1}}))
     corpus = tmp_path / "corpus"
     assert main(["generate", "--out", str(corpus), "--config", str(cfg)]) == 0
     workdir = tmp_path / "run"
@@ -281,7 +280,6 @@ def test_train_log_eval_matches_cli_eval(tmp_path, capsys):
         "corpus": {**TINY_CONFIG["corpus"], "frames_range": [150, 220]},
         "model": {**TINY_CONFIG["model"], "max_frames": 256},
         "train": {**TINY_CONFIG["train"], "epochs": 1},
-        "pseudo": {"burn_in_epochs": 1, "refresh_every": 1},
     }
     cfg = tmp_path / "long.json"
     cfg.write_text(json.dumps(long_videos))
@@ -330,6 +328,19 @@ def test_eval_deterministic_and_matrix_choice(ws, capsys):
     assert main(args + ["--no-narrations"]) == 0
     stripped = capsys.readouterr().out
     assert "narration_r1" not in stripped  # nothing left to judge narrations on
+
+
+def test_eval_picks_tasks_before_stripping_narrations(ws, capsys):
+    # top1 votes with the narrations; stripped first, every video tied at
+    # zero votes and was scored against the first article
+    assert assign_articles(read_corpus(ws.corpus), "top1") == assign_articles(
+        read_corpus(ws.corpus), "metadata")
+    args = ["eval", "--corpus", str(ws.corpus), "--checkpoint", str(ws.ckpt),
+            "--no-narrations"]
+    assert main(args) == 0
+    by_metadata = capsys.readouterr().out
+    assert main(args + ["--task-strategy", "top1"]) == 0
+    assert capsys.readouterr().out == by_metadata
 
 
 def test_eval_per_video_csv(ws, tmp_path, capsys):
@@ -654,6 +665,19 @@ def test_wrong_typed_config_value_is_config_error(ws, tmp_path, capsys, data):
                  "--config", str(config)]) == 2
     assert f"{section}.{name}" in capsys.readouterr().err
     assert not out.exists() and not workdir.exists()
+
+
+@pytest.mark.parametrize("name", ["burn_in_epochs", "refresh_every"])
+def test_removed_refresh_schedule_keys_are_config_errors(ws, tmp_path, capsys, name):
+    # training labels the corpus once, so a config written for the refresh
+    # schedule is refused by name rather than run as something else
+    config = tmp_path / "old.json"
+    config.write_text(json.dumps({"pseudo": {name: 3}}))
+    workdir = tmp_path / "run"
+    assert main(["train", "--corpus", str(ws.corpus), "--workdir", str(workdir),
+                 "--config", str(config)]) == 2
+    assert f"unknown keys ['{name}']" in capsys.readouterr().err
+    assert not workdir.exists()
 
 
 def test_usage_error_exits_two():

@@ -1,4 +1,4 @@
-"""Segment extraction, keep thresholds, serialization, and the refresh schedule."""
+"""Segment extraction, keep thresholds and serialization."""
 
 import json
 
@@ -12,10 +12,8 @@ from stepalign.pseudolabel import (
     PseudoError,
     PseudoLabel,
     PseudoLabelSet,
-    TeacherAction,
     extract_segment,
     generate_pseudolabels,
-    teacher_action,
 )
 
 
@@ -183,10 +181,6 @@ def test_config_validation():
         PseudoConfig(zeta=0.0).validate()
     with pytest.raises(PseudoError):
         PseudoConfig(source="nope").validate()
-    with pytest.raises(PseudoError):
-        PseudoConfig(burn_in_epochs=-1).validate()
-    with pytest.raises(PseudoError):
-        PseudoConfig(refresh_every=0).validate()
     PseudoConfig().validate()
 
 
@@ -247,33 +241,3 @@ def test_load_rejects_malformed_rows(tmp_path):
     with pytest.raises(PseudoError):
         PseudoLabelSet.load_jsonl(path)
 
-
-# ---------------------------------------------------------------------------
-# refresh schedule
-
-
-def test_teacher_schedule_worked_example():
-    cfg = PseudoConfig(burn_in_epochs=3, refresh_every=3)
-    actions = [teacher_action(e, cfg) for e in range(7)]
-    assert actions == [
-        TeacherAction.USE_INITIAL,
-        TeacherAction.USE_INITIAL,
-        TeacherAction.USE_INITIAL,
-        TeacherAction.REFRESH,
-        TeacherAction.REUSE,
-        TeacherAction.REUSE,
-        TeacherAction.REFRESH,
-    ]
-
-
-def test_teacher_schedule_no_burn_in():
-    cfg = PseudoConfig(burn_in_epochs=0, refresh_every=2)
-    actions = [teacher_action(e, cfg) for e in range(5)]
-    assert actions[0] is TeacherAction.REFRESH
-    assert actions == [
-        TeacherAction.REFRESH,
-        TeacherAction.REUSE,
-        TeacherAction.REFRESH,
-        TeacherAction.REUSE,
-        TeacherAction.REFRESH,
-    ]

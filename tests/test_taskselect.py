@@ -191,6 +191,18 @@ def test_top1_recovers_synthetic_tasks():
     assert hits / len(corpus.videos) >= 0.9
 
 
+def test_top1_assignment_equals_per_video_ranking():
+    # assign_articles embeds the titles once per call; each video must still
+    # get the task rank_tasks ranks first for it alone
+    corpus = small_corpus()
+    articles = [corpus.articles[t] for t in sorted(corpus.articles)]
+    emb = TrigramEmbedder()
+    assignment = assign_articles(corpus, strategy="top1", embedder=emb)
+    assert len(set(assignment.values())) == 3
+    assert assignment == {v.id: rank_tasks(emb, v.narration_texts, articles, v.id).best
+                          for v in corpus.videos}
+
+
 def test_random_top5_seeded_and_valid():
     corpus = small_corpus()
     emb = TrigramEmbedder()

@@ -2,6 +2,7 @@
 
 import json
 import math
+import shutil
 from dataclasses import replace
 from pathlib import Path
 
@@ -12,7 +13,7 @@ from stepalign.autodiff import Tensor
 from stepalign.corpus import Corpus, CorpusError, SynthConfig, generate_synthetic
 from stepalign.encoder import ModelConfig, ModelError, forward, init_params
 from stepalign.objective import LossConfig
-from stepalign.pseudolabel import PseudoConfig, TeacherAction, teacher_action
+from stepalign.pseudolabel import PseudoConfig, PseudoLabelSet
 from stepalign.trainer import (
     OptimizerState,
     TrainConfig,
@@ -144,7 +145,7 @@ def tiny_train_cfg(**kw):
 def run_tiny(seed=0, workdir=None, resume=False, **kw):
     corpus = tiny_corpus()
     return train(corpus, tiny_model(corpus.dims), tiny_train_cfg(seed=seed, **kw),
-                 LossConfig(), PseudoConfig(burn_in_epochs=2, refresh_every=2),
+                 LossConfig(), PseudoConfig(),
                  workdir=workdir, resume=resume)
 
 
@@ -158,13 +159,6 @@ def test_zero_epochs_is_a_no_op():
     assert set(result.params) == set(fresh)
     for name in fresh:
         assert np.array_equal(result.params[name].data, fresh[name].data)
-
-
-def test_epochs_shorter_than_burn_in_rejected():
-    corpus = tiny_corpus()
-    with pytest.raises(TrainError, match="burn-in"):
-        train(corpus, tiny_model(corpus.dims), tiny_train_cfg(epochs=2),
-              LossConfig(), PseudoConfig(burn_in_epochs=3))
 
 
 def test_empty_corpus_rejected():
@@ -188,12 +182,35 @@ def test_fresh_runs_agree_bit_for_bit_with_dropout():
     corpus = tiny_corpus()
     mc = replace(tiny_model(corpus.dims), dropout=0.1)
     runs = [train(corpus, mc, tiny_train_cfg(epochs=2, teacher_pre_epochs=1, seed=8),
-                  LossConfig(), PseudoConfig(burn_in_epochs=1, refresh_every=1))
+                  LossConfig(), PseudoConfig())
             for _ in range(2)]
     assert runs[0].opt_state.step == runs[1].opt_state.step > 0
     for name, p in runs[0].params.items():
         assert np.array_equal(p.data, runs[1].params[name].data)
         assert np.array_equal(runs[0].opt_state.v[name], runs[1].opt_state.v[name])
+
+
+def test_each_stage_holds_only_its_own_optimizer_moments(monkeypatch):
+    import weakref
+    from stepalign import trainer
+    real, made, stages = trainer.OptimizerState.fresh, [], []
+
+    def fresh(params):
+        state = real(params)
+        made.append((len(stages), weakref.ref(state)))
+        return state
+
+    def log(entry):
+        stages.append(entry["stage"])
+        if stages == ["teacher", "teacher", "main"]:
+            (teacher_at, teacher), (main_at, main) = made
+            assert (teacher_at, main_at) == (0, 2)
+            assert teacher() is None and main() is not None
+    monkeypatch.setattr(trainer.OptimizerState, "fresh", staticmethod(fresh))
+    corpus = tiny_corpus()
+    train(corpus, tiny_model(corpus.dims), tiny_train_cfg(epochs=1), LossConfig(),
+          PseudoConfig(), log_fn=log)
+    assert stages == ["teacher", "teacher", "main"]
 
 
 def test_loss_decreases_on_noiseless_corpus():
@@ -212,28 +229,27 @@ def test_history_schedule_and_structure(tmp_path):
     main = [e for e in result.history if e["stage"] == "main"]
     assert [e["epoch"] for e in teacher] == [0, 1]
     assert [e["epoch"] for e in main] == [0, 1, 2, 3, 4]
-    cfg = PseudoConfig(burn_in_epochs=2, refresh_every=2)
     for e in main:
-        assert e["teacher"] == teacher_action(e["epoch"], cfg).value
         assert 0.0 <= e["pseudo_coverage"] <= 1.0
         assert {"loss", "grad_norm", "lr", "rows_sv"} <= set(e)
+        assert "teacher" not in e
     # the logged total splits into its two weighted terms (both weights 1);
     # the teacher has no step labels, so its step-video term is exactly 0
     for e in result.history:
         assert e["loss"] == pytest.approx(e["loss_nv"] + e["loss_sv"], rel=1e-9)
     assert all(e["loss_sv"] == 0.0 for e in teacher)
     assert all(e["loss_sv"] > 0.0 for e in main)
-    # burn-in epochs train on the initial labels, later ones on refreshes
-    assert [e["teacher"] for e in main] == [
-        "use_initial", "use_initial", "refresh", "reuse", "refresh"]
+    # every main epoch trains on the teacher's one label set
+    assert len({e["pseudo_coverage"] for e in main}) == 1
 
     log_lines = (tmp_path / "train_log.jsonl").read_text().splitlines()
     assert len(log_lines) == len(result.history)
     assert json.loads(log_lines[0])["stage"] == "teacher"
-    assert (tmp_path / "pseudo" / "initial.jsonl").exists()
-    assert (tmp_path / "pseudo" / "epoch_002.jsonl").exists()
-    assert (tmp_path / "pseudo" / "epoch_004.jsonl").exists()
-    assert not (tmp_path / "pseudo" / "epoch_003.jsonl").exists()
+    assert sorted(p.name for p in (tmp_path / "pseudo").iterdir()) == ["initial.jsonl"]
+    saved = PseudoLabelSet.load_jsonl(tmp_path / "pseudo" / "initial.jsonl")
+    assert saved.meta == {"epoch": 0}
+    assert ([(l.video_id, l.step, l.segment) for l in saved]
+            == [(l.video_id, l.step, l.segment) for l in result.labels])
     assert (tmp_path / "last.ckpt").exists()
 
 
@@ -268,7 +284,7 @@ def test_resume_matches_uninterrupted_run(tmp_path):
     part = tmp_path / "resumed"
     corpus = tiny_corpus()
     mc = tiny_model(corpus.dims)
-    pcfg = PseudoConfig(burn_in_epochs=2, refresh_every=2)
+    pcfg = PseudoConfig()
     with pytest.raises(Interrupted):
         train(corpus, mc, tiny_train_cfg(seed=4), LossConfig(), pcfg,
               workdir=part, log_fn=crash_mid_run)
@@ -335,7 +351,7 @@ def test_resume_rejects_other_model_config_and_short_log(tmp_path):
     corpus = tiny_corpus()
     mc = tiny_model(corpus.dims)
     cfg = tiny_train_cfg(epochs=2, teacher_pre_epochs=1)
-    pcfg = PseudoConfig(burn_in_epochs=2, refresh_every=2)
+    pcfg = PseudoConfig()
     train(corpus, mc, cfg, LossConfig(), pcfg, workdir=tmp_path)
     log = tmp_path / "train_log.jsonl"
     before = log.read_bytes()
@@ -353,7 +369,7 @@ def test_resume_rejects_other_train_loss_or_pseudo_config(tmp_path):
     corpus = tiny_corpus()
     mc = tiny_model(corpus.dims)
     cfg = tiny_train_cfg(epochs=2, teacher_pre_epochs=1, seed=5)
-    pcfg = PseudoConfig(burn_in_epochs=2, refresh_every=2)
+    pcfg = PseudoConfig()
     train(corpus, mc, cfg, LossConfig(), pcfg, workdir=tmp_path)
     log = tmp_path / "train_log.jsonl"
     before = log.read_bytes()
@@ -377,7 +393,7 @@ def test_resume_names_a_field_only_the_checkpoint_has(tmp_path):
     corpus = tiny_corpus()
     mc = tiny_model(corpus.dims)
     cfg = tiny_train_cfg(epochs=2, teacher_pre_epochs=1)
-    pcfg = PseudoConfig(burn_in_epochs=2, refresh_every=2)
+    pcfg = PseudoConfig()
     train(corpus, mc, cfg, LossConfig(), pcfg, workdir=tmp_path)
     # as saved by a model that could leave out the step positional table
     ckpt = tmp_path / "last.ckpt"
@@ -407,14 +423,14 @@ def test_resume_refuses_another_corpus_or_task_assignment(tmp_path, monkeypatch)
     for c, assignment in [(other, None), (corpus, one_task)]:
         with pytest.raises(TrainError, match="another corpus.*corpus_sha256"):
             train(c, tiny_model(c.dims), tiny_train_cfg(seed=4), LossConfig(),
-                  PseudoConfig(burn_in_epochs=2, refresh_every=2),
+                  PseudoConfig(),
                   assignment=assignment, workdir=tmp_path, resume=True)
     assert log.read_bytes() == before
     # ground truth is not a training input: a corpus without it resumes
     no_gt = Corpus(tuple(replace(v, gt_step_segments=None, gt_narration_steps=None)
                          for v in corpus.videos), corpus.articles, corpus.dims)
     done = train(no_gt, tiny_model(corpus.dims), tiny_train_cfg(seed=4),
-                 LossConfig(), PseudoConfig(burn_in_epochs=2, refresh_every=2),
+                 LossConfig(), PseudoConfig(),
                  workdir=tmp_path, resume=True)
     assert [e["epoch"] for e in done.history] == [1, 2, 3, 4]
 
@@ -432,7 +448,7 @@ def test_unequal_text_widths_fail_before_the_first_epoch(tmp_path):
     corpus = Corpus(corpus.videos, wide, (d_v, d_n, 2 * d_s))
     with pytest.raises(ModelError, match="equal narration and step dims"):
         train(corpus, tiny_model(corpus.dims), tiny_train_cfg(), LossConfig(),
-              PseudoConfig(burn_in_epochs=2, refresh_every=2),
+              PseudoConfig(),
               workdir=tmp_path / "run")
     assert not (tmp_path / "run").exists()
 
@@ -465,7 +481,7 @@ def test_positional_table_overflow_fails_before_the_first_epoch(tmp_path, table)
     with pytest.raises(ModelError, match=f"{table.split()[-1]} count .* exceeds "
                                          f"positional table size") as exc:
         train(corpus, mc, tiny_train_cfg(), LossConfig(),
-              PseudoConfig(burn_in_epochs=2, refresh_every=2),
+              PseudoConfig(),
               eval_corpus=eval_corpus, workdir=tmp_path / "run")
     assert str(exc.value).startswith("eval corpus video" if table == "eval step"
                                      else "corpus video")
@@ -485,11 +501,12 @@ def test_fresh_run_starts_an_empty_log(tmp_path):
 def test_fresh_run_deletes_label_files_of_an_earlier_run(tmp_path):
     clean, used = tmp_path / "clean", tmp_path / "used"
     run_tiny(seed=6, workdir=clean, epochs=3, teacher_pre_epochs=1)
-    run_tiny(seed=6, workdir=used, epochs=5, teacher_pre_epochs=1)
-    assert (used / "pseudo" / "epoch_004.jsonl").exists()
+    run_tiny(seed=7, workdir=used, epochs=2, teacher_pre_epochs=1)
+    # as left by a version that relabelled the corpus during training
+    shutil.copy(used / "pseudo" / "initial.jsonl", used / "pseudo" / "epoch_004.jsonl")
     run_tiny(seed=6, workdir=used, epochs=3, teacher_pre_epochs=1)
     names = sorted(p.name for p in (used / "pseudo").iterdir())
-    assert names == ["epoch_002.jsonl", "initial.jsonl"]
+    assert names == ["initial.jsonl"]
     for name in names:
         assert ((used / "pseudo" / name).read_bytes()
                 == (clean / "pseudo" / name).read_bytes())
@@ -506,14 +523,14 @@ def test_divergence_raises_train_error():
     with pytest.raises(TrainError):
         train(corpus, tiny_model(corpus.dims),
               tiny_train_cfg(base_lr=1e12, teacher_pre_epochs=0),
-              LossConfig(), PseudoConfig(burn_in_epochs=2, refresh_every=2))
+              LossConfig(), PseudoConfig())
 
 
 def test_eval_corpus_metrics_logged():
     corpus = tiny_corpus()
     mc = tiny_model(corpus.dims)
     result = train(corpus, mc, tiny_train_cfg(epochs=2, teacher_pre_epochs=1),
-                   LossConfig(), PseudoConfig(burn_in_epochs=2, refresh_every=2),
+                   LossConfig(), PseudoConfig(),
                    eval_corpus=corpus)
     main = [e for e in result.history if e["stage"] == "main"]
     assert all("eval_step_r1" in e for e in main)
