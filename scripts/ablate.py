@@ -2,10 +2,12 @@
 held-out hits of every alignment pathway, per seed and in total, to
 ABLATE_<tag>.json in the current directory.
 
-Each seed runs the configuration of the curriculum_runs fixture of
-tests/test_acceptance.py: generate_synthetic(SynthConfig(seed=seed)), its
-80/20 split, model_dim 64, 2 layers, 8 teacher and 12 main epochs. Per seed
-it records, as [hits, rows]:
+run_seed trains one seed of the acceptance recipe and returns its record;
+the curriculum_runs fixture of tests/test_acceptance.py calls it for
+criteria 6 and 7. The recipe is generate_synthetic(SynthConfig(seed=seed)),
+its 80/20 split, model_dim 64, 2 layers, 8 teacher and 12 main epochs,
+trained with a workdir in a temporary directory. Per seed it records, as
+[hits, rows]:
 
     step_r1              step R@1 of fused, direct_sv and indirect on the
                          held-out videos with their narrations
@@ -13,14 +15,27 @@ it records, as [hits, rows]:
                          narrations stripped, as `stepalign eval
                          --no-narrations` strips them
     narration_r1         narration R@1 on the held-out videos
+    untrained_fused_no_narrations  fused step R@1 without narrations of
+                         the untrained model, init_params(model, seed)
 
-and criterion_7, whether criterion 7's rule holds on the seed (fused R@1 at
-least indirect's, and within 0.02 of the better pathway). last_labels
-describes the label set the main epochs trained on, the teacher's, against
-the training videos' ground truth: its rows, its kept rows, the kept rows
-whose segment overlaps a true segment of that step at IoU >= 0.5, and the
-summed lengths of the kept segments and of all true segments, with their
-means. Scores go through trainer.evaluate_corpus.
+held_out_gt_coverage, the mean share of a held-out video's frames that a
+step's true segments cover, and criterion_7, whether criterion 7's rule
+holds on the seed (fused R@1 at least indirect's, and within 0.02 of the
+better pathway). last_labels describes the label set the main epochs
+trained on, the teacher's, against the training videos' ground truth: its
+rows, its kept rows, the kept rows whose segment overlaps a true segment of
+that step at IoU >= 0.5, and the summed lengths of the kept segments and of
+all true segments, with their means. Scores go through
+trainer.evaluate_corpus.
+
+digests holds SHA-256 digests that show whether a change keeps training
+and inference bit-identical: corpus/generated, of the synthetic corpus as
+generate_synthetic returns it; last.ckpt, train_log.jsonl and each
+pseudo/*.jsonl, of the files training wrote; and forward/held_out and
+forward/held_out_no_narrations, of the five matrices that forward() returns
+for every held-out video, batched as `stepalign eval` batches them, with
+its narrations and with them stripped. Run the same seeds in two checkouts
+and compare the digests of each run.
 
 --set section.key=value overrides a field of one config section (corpus,
 model, train, loss or pseudo) on every seed; the value is read as JSON, or
@@ -28,6 +43,7 @@ as a string when it is not JSON. The merged sections are checked as a
 --config file's are, before any training. Examples:
 
     python3 scripts/ablate.py --tag shipped                 # seeds 0-9
+    python3 scripts/ablate.py 0 3 --tag same_bits           # compare digests
     python3 scripts/ablate.py 0 1 2 --tag zeta05 --set pseudo.zeta=0.5
     python3 scripts/ablate.py --jobs 2 --set pseudo.source='"fused"'
 
@@ -40,10 +56,12 @@ processes.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import multiprocessing
 import os
 import sys
+import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
 from pathlib import Path
@@ -52,9 +70,11 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from stepalign import (LossConfig, ModelConfig, PseudoConfig,  # noqa: E402
-                       SynthConfig, TrainConfig, generate_synthetic,
-                       interval_iou, merge_reports, split_corpus, train)
+import numpy as np  # noqa: E402
+from stepalign import (LabelSource, LossConfig, ModelConfig,  # noqa: E402
+                       PseudoConfig, SynthConfig, TrainConfig, batch_iter,
+                       forward, generate_synthetic, init_params, interval_iou,
+                       merge_reports, split_corpus, train)
 from stepalign.cli import _strip_narrations  # noqa: E402
 from stepalign.config import (_SECTIONS, ConfigError, RunConfig,  # noqa: E402
                               build_section)
@@ -124,7 +144,53 @@ def label_quality(labels, videos) -> dict:
         "true_segments": len(true_lengths), "true_len_sum": sum(true_lengths)})
 
 
+def corpus_digest(corpus) -> str:
+    """SHA-256 over each video's id, task, narration texts and spans, ground
+    truth and feature bytes, then each article's id, title, step texts and
+    step features."""
+    h = hashlib.sha256()
+    for v in corpus.videos:
+        spans = [[s.start, s.end] for s in v.narration_spans]
+        gt = [[step, [[s.start, s.end] for s in segs]]
+              for step, segs in (v.gt_step_segments or {}).items()]
+        h.update(json.dumps([v.id, v.task_id, list(v.narration_texts), spans,
+                             gt, v.gt_narration_steps]).encode())
+        for m in (v.frame_features, v.narration_features):
+            h.update(repr((m.dtype.str, m.shape)).encode())
+            h.update(m.tobytes())
+    for task_id, a in corpus.articles.items():
+        h.update(json.dumps([task_id, a.title, list(a.step_texts)]).encode())
+        h.update(repr((a.step_features.dtype.str, a.step_features.shape)).encode())
+        h.update(a.step_features.tobytes())
+    return h.hexdigest()
+
+
+def forward_digest(params, mc: ModelConfig, corpus) -> str:
+    """SHA-256 over each video's id and the shape and bytes of its five
+    forward() matrices, in corpus order, eight videos to a batch."""
+    h = hashlib.sha256()
+    for batch in batch_iter(corpus, 8, mc.max_frames, None,
+                            LabelSource.ASR_TIMESTAMPS):
+        for al in forward(params, mc, batch):
+            h.update(al.video_id.encode())
+            for m in (al.a_nv, al.a_sv, al.a_sn, al.a_snv, al.a_fused):
+                h.update(repr((m.dtype.str, m.shape)).encode())
+                h.update(m.tobytes())
+    return h.hexdigest()
+
+
+def mean_gt_coverage(corpus) -> float:
+    """Mean share of a video's frames that one step's true segments cover."""
+    fractions = []
+    for v in corpus.videos:
+        for segs in v.gt_step_segments.values():
+            covered = sum(len(s) for s in segs)
+            fractions.append(covered / v.num_frames)
+    return float(np.mean(fractions))
+
+
 def run_seed(seed: int, overrides: dict) -> dict:
+    """Train one seed of the acceptance recipe and return its record."""
     corpus = generate_synthetic(with_overrides(SynthConfig(seed=seed),
                                                "corpus", overrides))
     train_part, held_out = split_corpus(corpus, 0.2, seed)
@@ -137,11 +203,21 @@ def run_seed(seed: int, overrides: dict) -> dict:
                         "train", overrides)
     loss = with_overrides(LossConfig(), "loss", overrides)
     pseudo = with_overrides(PseudoConfig(), "pseudo", overrides)
-    result = train(train_part, mc, tc, loss, pseudo)
+    digests = {"corpus/generated": corpus_digest(corpus)}
+    with tempfile.TemporaryDirectory() as tmp:
+        workdir = Path(tmp)
+        result = train(train_part, mc, tc, loss, pseudo, workdir=workdir)
+        files = [workdir / "last.ckpt", workdir / "train_log.jsonl"]
+        files += sorted((workdir / "pseudo").glob("*.jsonl"))
+        digests.update((f.relative_to(workdir).as_posix(),
+                        hashlib.sha256(f.read_bytes()).hexdigest()) for f in files)
     stripped = _strip_narrations(held_out)
+    digests["forward/held_out"] = forward_digest(result.params, mc, held_out)
+    digests["forward/held_out_no_narrations"] = forward_digest(result.params, mc,
+                                                               stripped)
 
-    def scored(corpus, matrix):
-        return evaluate_corpus(result.params, mc, corpus, 8, matrix=matrix)
+    def scored(corpus, matrix, params=result.params):
+        return evaluate_corpus(params, mc, corpus, 8, matrix=matrix)
     with_narr = {m: scored(held_out, m) for m in ("fused", "direct_sv", "indirect")}
     step_r1 = {m: _hits(pv, "step_r1") for m, pv in with_narr.items()}
     fused, direct, indirect = (_r1(step_r1[m]) for m in ("fused", "direct_sv", "indirect"))
@@ -151,11 +227,15 @@ def run_seed(seed: int, overrides: dict) -> dict:
         "step_r1_no_narrations": {m: _hits(scored(stripped, m), "step_r1")
                                   for m in ("fused", "direct_sv")},
         "narration_r1": _hits(with_narr["fused"], "narration_r1"),
-        # the rule of test_criterion_7_fusion_benefit
+        "untrained_fused_no_narrations": _hits(
+            scored(stripped, "fused", init_params(mc, seed)), "step_r1"),
+        "held_out_gt_coverage": mean_gt_coverage(held_out),
+        # criterion 7's rule; test_criterion_7_fusion_benefit reads it
         "criterion_7": bool(fused >= indirect - 1e-9
                             and fused >= max(direct, indirect) - 0.02 - 1e-9),
         "last_labels": (label_quality(result.labels, train_part.videos)
                         if result.labels is not None else None),
+        "digests": digests,
     }
 
 

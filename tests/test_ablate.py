@@ -1,13 +1,17 @@
-"""scripts/ablate.py at toy size: the file it writes and its override checks."""
+"""scripts/ablate.py at toy size: the file it writes, its digests and its
+override checks; and, at two BLAS thread counts, the training bits."""
 
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
-import ablate  # noqa: E402
+import ablate
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "ablate.py"
 
 TOY = ["--set", "corpus.videos_per_task=3", "--set", "corpus.frames_range=[16,24]",
        "--set", "model.model_dim=8", "--set", "model.num_layers=1",
@@ -23,13 +27,17 @@ def test_ablate_writes_per_seed_hits_and_their_totals(tmp_path, monkeypatch, cap
     assert out["seeds"] == [4]
     assert out["overrides"]["train"] == {"epochs": 1, "teacher_pre_epochs": 1}
     [run] = out["runs"]
-    assert set(run) == {"seed", *PAIRS, "narration_r1", "criterion_7", "last_labels"}
+    assert set(run) == {"seed", *PAIRS, "narration_r1", "criterion_7", "last_labels",
+                        "untrained_fused_no_narrations", "held_out_gt_coverage",
+                        "digests"}
     assert set(run["step_r1"]) == {"fused", "direct_sv", "indirect"}
     assert set(run["step_r1_no_narrations"]) == {"fused", "direct_sv"}
     assert set(run["last_labels"]) == {"epoch", *ablate.LABEL_COUNTS,
                                        "kept_len_mean", "true_len_mean"}
     assert run["last_labels"]["epoch"] == 0
     assert run["step_r1"]["fused"][1] > 0
+    assert run["untrained_fused_no_narrations"][1] == run["step_r1"]["fused"][1]
+    assert 0.0 < run["held_out_gt_coverage"] < 1.0
 
     total = out["totals"]
     assert set(total) == {*PAIRS, "narration_r1", "criterion_7", "last_labels"}
@@ -54,3 +62,34 @@ def test_ablate_refuses_a_removed_option_before_training(tmp_path, monkeypatch, 
     assert exc.value.code == 2
     assert "unknown keys ['refresh_every']" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+DIGESTS = ["corpus/generated", "last.ckpt", "train_log.jsonl", "pseudo/initial.jsonl",
+           "forward/held_out", "forward/held_out_no_narrations"]
+
+
+def test_a_second_toy_run_of_a_seed_gives_equal_digests(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    digests = []
+    for tag in ("a", "b"):
+        assert ablate.main(["4", "--tag", tag, *TOY]) == 0
+        [run] = json.loads((tmp_path / f"ABLATE_{tag}.json").read_text())["runs"]
+        assert list(run["digests"]) == DIGESTS
+        assert all(len(d) == 64 for d in run["digests"].values())
+        digests.append(run["digests"])
+    assert digests[0] == digests[1]
+
+
+def test_training_bits_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # On a machine with one CPU, BLAS may run one thread whatever it is
+    # told, and then this proves nothing.
+    digests = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        subprocess.run([sys.executable, str(SCRIPT), "3", "--tag", threads,
+                        "--set", "train.epochs=1", "--set", "train.teacher_pre_epochs=1"],
+                       cwd=tmp_path, env=env, check=True, capture_output=True)
+        [run] = json.loads((tmp_path / f"ABLATE_{threads}.json").read_text())["runs"]
+        digests[threads] = run["digests"]
+    assert digests["1"] == digests["2"]

@@ -1,27 +1,26 @@
 """Acceptance gate: one test per shipped guarantee, each runnable standalone.
 
 Criteria 6 and 7 share a module-scoped fixture that trains the full
-curriculum on five seeds; everything else is oracle-checked in seconds.
+curriculum on five seeds through scripts/ablate.py's run_seed and reads its
+records; everything else is oracle-checked in seconds.
 """
 
 import math
 import time
-from types import SimpleNamespace
 
 import mpmath
 import numpy as np
 import pytest
 
+import ablate
 from stepalign.autodiff import Tensor
-from stepalign.cli import _strip_narrations, _write_alignment_csv, _write_pgm
-from stepalign.corpus import (Batch, LabelSource, Segment, SynthConfig,
-                              batch_iter, generate_synthetic, read_corpus,
-                              split_corpus, write_corpus)
-from stepalign.encoder import (ModelConfig, forward, forward_batch, fuse,
+from stepalign.cli import _write_alignment_csv, _write_pgm
+from stepalign.corpus import (Batch, Segment, SynthConfig, generate_synthetic,
+                              read_corpus, write_corpus)
+from stepalign.encoder import (ModelConfig, forward_batch, fuse,
                                indirect_alignment, init_params,
                                load_checkpoint, save_checkpoint)
-from stepalign.evalkit import (alignability_auc, blob_detect, evaluate_video,
-                               interval_iou, merge_reports,
+from stepalign.evalkit import (alignability_auc, interval_iou,
                                narration_recall_at_1, step_recall_at_1,
                                step_recall_at_k_iou)
 from stepalign.objective import LossConfig, gradients, info_nce, total_loss
@@ -345,52 +344,11 @@ def test_criterion_5_metric_oracle_equivalence():
 DESK_SEEDS = (0, 1, 2, 3, 4)
 
 
-def _collect(params, mc, corpus):
-    out = []
-    for batch in batch_iter(corpus, 8, mc.max_frames, None,
-                            LabelSource.ASR_TIMESTAMPS):
-        out.extend(forward(params, mc, batch))
-    return out
-
-
-def _micro(alignments, corpus, matrix):
-    reports = [evaluate_video(al, corpus.video_by_id(al.video_id),
-                              matrix=matrix) for al in alignments]
-    merged = merge_reports(r for d in reports for r in d.values())
-    return {name: rep.value for name, rep in merged.items()}
-
-
-def _mean_gt_coverage(corpus):
-    fractions = []
-    for v in corpus.videos:
-        for segs in v.gt_step_segments.values():
-            covered = sum(len(s) for s in segs)
-            fractions.append(covered / v.num_frames)
-    return float(np.mean(fractions))
-
-
 @pytest.fixture(scope="module")
 def curriculum_runs():
     start = time.monotonic()
-    runs = []
-    for seed in DESK_SEEDS:
-        # each trial is seeded end to end: corpus draw, split, and training
-        corpus = generate_synthetic(SynthConfig(seed=seed))  # 4 tasks x 25 videos
-        train_part, eval_part = split_corpus(corpus, 0.2, seed)
-        mc = ModelConfig(feature_dims=corpus.dims, model_dim=64, num_layers=2,
-                         num_heads=4, dropout=0.1)
-        tc = TrainConfig(epochs=12, batch_size=8, base_lr=5e-3,
-                         weight_decay=0.001, teacher_pre_epochs=8,
-                         teacher_lr=2e-3, max_frames=128, seed=seed)
-        result = train(train_part, mc, tc, LossConfig(), PseudoConfig())
-        stripped = _strip_narrations(eval_part)
-        runs.append(SimpleNamespace(
-            seed=seed,
-            eval_corpus=eval_part,
-            stripped=stripped,
-            with_narr=_collect(result.params, mc, eval_part),
-            without_narr=_collect(result.params, mc, stripped),
-            baseline_without=_collect(init_params(mc, seed), mc, stripped)))
+    # each trial is seeded end to end: corpus draw, split, and training
+    runs = [ablate.run_seed(seed, {}) for seed in DESK_SEEDS]
     return runs, time.monotonic() - start
 
 
@@ -398,12 +356,10 @@ def test_criterion_6_end_to_end_grounding(curriculum_runs):
     runs, elapsed = curriculum_runs
     passes = 0
     for run in runs:
-        trained = _micro(run.without_narr, run.stripped, "fused")["step_r1"]
-        untrained = _micro(run.baseline_without, run.stripped,
-                           "fused")["step_r1"]
-        narration = _micro(run.with_narr, run.eval_corpus,
-                           "fused")["narration_r1"]
-        chance = _mean_gt_coverage(run.eval_corpus)
+        trained = ablate._r1(run["step_r1_no_narrations"]["fused"])
+        untrained = ablate._r1(run["untrained_fused_no_narrations"])
+        narration = ablate._r1(run["narration_r1"])
+        chance = run["held_out_gt_coverage"]
         ok = (trained >= 0.80
               and untrained <= chance + 0.10
               and narration >= 0.85)
@@ -414,14 +370,7 @@ def test_criterion_6_end_to_end_grounding(curriculum_runs):
 
 def test_criterion_7_fusion_benefit(curriculum_runs):
     runs, _ = curriculum_runs
-    passes = 0
-    for run in runs:
-        r1 = {m: _micro(run.with_narr, run.eval_corpus, m)["step_r1"]
-              for m in ("fused", "direct_sv", "indirect")}
-        ok = (r1["fused"] >= r1["indirect"] - 1e-9
-              and r1["fused"] >= max(r1["direct_sv"], r1["indirect"])
-              - 0.02 - 1e-9)
-        passes += ok
+    passes = sum(run["criterion_7"] for run in runs)
     assert passes >= 4, f"fusion helped on only {passes}/5 seeds"
 
 
