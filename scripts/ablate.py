@@ -48,9 +48,10 @@ as a string when it is not JSON. The merged sections are checked as a
     python3 scripts/ablate.py --jobs 2 --set pseudo.source='"fused"'
 
 It imports the stepalign under src/ next to this script, not an installed
-one, and runs numpy with one BLAS thread unless the environment sets another
-count. A seed takes about 30 s on one core; --jobs runs seeds in that many
-processes.
+one. main() starts its worker processes with one BLAS thread unless the
+environment sets another count, and leaves os.environ as it found it; merely
+importing this module changes nothing. A seed takes about 30 s on one core;
+--jobs runs seeds in that many processes.
 """
 
 from __future__ import annotations
@@ -66,8 +67,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
 from pathlib import Path
 
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_var, "1")
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import numpy as np  # noqa: E402
@@ -81,6 +80,7 @@ from stepalign.config import (_SECTIONS, ConfigError, RunConfig,  # noqa: E402
 from stepalign.trainer import evaluate_corpus  # noqa: E402
 
 IOU_HIT = 0.5
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 LABEL_COUNTS = ("rows", "kept", "kept_iou50", "kept_len_sum", "true_segments",
                 "true_len_sum")
 
@@ -304,9 +304,17 @@ def main(argv=None) -> int:
         parser.error(str(e))
 
     seeds = list(dict.fromkeys(args.seeds))
-    with ProcessPoolExecutor(max_workers=min(args.jobs, len(seeds)),
-                             mp_context=multiprocessing.get_context("spawn")) as pool:
-        runs = list(pool.map(run_seed, seeds, [overrides] * len(seeds)))
+    # spawned workers read the BLAS thread count from the environment when
+    # they import numpy; the caller's environment is restored afterwards
+    unset = [var for var in BLAS_THREADS if var not in os.environ]
+    os.environ.update(dict.fromkeys(unset, "1"))
+    try:
+        with ProcessPoolExecutor(max_workers=min(args.jobs, len(seeds)),
+                                 mp_context=multiprocessing.get_context("spawn")) as pool:
+            runs = list(pool.map(run_seed, seeds, [overrides] * len(seeds)))
+    finally:
+        for var in unset:
+            del os.environ[var]
     total = totals(runs)
     path = Path(f"ABLATE_{args.tag}.json")
     path.write_text(json.dumps({"seeds": seeds, "overrides": overrides,

@@ -6,7 +6,7 @@ from .corpus import (Article, Batch, Corpus, CorpusError, LabelSource,
                      generate_synthetic, read_corpus, split_corpus,
                      write_corpus)
 from .encoder import (AlignmentSet, ModelConfig, ModelError, forward,
-                      forward_batch, init_params, steps_as_narrations)
+                      forward_batch, init_params)
 from .evalkit import (MetricReport, alignability_auc, blob_detect,
                       evaluate_predictions, evaluate_video, interval_iou,
                       merge_reports, read_predictions)

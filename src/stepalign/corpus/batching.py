@@ -34,7 +34,6 @@ class Batch:
     """
 
     video_ids: tuple[str, ...]
-    task_ids: tuple[Optional[str], ...]
     frames: np.ndarray
     narrations: np.ndarray
     steps: np.ndarray
@@ -146,7 +145,6 @@ def batch_iter(
 
         yield Batch(
             video_ids=tuple(v.id for v in chunk),
-            task_ids=tuple(a.task_id if a is not None else None for a in articles),
             frames=frames, narrations=narrs, steps=steps,
             frame_mask=f_mask, narration_mask=n_mask, step_mask=s_mask,
             y_nv=y_nv, y_sv=y_sv, sup_nv=sup_nv, sup_sv=sup_sv,

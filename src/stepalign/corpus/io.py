@@ -141,12 +141,10 @@ def read_corpus(root: str | Path) -> Corpus:
         gt_narr = entry.get("gt_narration_steps")
         if gt_narr is not None:
             gt_narr = tuple(None if s is None else int(s) for s in gt_narr)
-        task_id = entry.get("task_id")
-        if task_id is not None and task_id not in articles:
-            raise CorpusError(f"{where}: references unknown task_id {task_id!r}")
         videos.append(VideoRecord(
             id=vid, frame_features=frames, narration_texts=texts,
-            narration_features=narr, narration_spans=spans, task_id=task_id,
+            narration_features=narr, narration_spans=spans,
+            task_id=entry.get("task_id"),
             gt_step_segments=gt, gt_narration_steps=gt_narr))
 
     return Corpus(tuple(videos), articles, (d_v, d_n, d_s))

@@ -1,10 +1,12 @@
 """Three-modality alignment model.
 
-Frames, narrations, and article steps are lifted into a shared space by
-per-modality two-layer MLPs plus learned positional embeddings, concatenated
-into one token sequence, and run through a pre-norm transformer so each
-modality can condition on the others. Alignment scores are cosine
-similarities between the contextualized tokens:
+Frames and texts are lifted into a shared space by two two-layer MLPs plus
+learned positional embeddings, one for frames and one for texts: article
+steps are sentences like narrations, so they take the narration MLP and
+positional table. The three modalities are concatenated into one token
+sequence and run through a pre-norm transformer so each can condition on the
+others. Alignment scores are cosine similarities between the contextualized
+tokens:
 
     a_nv  narration x frame        a_sv  step x frame
     a_sn  step x narration
@@ -14,7 +16,7 @@ similarities between the contextualized tokens:
 The indirect pathway lets noisy narrations vote on where a step lives even
 when the step text itself matches the frames poorly. Training needs only the
 first two (forward_batch); forward builds all five, detached. The
-narration-only teacher is the model run on steps_as_narrations(params).
+narration-only teacher is this same model, trained with lambda_sv = 0.
 """
 
 from __future__ import annotations
@@ -50,8 +52,7 @@ class ModelConfig:
     mlp_hidden: int = 64
     ffn_dim: int = 256
     max_frames: int = 256
-    max_narrations: int = 32
-    max_steps: int = 16
+    max_narrations: int = 32  # rows of the text table: narrations and steps
     dropout: float = 0.1
     xi: float = 0.07
 
@@ -60,7 +61,7 @@ class ModelConfig:
             raise ModelError(
                 f"model_dim {self.model_dim} not divisible by num_heads {self.num_heads}")
         positives = ("model_dim", "num_heads", "mlp_hidden", "ffn_dim",
-                     "max_frames", "max_narrations", "max_steps")
+                     "max_frames", "max_narrations")
         for name in positives:
             if getattr(self, name) < 1:
                 raise ModelError(f"{name} must be >= 1")
@@ -68,6 +69,10 @@ class ModelConfig:
             raise ModelError("num_layers must be >= 0")
         if any(d < 1 for d in self.feature_dims):
             raise ModelError(f"feature_dims must be positive, got {self.feature_dims}")
+        _, d_n, d_s = self.feature_dims
+        if d_n != d_s:
+            raise ModelError(f"steps are encoded as narrations, so they need equal "
+                             f"narration and step dims, got {d_n} and {d_s}")
         if not self.xi > 0:
             raise ModelError(f"xi must be > 0, got {self.xi}")
         if not (0.0 <= self.dropout < 1.0):
@@ -99,17 +104,15 @@ def init_params(config: ModelConfig, seed: int, dtype=np.float32) -> dict[str, T
         params[f"{name}.g"] = Tensor(np.ones((1, d), dtype=dtype), True)
         params[f"{name}.b"] = Tensor(np.zeros((1, d), dtype=dtype), True)
 
-    d_v, d_n, d_s = config.feature_dims
+    d_v, d_n, _ = config.feature_dims
     mlp("mlp_v", d_v)
     mlp("mlp_n", d_n)
-    mlp("mlp_s", d_s)
 
     def positions(name: str, count: int) -> None:
         params[name] = Tensor(rng.normal(0.0, 0.02, size=(count, d)).astype(dtype), True)
 
     positions("pos_v", config.max_frames)
     positions("pos_n", config.max_narrations)
-    positions("pos_s", config.max_steps)
 
     for i in range(config.num_layers):
         layernorm(f"layers.{i}.ln1")
@@ -133,17 +136,6 @@ def detach_params(params: Mapping[str, Tensor]) -> dict[str, Tensor]:
     return {k: v.detach() for k, v in params.items()}
 
 
-def steps_as_narrations(params: Mapping[str, Tensor]) -> dict[str, Tensor]:
-    """The teacher's view of params: the step MLP and positional table are the
-    narration ones, the same Tensors, which then take all of their gradient."""
-    if params["mlp_s.l1.w"].shape != params["mlp_n.l1.w"].shape:
-        raise ModelError("steps_as_narrations needs matching text feature dims")
-    view = dict(params, pos_s=params["pos_n"])
-    for key in ("l1.w", "l1.b", "l2.w", "l2.b"):
-        view[f"mlp_s.{key}"] = params[f"mlp_n.{key}"]
-    return view
-
-
 # ---------------------------------------------------------------------------
 # forward pieces
 
@@ -162,14 +154,14 @@ def _layer_norm(params, name: str, x: Tensor) -> Tensor:
 
 
 _UNIMODAL = {"video": ("mlp_v", "pos_v"), "narration": ("mlp_n", "pos_n"),
-             "step": ("mlp_s", "pos_s")}
+             "step": ("mlp_n", "pos_n")}
 
 
 def unimodal_encode(params, x: Tensor, modality: str) -> Tensor:
     """MLP projection plus positional embedding for one modality.
 
-    x is (B, n, D_mod). Under steps_as_narrations(params), "step" reads the
-    narration MLP and table: that is how the teacher scores step texts.
+    x is (B, n, D_mod). "step" reads the narration MLP and table, so a step
+    and a narration with the same features and position encode identically.
     """
     if modality not in _UNIMODAL:
         raise ModelError(f"unknown modality {modality!r}")
@@ -310,9 +302,8 @@ def _encode(params, config: ModelConfig, batch: Batch,
 
 def forward_batch(params, config: ModelConfig, batch: Batch,
                   dropout_rng=None) -> BatchAlignments:
-    """Training entry point: a_nv and a_sv with graph attached. The teacher
-    runs on steps_as_narrations(params). dropout_rng, when given, turns on
-    train-mode dropout inside the joint transformer.
+    """Training entry point: a_nv and a_sv with graph attached. dropout_rng,
+    when given, turns on train-mode dropout inside the joint transformer.
     """
     z_v, z_n, z_s = _encode(params, config, batch, dropout_rng)
     return BatchAlignments(cosine_alignment(z_n, z_v), cosine_alignment(z_s, z_v))
@@ -322,8 +313,7 @@ def forward(params, config: ModelConfig, batch: Batch) -> list[AlignmentSet]:
     """Inference entry point: all five heads, detached, per video, trimmed.
 
     Videos with no usable narrations get a_snv = 0 and a_fused = a_sv: the
-    indirect pathway has nothing to route through there. To score steps as
-    the teacher does, pass steps_as_narrations(params).
+    indirect pathway has nothing to route through there.
     """
     z_v, z_n, z_s = _encode(detach_params(params), config, batch)
     a_nv = cosine_alignment(z_n, z_v)

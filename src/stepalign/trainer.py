@@ -1,8 +1,9 @@
 """Optimization loop with the teacher-student labeling curriculum.
 
-Stage 0 trains a model on narration supervision alone, encoding article steps
-through the narration pathway so the finished model can score steps zero-shot.
-That model labels the corpus once and warm-starts the student.
+Stage 0 trains the model on narration supervision alone (lambda_sv = 0).
+Article steps always go through the narration MLP and positional table, so
+the finished teacher scores steps zero-shot. It labels the corpus once and
+warm-starts the student, which is the same model trained further.
 
 The main stage trains with both loss terms, every epoch on those labels. The
 paper refines the labels with the student's own scores; here such refresh
@@ -26,7 +27,7 @@ from .corpus.batching import LabelSource, batch_iter, video_slices
 from .corpus.records import Corpus
 from .encoder import (ModelConfig, ModelError, forward, forward_batch,
                       init_params, load_checkpoint, params_from_arrays,
-                      save_checkpoint, steps_as_narrations)
+                      save_checkpoint)
 from .evalkit import EvalError, MetricReport, evaluate_video, merge_reports
 from .objective import LossConfig, gradients, total_loss
 from .pseudolabel import PseudoConfig, PseudoLabelSet, generate_pseudolabels
@@ -137,7 +138,6 @@ def adamw_step(params: Mapping[str, Tensor], grads: Mapping[str, np.ndarray],
 @dataclass
 class TrainResult:
     params: dict[str, Tensor]
-    model_config: ModelConfig
     opt_state: Optional[OptimizerState]
     labels: Optional[PseudoLabelSet]
     history: list[dict] = field(default_factory=list)
@@ -179,12 +179,11 @@ def evaluate_corpus(params, model_config: ModelConfig, corpus: Corpus,
     return per_video
 
 
-def _run_epoch(params, model_params, model_config, corpus, train_cfg: TrainConfig,
+def _run_epoch(params, model_config, corpus, train_cfg: TrainConfig,
                loss_cfg: LossConfig, state: OptimizerState, total_steps: int,
                shuffle_seed: int, label_source: LabelSource,
                pseudo_store: Optional[PseudoLabelSet], assignment,
                where: str) -> dict[str, float]:
-    """One pass: the model runs on model_params, the update goes to params."""
     reports, norms, lr_last = [], [], 0.0
     # one dropout stream per epoch, separate key from the shuffle stream;
     # batch order is fixed by shuffle_seed, so consumption is reproducible
@@ -193,7 +192,7 @@ def _run_epoch(params, model_params, model_config, corpus, train_cfg: TrainConfi
     for batch in batch_iter(corpus, train_cfg.batch_size, train_cfg.max_frames,
                             shuffle_seed, label_source,
                             assignment=assignment, pseudo_store=pseudo_store):
-        alignments = forward_batch(model_params, model_config, batch,
+        alignments = forward_batch(params, model_config, batch,
                                    dropout_rng=drop_rng)
         loss, report = total_loss(alignments, batch, loss_cfg)
         if not math.isfinite(report.total):
@@ -246,11 +245,9 @@ def _check_corpora(corpus: Corpus, eval_corpus: Optional[Corpus],
                    assignment: Optional[Mapping[str, str]]) -> None:
     """Reject corpora that the model or the curriculum cannot run on, so
     that a run fails before its first epoch, not in it."""
-    # the teacher and its labels score steps as narrations
-    for what, c, tasks, crop, max_steps in (
-            ("corpus", corpus, assignment, train_cfg.max_frames,
-             min(mc.max_steps, mc.max_narrations)),
-            ("eval corpus", eval_corpus, None, mc.max_frames, mc.max_steps)):
+    for what, c, tasks, crop in (
+            ("corpus", corpus, assignment, train_cfg.max_frames),
+            ("eval corpus", eval_corpus, None, mc.max_frames)):
         if c is None:
             continue
         if tuple(c.dims) != tuple(mc.feature_dims):
@@ -262,14 +259,11 @@ def _check_corpora(corpus: Corpus, eval_corpus: Optional[Corpus],
             for name, count, size in (
                     ("frame", t, mc.max_frames),
                     ("narration", len(kept), mc.max_narrations),
-                    ("step", article.num_steps if article else 0, max_steps)):
+                    ("step", article.num_steps if article else 0,
+                     mc.max_narrations)):
                 if count > size:
                     raise ModelError(f"{what} video {v.id}: {name} count {count} "
                                      f"exceeds positional table size {size}")
-    _, d_n, d_s = corpus.dims
-    if d_n != d_s:
-        raise ModelError(f"the teacher needs equal narration and step dims, "
-                         f"corpus has {d_n} and {d_s}")
     if eval_corpus is not None:
         if not any(v.gt_step_segments for v in eval_corpus.videos):
             raise EvalError("eval corpus carries no step ground truth to score against")
@@ -304,7 +298,6 @@ def train(corpus: Corpus, model_config: ModelConfig, train_cfg: TrainConfig,
     if train_cfg.epochs == 0:
         # a zero-epoch run is a no-op by contract: fresh params, nothing logged
         return TrainResult(params=init_params(model_config, train_cfg.seed),
-                           model_config=model_config,
                            opt_state=None, labels=None, history=[])
     _check_corpora(corpus, eval_corpus, model_config, train_cfg, assignment)
 
@@ -366,8 +359,8 @@ def train(corpus: Corpus, model_config: ModelConfig, train_cfg: TrainConfig,
             log_path.write_bytes(b"")
             for stale in (workdir / "pseudo").glob("*.jsonl"):
                 stale.unlink()
-        # stage 0: narration-only teacher, steps scored through the
-        # narration pathway so labeling works without a trained step encoder
+        # stage 0: narration-only teacher; steps share the narration
+        # encoder, so labeling works without step supervision
         params = init_params(model_config, train_cfg.seed)
         if train_cfg.teacher_pre_epochs > 0:
             pre_state = OptimizerState.fresh(params)
@@ -375,17 +368,16 @@ def train(corpus: Corpus, model_config: ModelConfig, train_cfg: TrainConfig,
             pre_cfg = replace(train_cfg, base_lr=train_cfg.resolved_teacher_lr())
             nv_only = replace(loss_cfg, lambda_sv=0.0)
             for epoch in range(train_cfg.teacher_pre_epochs):
-                stats = _run_epoch(params, steps_as_narrations(params),
-                                   model_config, corpus, pre_cfg,
+                stats = _run_epoch(params, model_config, corpus, pre_cfg,
                                    nv_only, pre_state, pre_total,
                                    _mix_seed(train_cfg.seed, 0, epoch),
                                    LabelSource.ASR_TIMESTAMPS, None,
                                    assignment, f"teacher epoch {epoch}")
                 emit({"stage": "teacher", "epoch": epoch, **stats})
             del pre_state  # the main stage keeps only its own moments
-        # the teacher labels every step row once, through the tied view
+        # the teacher labels every step row once
         labels = label_corpus(
-            steps_as_narrations(params), model_config, corpus, pseudo_cfg,
+            params, model_config, corpus, pseudo_cfg,
             batch_size=train_cfg.batch_size, max_frames=train_cfg.max_frames,
             assignment=assignment, meta={"epoch": 0})
         if workdir is not None:
@@ -393,7 +385,7 @@ def train(corpus: Corpus, model_config: ModelConfig, train_cfg: TrainConfig,
         state = OptimizerState.fresh(params)
 
     for epoch in range(start_epoch, train_cfg.epochs):
-        stats = _run_epoch(params, params, model_config, corpus, train_cfg,
+        stats = _run_epoch(params, model_config, corpus, train_cfg,
                            loss_cfg, state, main_total,
                            _mix_seed(train_cfg.seed, 1, epoch),
                            LabelSource.PROVIDED_PSEUDO, labels, assignment,
@@ -415,8 +407,7 @@ def train(corpus: Corpus, model_config: ModelConfig, train_cfg: TrainConfig,
                 "log_bytes": log_path.stat().st_size,
             })
 
-    return TrainResult(params=params, model_config=model_config,
-                       opt_state=state, labels=labels, history=history)
+    return TrainResult(params=params, opt_state=state, labels=labels, history=history)
 
 
 def _save_train_checkpoint(path: Path, params, state: OptimizerState,

@@ -93,3 +93,47 @@ def test_training_bits_do_not_depend_on_the_blas_thread_count(tmp_path):
         [run] = json.loads((tmp_path / f"ABLATE_{threads}.json").read_text())["runs"]
         digests[threads] = run["digests"]
     assert digests["1"] == digests["2"]
+
+
+def test_importing_ablate_leaves_the_environment_unchanged():
+    # Tier-1 imports ablate during collection, so a variable set at import
+    # would reach every subprocess a later test starts
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    code = ("import os, sys; sys.path.insert(0, sys.argv[1]); "
+            "before = dict(os.environ); import ablate; "
+            "print(dict(os.environ) == before)")
+    out = subprocess.run([sys.executable, "-c", code, str(SCRIPT.parent)], env=env,
+                         check=True, capture_output=True, text=True).stdout
+    assert out.strip() == "True"
+
+
+def test_ablate_main_pins_its_workers_to_one_blas_thread_and_restores_the_environment(
+        tmp_path, monkeypatch):
+    for var in ablate.BLAS_THREADS:
+        monkeypatch.delenv(var, raising=False)
+    monkeypatch.setenv("OMP_NUM_THREADS", "2")  # a count the caller set stays
+    seen = {}
+
+    class Pool:
+        def __init__(self, *args, **kwargs):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, *args):
+            seen.update({var: os.environ.get(var) for var in ablate.BLAS_THREADS})
+            raise RuntimeError("no training here")
+
+    monkeypatch.setattr(ablate, "ProcessPoolExecutor", Pool)
+    monkeypatch.chdir(tmp_path)
+    before = dict(os.environ)
+    with pytest.raises(RuntimeError, match="no training"):
+        ablate.main(["0"])
+    assert seen == {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "2",
+                    "MKL_NUM_THREADS": "1"}
+    assert dict(os.environ) == before

@@ -798,7 +798,7 @@ def test_training_with_the_mlp_node_matches_the_composed_chain(tmp_path, monkeyp
         frames_range=(24, 40), seed=3))
     mc = ModelConfig(feature_dims=corpus.dims, model_dim=16, num_layers=1,
                      num_heads=2, mlp_hidden=12, ffn_dim=24, max_frames=40,
-                     max_narrations=8, max_steps=4, dropout=0.1)
+                     max_narrations=8, dropout=0.1)
     cfg = TrainConfig(epochs=1, batch_size=4, teacher_pre_epochs=1,
                       max_frames=40, seed=2)
     pseudo = PseudoConfig()

@@ -83,8 +83,8 @@ def test_tracer_counts_every_matmul_of_a_training_step():
     # every matmul of the model must stay a Tensor matmul, so that the
     # benchmark's FLOP count holds. The attention node multiplies one video
     # at a time, q @ k^T and p @ v per row, so a layer counts 2 * B products,
-    # and so does each of the four MLPs (mlp_v, mlp_n, mlp_s and the FFN),
-    # x @ w1 and act @ w2 per row; q, k, v, o and the two cosine heads the
+    # and so does each of the four MLP calls (mlp_v, mlp_n on narrations,
+    # mlp_n on steps and the FFN), x @ w1 and act @ w2 per row; q, k, v, o and the two cosine heads the
     # loss reads (a_nv, a_sv) are one product each: 26 here at B = 2 and
     # 1 layer.
     # The tracer counts every op result as a node, these constant products
@@ -96,7 +96,7 @@ def test_tracer_counts_every_matmul_of_a_training_step():
         dims=(6, 4, 4), latent_dim=4, background_dim=2, seed=1))
     mc = ModelConfig(feature_dims=corpus.dims, model_dim=8, num_layers=1,
                      num_heads=2, mlp_hidden=8, ffn_dim=16, max_frames=16,
-                     max_narrations=8, max_steps=4)
+                     max_narrations=8)
     params = init_params(mc, 1)
     batch = next(batch_iter(corpus, 2, 16, 1, LabelSource.ASR_TIMESTAMPS))
     tracer = _load_tracer()

@@ -33,7 +33,7 @@ TINY_CONFIG = {
     },
     "model": {
         "model_dim": 16, "num_layers": 1, "num_heads": 2, "mlp_hidden": 16,
-        "ffn_dim": 32, "max_frames": 64, "max_narrations": 8, "max_steps": 4,
+        "ffn_dim": 32, "max_frames": 64, "max_narrations": 8,
         "dropout": 0.0,
     },
     "train": {
@@ -224,16 +224,17 @@ def test_train_checks_the_eval_corpus_before_its_first_epoch(tmp_path, ws, capsy
 
 
 def test_train_rejects_a_corpus_too_long_for_the_step_table(tmp_path, ws, capsys):
-    # 18 steps fit the 32-row narration table the teacher encodes steps with,
-    # not the 16-row step table: the run used to fail at its first main
-    # epoch, after it had emptied the log of the run in its workdir, deleted
-    # that run's labels and written its own run_config.json
+    # 18 steps do not fit the 16-row text table that steps share with
+    # narrations: a run that failed in an epoch used to have emptied the log
+    # of the run in its workdir, deleted that run's labels and written its
+    # own run_config.json
     cfg = tmp_path / "long.json"
     cfg.write_text(json.dumps({
         "corpus": {"num_tasks": 2, "videos_per_task": 3,
                    "steps_per_task": [18, 18], "frames_range": [40, 48],
                    "seed": 1},
-        "model": {"model_dim": 16, "num_layers": 1, "num_heads": 2},
+        "model": {"model_dim": 16, "num_layers": 1, "num_heads": 2,
+                  "max_narrations": 16},
         "train": {"epochs": 2, "teacher_pre_epochs": 1}}))
     corpus = tmp_path / "corpus"
     assert main(["generate", "--out", str(corpus), "--config", str(cfg)]) == 0
@@ -426,6 +427,37 @@ def test_checkpoint_with_an_unknown_model_key_is_protocol_error(ws, tmp_path, ca
                   "--out", str(tmp_path / "out")]):
         assert main(argv + ["--checkpoint", str(ckpt)]) == 3
         assert "pe_for_steps" in capsys.readouterr().err
+
+
+def test_a_config_or_checkpoint_naming_max_steps_is_refused(ws, tmp_path, capsys):
+    # steps share the narration encoder now; a checkpoint written before,
+    # with its own step MLP and step table, must not load with them swapped
+    from stepalign.encoder import load_checkpoint, save_checkpoint
+    workdir = tmp_path / "run"
+    shutil.copytree(ws.workdir, workdir)
+    ckpt = workdir / "last.ckpt"
+    arrays, meta = load_checkpoint(ckpt)
+    meta["model_config"]["max_steps"] = 4
+    arrays.update({k.replace("mlp_n.", "mlp_s."): v for k, v in arrays.items()
+                   if k.startswith("mlp_n.")})
+    arrays["pos_s"] = arrays["pos_n"][:4]
+    save_checkpoint(ckpt, arrays, meta=meta)
+    assert main(["train", "--corpus", str(ws.corpus), "--workdir", str(workdir),
+                 "--config", str(ws.config), "--seed", "5", "--resume"]) == 1
+    assert "model_config.max_steps 4 != None" in capsys.readouterr().err
+    video = json.loads((ws.corpus / "manifest.json").read_text())["videos"][0]["id"]
+    for argv in (["eval", "--corpus", str(ws.corpus)],
+                 ["infer", "--corpus", str(ws.corpus), "--video", video,
+                  "--out", str(tmp_path / "out")]):
+        assert main(argv + ["--checkpoint", str(ckpt)]) == 3
+        assert "unknown keys ['max_steps']" in capsys.readouterr().err
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps(
+        {**TINY_CONFIG, "model": {**TINY_CONFIG["model"], "max_steps": 4}}))
+    assert main(["train", "--corpus", str(ws.corpus), "--workdir",
+                 str(tmp_path / "fresh"), "--config", str(old)]) == 2
+    assert "unknown keys ['max_steps']" in capsys.readouterr().err
+    assert not (tmp_path / "fresh").exists()
 
 
 def test_checkpoint_with_a_wrong_typed_model_value_is_protocol_error(ws, tmp_path,

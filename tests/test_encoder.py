@@ -16,8 +16,7 @@ from stepalign.encoder import (COSINE_EPS, LAYERNORM_EPS, MASK_FILL,
                                indirect_alignment, init_params,
                                load_checkpoint, multimodal_encode,
                                params_from_arrays, save_checkpoint,
-                               steps_as_narrations, unimodal_encode)
-from stepalign.objective import LossConfig, gradients, total_loss
+                               unimodal_encode)
 
 from conftest import make_article, make_video, one_batch
 
@@ -29,7 +28,7 @@ def np_gelu(x):
 def tiny_config(**kw):
     base = dict(feature_dims=(4, 3, 3), model_dim=8, num_layers=1, num_heads=2,
                 mlp_hidden=6, ffn_dim=12, max_frames=16, max_narrations=4,
-                max_steps=4, dropout=0.0)
+                dropout=0.0)
     base.update(kw)
     return ModelConfig(**base)
 
@@ -82,19 +81,18 @@ def test_unimodal_matches_straight_line_reevaluation():
 
 
 def test_step_pathway_flags():
-    # steps always take their own MLP and positional table, so step texts
-    # may be wider than narrations and their order is always encoded
-    cfg = tiny_config(feature_dims=(4, 3, 5))
+    # steps always take the narration MLP and positional table, so their
+    # order is always encoded, in a table of max_narrations rows
+    cfg = tiny_config()
     params = init_params(cfg, seed=0)
-    assert params["pos_s"].shape == (cfg.max_steps, cfg.model_dim)
-    x = np.random.default_rng(0).normal(size=(1, 2, 5)).astype(np.float32)
+    x = np.random.default_rng(0).normal(size=(1, 2, 3)).astype(np.float32)
     h = unimodal_encode(params, Tensor(x), "step").data
-    w1, b1 = params["mlp_s.l1.w"].data, params["mlp_s.l1.b"].data
-    w2, b2 = params["mlp_s.l2.w"].data, params["mlp_s.l2.b"].data
+    w1, b1 = params["mlp_n.l1.w"].data, params["mlp_n.l1.b"].data
+    w2, b2 = params["mlp_n.l2.w"].data, params["mlp_n.l2.b"].data
     np.testing.assert_allclose(
-        h, np_gelu(x @ w1 + b1) @ w2 + b2 + params["pos_s"].data[:2], rtol=1e-5)
-    with pytest.raises(ModelError, match="positional table"):
-        unimodal_encode(params, Tensor(np.zeros((1, 5, 5))), "step")
+        h, np_gelu(x @ w1 + b1) @ w2 + b2 + params["pos_n"].data[:2], rtol=1e-5)
+    with pytest.raises(ModelError, match="positional table size 4"):
+        unimodal_encode(params, Tensor(np.zeros((1, 5, 3))), "step")
     # the switches that turned either off are gone from the config file too
     for removed in ("pe_for_steps", "separate_text_mlp"):
         with pytest.raises(ConfigError, match=removed):
@@ -393,7 +391,18 @@ def test_batching_invariance():
                                        getattr(ref, field), atol=1e-6)
 
 
-def test_steps_as_narrations_pathway():
+def test_a_step_and_a_narration_with_the_same_features_encode_identically():
+    # one text encoder: the parameters hold no step MLP or step table
+    cfg = tiny_config()
+    params = init_params(cfg, seed=3)
+    assert sorted(k for k in params if k.startswith(("mlp_", "pos_"))) == [
+        "mlp_n.l1.b", "mlp_n.l1.w", "mlp_n.l2.b", "mlp_n.l2.w",
+        "mlp_v.l1.b", "mlp_v.l1.w", "mlp_v.l2.b", "mlp_v.l2.w", "pos_n", "pos_v"]
+    x = Tensor(np.random.default_rng(12).normal(size=(2, 3, 3)).astype(np.float32))
+    assert np.array_equal(unimodal_encode(params, x, "step").data,
+                          unimodal_encode(params, x, "narration").data)
+    # and, through the joint transformer, a step row lands on the narration
+    # row with its features and position
     rng = np.random.default_rng(13)
     feats = rng.normal(size=(2, 3)).astype(np.float32)
     from stepalign.corpus import Article, VideoRecord
@@ -404,47 +413,20 @@ def test_steps_as_narrations_pathway():
                         narration_spans=(Segment(0, 2), Segment(3, 5)),
                         task_id="taskA")
     corpus = Corpus((video,), {"taskA": art}, (4, 3, 3))
-    cfg = tiny_config()
-    params = init_params(cfg, seed=3)
-    batch = one_batch(corpus)
-    mirrored = forward(steps_as_narrations(params), cfg, batch)[0]
-    # identical features through the same pathway land on the same embeddings
+    mirrored = forward(params, cfg, one_batch(corpus))[0]
     assert np.all(np.diag(mirrored.a_sn) > 0.999)
-    separate = forward(params, cfg, batch)[0]
-    assert not np.all(np.diag(separate.a_sn) > 0.999)
 
 
-def test_steps_as_narrations_requires_matching_dims():
+def test_model_config_requires_equal_text_dims():
+    # steps go through the narration MLP, so the widths must match; the
+    # config says so before any parameter or corpus is touched
     cfg = tiny_config(feature_dims=(4, 3, 5))
-    params = init_params(cfg, seed=0)
-    rng = np.random.default_rng(14)
-    from stepalign.corpus import Article
-    art = Article("taskA", "t", ("s",), rng.normal(size=(1, 5)).astype(np.float32))
-    video = make_video("v", rng.normal(size=(4, 4)), [], task_id="taskA")
-    corpus = Corpus((video,), {"taskA": art}, (4, 3, 5))
-    with pytest.raises(ModelError, match="matching text"):
-        forward(steps_as_narrations(params), cfg, one_batch(corpus))
-
-
-def test_teacher_step_leaves_the_step_encoder_at_zero_gradient():
-    # the teacher's view shares the narration MLP and table, so a teacher
-    # step trains those and gives the step MLP and table exactly zero
-    cfg = tiny_config()
-    params = init_params(cfg, seed=6)
-    view = steps_as_narrations(params)
-    step_keys = [k for k in params if k.startswith("mlp_s.")] + ["pos_s"]
-    assert len(step_keys) == 5
-    for k in step_keys:
-        assert view[k] is params[k.replace("mlp_s.", "mlp_n.").replace("pos_s", "pos_n")]
-    assert all(view[k] is params[k] for k in params if k not in step_keys)
-    batch = one_batch(_two_task_corpus())
-    loss, _ = total_loss(forward_batch(view, cfg, batch,
-                                       dropout_rng=np.random.default_rng(6)),
-                         batch, LossConfig(lambda_sv=0.0))
-    grads = gradients(loss, params)
-    for k in step_keys:
-        assert grads[k].dtype == params[k].data.dtype and not grads[k].any(), k
-    assert grads["mlp_n.l1.w"].any() and grads["pos_n"].any()
+    with pytest.raises(ModelError, match="equal narration and step dims, got 3 and 5"):
+        cfg.validate()
+    with pytest.raises(ModelError, match="equal narration and step dims"):
+        init_params(cfg, seed=0)
+    with pytest.raises(ConfigError, match="equal narration and step dims"):
+        run_config_from_dict({"model": {"feature_dims": [4, 3, 5]}})
 
 
 def test_dropout_only_active_with_generator():

@@ -163,7 +163,7 @@ def _training_batch():
 def _model(seed=0):
     cfg = ModelConfig(feature_dims=(4, 3, 3), model_dim=8, num_layers=1,
                       num_heads=2, mlp_hidden=6, ffn_dim=12, max_frames=16,
-                      max_narrations=4, max_steps=4, dropout=0.0)
+                      max_narrations=4, dropout=0.0)
     return cfg, init_params(cfg, seed)
 
 
@@ -231,7 +231,7 @@ def test_gradients_fill_zeros_for_unreached_parameters():
     assert set(grads) == set(params)
     assert np.any(grads["mlp_v.l1.w"] != 0)
     assert np.all(grads["mlp_n.l1.w"] == 0)
-    assert np.all(grads["pos_s"] == 0)
+    assert np.all(grads["pos_v"] == 0)
 
 
 def test_gradient_sign_at_positive_position():

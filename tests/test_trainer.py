@@ -131,8 +131,7 @@ def tiny_corpus(seed=7):
 def tiny_model(dims):
     return ModelConfig(feature_dims=dims, model_dim=16, num_layers=1,
                        num_heads=2, mlp_hidden=16, ffn_dim=32,
-                       max_frames=64, max_narrations=8, max_steps=4,
-                       dropout=0.0)
+                       max_frames=64, max_narrations=8, dropout=0.0)
 
 
 def tiny_train_cfg(**kw):
@@ -395,12 +394,11 @@ def test_resume_names_a_field_only_the_checkpoint_has(tmp_path):
     cfg = tiny_train_cfg(epochs=2, teacher_pre_epochs=1)
     pcfg = PseudoConfig()
     train(corpus, mc, cfg, LossConfig(), pcfg, workdir=tmp_path)
-    # as saved by a model that could leave out the step positional table
+    # as saved by a version with a switch for the step positional table
     ckpt = tmp_path / "last.ckpt"
     arrays, meta = load_checkpoint(ckpt)
     meta["model_config"]["pe_for_steps"] = False
-    save_checkpoint(ckpt, {k: v for k, v in arrays.items()
-                           if not k.endswith("pos_s")}, meta=meta)
+    save_checkpoint(ckpt, arrays, meta=meta)
     with pytest.raises(TrainError, match="model_config.pe_for_steps False != None"):
         train(corpus, mc, cfg, LossConfig(), pcfg, workdir=tmp_path, resume=True)
     # eval and infer refuse it too, as an artifact mismatch
@@ -436,9 +434,9 @@ def test_resume_refuses_another_corpus_or_task_assignment(tmp_path, monkeypatch)
 
 
 def test_unequal_text_widths_fail_before_the_first_epoch(tmp_path):
-    # the teacher scores steps as narrations, so the two widths must match:
-    # the generator refuses other dims, and train() refuses such a corpus
-    # before it writes anything, instead of at the first teacher batch
+    # steps are encoded as narrations, so the two widths must match: the
+    # generator refuses other dims, and the model config refuses them, so
+    # train() writes nothing, instead of failing at the first teacher batch
     with pytest.raises(CorpusError, match="narration and step dims"):
         SynthConfig(dims=(48, 32, 24)).validate()
     corpus = tiny_corpus()
@@ -456,28 +454,29 @@ def test_unequal_text_widths_fail_before_the_first_epoch(tmp_path):
 @pytest.mark.parametrize("table", ["frame", "narration", "step", "teacher step",
                                    "eval step"])
 def test_positional_table_overflow_fails_before_the_first_epoch(tmp_path, table):
-    # the teacher encodes steps with the narration table, so an article too
-    # long for the step table used to fail only at the first main epoch,
-    # after the teacher stage had emptied the log and written its labels
+    # steps are encoded with the narration table, max_narrations rows; an
+    # article too long for it used to fail only in an epoch, after the log
+    # had been emptied
     corpus = tiny_corpus()
     mc, eval_corpus = tiny_model(corpus.dims), None
+    # 9 steps overflow the 8-row table that the videos' narrations fit
+    tripled = {t: replace(a, step_texts=a.step_texts * 3,
+                          step_features=np.vstack([a.step_features] * 3))
+               for t, a in corpus.articles.items()}
     if table == "frame":  # 32-64 frames, cropped at train.max_frames 64
         mc = replace(mc, max_frames=40)
     elif table == "narration":
         mc = replace(mc, max_narrations=1)
-    elif table == "step":  # 3 steps per article
-        mc = replace(mc, max_steps=2)
-    elif table == "teacher step":  # 3 steps fit max_steps 4, not this table
+    elif table == "step":
+        corpus = Corpus(corpus.videos, tripled, corpus.dims)
+    elif table == "teacher step":  # without narrations, 3 steps overflow 2 rows
         mc = replace(mc, max_narrations=2)
         corpus = Corpus(tuple(replace(v, narration_texts=(), narration_spans=(),
                                       narration_features=np.zeros((0, corpus.dims[1])),
                                       gt_narration_steps=None)
                               for v in corpus.videos), corpus.articles, corpus.dims)
     else:
-        doubled = {t: replace(a, step_texts=a.step_texts * 2,
-                              step_features=np.vstack([a.step_features] * 2))
-                   for t, a in corpus.articles.items()}
-        eval_corpus = Corpus(corpus.videos, doubled, corpus.dims)
+        eval_corpus = Corpus(corpus.videos, tripled, corpus.dims)
     with pytest.raises(ModelError, match=f"{table.split()[-1]} count .* exceeds "
                                          f"positional table size") as exc:
         train(corpus, mc, tiny_train_cfg(), LossConfig(),
