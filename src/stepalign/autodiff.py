@@ -23,8 +23,7 @@ add of a negation), matmul, shape ops and the few pointwise functions the
 model needs. A chain of generic ops becomes one fused node only where the
 chain would keep more arrays in the graph than the node does; x @ w + b, for
 one, keeps x and w either way, so it stays two generic nodes. Four fused
-nodes stand in for chains of generic ones, each matching its chain bit for
-bit and keeping less of it alive:
+nodes stand in for chains of generic ones and keep less of them alive:
 
     mlp(x, w1, b1, w2, b2) gelu(x @ w1 + b1) @ w2 + b2 with the exact GELU;
                           keeps x and the weights, not the hidden layer;
@@ -35,8 +34,9 @@ bit and keeping less of it alive:
                           output and its slope; erf is _erf, this module's
                           port of Cephes' erf, in float64, and the CDF is
                           rounded to the hidden layer's dtype once
-    layer_norm(x, g, b)   keeps x, g and the row means and deviations,
-                          (..., 1), and recomputes x - mean in backward
+    layer_norm(x, g, b)   keeps x, g, the row means and 1 / sqrt(var + eps),
+                          (..., 1), and recomputes the normalised x in
+                          backward
     attention(q, k, v, ..) softmax(q @ k^T * scale + bias) @ v with the heads
                           merged; keeps only q, k and v and recomputes the
                           scores and their exponentials in backward; both
@@ -44,6 +44,12 @@ bit and keeping less of it alive:
                           so no (B, H, n, n) array exists at any time
     dropout(x, keep, rate) x * keep / (1 - rate); keeps the bool mask and
                           rebuilds the scaled mask in backward
+
+One contract for them: each fused node computes its expression and its
+gradients in closed form, in its operands' dtype. Each is checked by finite
+differences and against a reference: the same chain of generic ops run in
+float64, at a stated tolerance, or, for mlp and dropout, whose closed forms
+are the chain's own arithmetic, that chain in the operands' dtype, exactly.
 
 One dtype policy: an op's result takes its operands' dtype, and a Python or
 NumPy scalar operand is weak, as NumPy's NEP 50 makes a Python scalar: it
@@ -379,41 +385,36 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
 def layer_norm(x: Tensor, g: Tensor, b: Tensor, eps: float) -> Tensor:
     """(x - mean) / sqrt(var + eps) * g + b over the last axis, as one node.
 
-    The node keeps only the row means and deviations, shape (..., 1), x and
-    g, and recomputes x - mean in backward. Both directions repeat the
-    arithmetic of the composed generic ops (x.mean, x - mu, c * c, .mean,
-    + eps, .sqrt, /, * g, + b) in the same order, with the dtype casts of
-    their nodes, and x receives two accumulations, the centred term first
-    and the mean term second, as from the subtraction and the sum node. So
-    outputs and gradients match those ops bit for bit.
+    The node keeps x, g, the row means and inv = 1 / sqrt(var + eps), shape
+    (..., 1). Backward forms x_hat = (x - mean) * inv from them, and the
+    closed-form gradients of layer normalisation (Ba et al., 2016): with
+    g_y the output gradient times g, x's is
+    inv * (g_y - mean(g_y) - x_hat * mean(g_y * x_hat)), the means over the
+    last axis.
     """
     x, g, b = as_tensor(x), as_tensor(g), as_tensor(b)
-    # the 0-d constants Tensor.mean and Tensor.__add__ make of Python floats,
-    # in x's dtype, so every intermediate keeps x's dtype
-    count = np.asarray(float(x.shape[-1]), x.dtype)
-    eps = np.asarray(eps, x.dtype)
-    mu = x.data.sum(axis=-1, keepdims=True) / count
+    mu = x.data.mean(axis=-1, keepdims=True)
     centered = x.data - mu
-    var = (centered * centered).sum(axis=-1, keepdims=True) / count
-    sd = np.sqrt(var + eps)
-    out = centered / sd * g.data + b.data
+    inv = 1.0 / np.sqrt(np.square(centered).mean(axis=-1, keepdims=True) + eps)
+    centered *= inv
+    out = centered * g.data + b.data
+    del centered
     nx, ng, nb = x.node, g.node, b.node
     x_data, g_data, g_shape, b_shape = x.data, g.data, g.shape, b.shape
 
     def back(grad):
         _accum(nb, _unbroadcast(grad, b_shape))
-        c = x_data - mu
-        normed = c / sd
-        g_scaled = grad.astype(np.result_type(normed, g_data.dtype), copy=False)
-        _accum(ng, _unbroadcast(g_scaled * normed, g_shape))
-        g_normed = (g_scaled * g_data).astype(mu.dtype, copy=False)
-        g_sd = _unbroadcast(-g_normed * c / (sd ** 2), sd.shape)
-        g_sq = np.broadcast_to(g_sd * 0.5 / sd / count, c.shape)
-        # c's gradient: the division's term, then both operands of c * c
-        g_c = g_normed / sd + g_sq * c + g_sq * c
-        _accum(nx, g_c)
-        g_sum = (_unbroadcast(-g_c, mu.shape) / count).astype(x_data.dtype, copy=False)
-        _accum(nx, np.broadcast_to(g_sum, x_data.shape))
+        x_hat = x_data - mu
+        x_hat *= inv
+        _accum(ng, _unbroadcast(grad * x_hat, g_shape))
+        if nx is not None:
+            g_y = grad * g_data
+            g_x = g_y - g_y.mean(axis=-1, keepdims=True)
+            g_y *= x_hat
+            x_hat *= g_y.mean(axis=-1, keepdims=True)
+            g_x -= x_hat
+            g_x *= inv
+            nx._accum(g_x)
     return Tensor._result(out, (x, g, b), back)
 
 
@@ -515,14 +516,12 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     and reads it twice: for the GELU output, h * cdf, which w2's gradient is
     formed from, and for the GELU slope, cdf + h * pdf. The CDF is computed
     in float64, by _erf, and rounded to h's dtype once; the GELU, its slope
-    and everything after them keep h's dtype. x's gradient is
-    filled row by row; the gradients of w1, w2 and b1 are summed over the
-    rows one after another, the order in which numpy sums a batch axis.
-    Both directions evaluate the expressions of the composed chain (x @ w1
-    + b1, a GELU node that keeps h and its rounded CDF, @ w2 + b2) in their
-    order and dtypes, with the casts of the nodes in between, so the results
-    match it bit for bit. The forward products go through Tensor.__matmul__ on constants, so
-    they count as matmuls, two per row.
+    and everything after them keep h's dtype. x's gradient is filled row by
+    row; the gradients of w1, w2 and b1 are summed over the rows one after
+    another, the order in which numpy sums a batch axis. So both directions
+    match the chain x @ w1 + b1, a GELU node that keeps h and its rounded
+    CDF, @ w2 + b2 bit for bit. The forward products go through
+    Tensor.__matmul__ on constants, so they count as matmuls, two per row.
     """
     x, w1, b1, w2, b2 = (as_tensor(t) for t in (x, w1, b1, w2, b2))
     x_data, w1_data, b1_data, w2_data = x.data, w1.data, b1.data, w2.data
@@ -534,24 +533,21 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
         y = (Tensor(act) @ Tensor(w2_data)).data
         if out is None:
             out = np.empty(x.shape[:1] + y.shape, np.result_type(y, b2.data))
-            h_dtype, y_dtype = h.dtype, y.dtype
-            product_dtype = np.result_type(x_data, w1_data)
         np.add(y, b2.data, out=out[i])
         del h, act, y  # one row's arrays go before the next row's are made
     nx, nw1, nb1, nw2, nb2 = x.node, w1.node, b1.node, w2.node, b2.node
     b1_shape, b2_shape = b1.shape, b2.shape
 
     def back(g):
-        g_y = g.astype(y_dtype, copy=False)
         _accum(nb2, _unbroadcast(g, b2_shape))
-        g_x = (np.empty(x_data.shape, np.result_type(product_dtype, w1_data))
-               if nx is not None else None)
-        g_w1 = g_w2 = g_b1 = None
+        g_x = np.empty(x_data.shape, x_data.dtype) if nx is not None else None
+        g_w1, g_w2 = np.zeros_like(w1_data), np.zeros_like(w2_data)
+        g_b1 = np.zeros(x_data.shape[1:2] + w1_data.shape[1:], w1_data.dtype)
         for i in range(x_data.shape[0]):
             h = x_data[i] @ w1_data + b1_data
             cdf = _normal_cdf(h).astype(h.dtype, copy=False)
             act = h * cdf
-            g_w2 = _row_sum(g_w2, act.swapaxes(-1, -2) @ g_y[i])
+            g_w2 += act.swapaxes(-1, -2) @ g[i]
             del act
             d = h ** 2
             d *= -0.5
@@ -560,28 +556,17 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
             d *= h
             d += cdf
             del cdf, h
-            d *= (g_y[i] @ w2_data.swapaxes(-1, -2)).astype(h_dtype, copy=False)
-            g_b1 = _row_sum(g_b1, d)  # d is now h's gradient
-            g_product = d.astype(product_dtype, copy=False)
-            del d
+            d *= g[i] @ w2_data.swapaxes(-1, -2)
+            g_b1 += d  # d is now h's gradient
             if g_x is not None:
-                np.matmul(g_product, w1_data.swapaxes(-1, -2), out=g_x[i])
-            g_w1 = _row_sum(g_w1, x_data[i].swapaxes(-1, -2) @ g_product)
-            del g_product
+                np.matmul(d, w1_data.swapaxes(-1, -2), out=g_x[i])
+            g_w1 += x_data[i].swapaxes(-1, -2) @ d
+            del d
         _accum(nw2, g_w2)
         _accum(nx, g_x)
         _accum(nw1, g_w1)
         _accum(nb1, _unbroadcast(g_b1, b1_shape))
     return Tensor._result(out, (x, w1, b1, w2, b2), back)
-
-
-def _row_sum(total: Optional[np.ndarray], row: np.ndarray) -> np.ndarray:
-    """total + row, in place in total from the second row on: the first row
-    becomes the total, so the caller must not read it after the next call."""
-    if total is None:
-        return row
-    total += row
-    return total
 
 
 def _softmax_exps(scores: np.ndarray, scale, bias):
@@ -597,23 +582,6 @@ def _softmax_exps(scores: np.ndarray, scale, bias):
     return z, z.sum(axis=-1, keepdims=True)
 
 
-def _softmax_grad(g: np.ndarray, e: np.ndarray, s: np.ndarray, scale) -> np.ndarray:
-    """Gradient of softmax(x * scale + bias) with respect to x, for
-    attention's backward, from g, that of the probabilities, and
-    _softmax_exps(x, scale, bias); the arithmetic of the composed ops'
-    backward (e / s, then x * scale) in their order, in place in one buffer
-    of g's shape. g and scale have e's dtype, and so does the result."""
-    ge = np.negative(g)
-    ge *= e
-    ge /= s ** 2
-    row_sums = ge.sum(axis=-1, keepdims=True)
-    np.divide(g, s, out=ge)
-    ge += row_sums
-    ge *= e
-    ge *= scale
-    return ge
-
-
 def attention(q: Tensor, k: Tensor, v: Tensor, scale, bias) -> Tensor:
     """Multi-head attention, softmax(q @ k^T * scale + bias) @ v, as one node.
 
@@ -624,22 +592,19 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale, bias) -> Tensor:
     al., 2022) works one tile at a time: a row's (H, n, n) scores are shifted,
     exponentiated and normalised in their own buffer, so no (B, H, n, n)
     array exists at any time. The node keeps only the arrays of q, k and v;
-    backward recomputes each row's scores and exponentials, fills full-size
-    q, k and v gradients row by row and accumulates each once, v then q then
-    k. The forward products go through Tensor.__matmul__ on constants, so
-    they count as matmuls, two per row.
-    Both directions repeat the arithmetic and dtype casts of the composed
-    chain of generic ops, so they match it bit for bit: s = q @
-    k.swapaxes(-1, -2), z = s * scale + bias, e = (z - z's row max).exp(),
-    p = e / e.sum(axis=-1, keepdims=True), then p @ v, .swapaxes(1, 2) and
-    .reshape.
+    backward recomputes each row's probabilities p, forms the scores'
+    gradient in closed form, g_s = p * (g_p - sum(g_p * p)) * scale over
+    each row of keys, g_p being that of p, then q's as g_s @ k and k's as
+    g_s^T @ q. It fills full-size q, k and v gradients row by row and
+    accumulates each once, v then q then k. The forward products go through
+    Tensor.__matmul__ on constants, so they count as matmuls, two per row.
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
     b, h, n, dh = q.shape
-    scores_dtype = np.result_type(q.dtype, k.dtype)
-    scale = np.asarray(scale, scores_dtype)  # 0-d, as the scores' Tensor * scale makes it
+    dtype = np.result_type(q.dtype, k.dtype, v.dtype)
+    scale = np.asarray(scale, dtype)  # 0-d, so a NumPy float64 scale stays weak
     bias = np.broadcast_to(bias, (b,) + np.shape(bias)[1:])  # a row per video
-    out = np.empty((b, n, h, dh), np.result_type(scores_dtype, v.dtype))
+    out = np.empty((b, n, h, dh), dtype)
     for i in range(b):
         p, total = _softmax_exps(
             (Tensor(q.data[i]) @ Tensor(k.data[i].swapaxes(-1, -2))).data,
@@ -653,24 +618,24 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale, bias) -> Tensor:
 
     def back(g):
         g_o = g.reshape(b, n, h, dh).swapaxes(1, 2)
-        # full-size gradients, filled row by row; k's is laid out as the
-        # batched (q^T @ g_s)^T was
-        g_v = np.empty(v_data.shape, np.result_type(scores_dtype, g.dtype))
-        g_q = np.empty(q_data.shape, np.result_type(scores_dtype, k_data.dtype))
-        g_kt = np.empty((b, h, dh, n), np.result_type(q_data.dtype, scores_dtype))
+        # full-size gradients, filled row by row
+        g_q, g_k, g_v = (np.empty(t.shape, t.dtype) for t in (q_data, k_data, v_data))
         for i in range(b):
-            e, s = _softmax_exps(q_data[i] @ k_data[i].swapaxes(-1, -2),
-                                 scale, bias[i])
-            np.matmul((e / s).swapaxes(-1, -2), g_o[i], out=g_v[i])
-            g_p = (g_o[i] @ v_data[i].swapaxes(-1, -2)).astype(e.dtype, copy=False)
-            g_s = _softmax_grad(g_p, e, s, scale).astype(scores_dtype, copy=False)
-            del g_p, e
+            p, total = _softmax_exps(q_data[i] @ k_data[i].swapaxes(-1, -2),
+                                     scale, bias[i])
+            p /= total
+            np.matmul(p.swapaxes(-1, -2), g_o[i], out=g_v[i])
+            g_s = g_o[i] @ v_data[i].swapaxes(-1, -2)  # p's gradient
+            g_s -= (g_s * p).sum(axis=-1, keepdims=True)
+            g_s *= p
+            g_s *= scale
+            del p
             np.matmul(g_s, k_data[i], out=g_q[i])
-            np.matmul(q_data[i].swapaxes(-1, -2), g_s, out=g_kt[i])
+            np.matmul(g_s.swapaxes(-1, -2), q_data[i], out=g_k[i])
             del g_s
         _accum(nv, g_v)
         _accum(nq, g_q)
-        _accum(nk, g_kt.swapaxes(-1, -2))
+        _accum(nk, g_k)
     return Tensor._result(out, (q, k, v), back)
 
 

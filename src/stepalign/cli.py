@@ -19,9 +19,9 @@ import numpy as np
 
 from .config import (ConfigError, RunConfig, build_section, load_run_config,
                      save_run_config)
-from .corpus import (Corpus, CorpusError, LabelSource, VideoRecord,
-                     batch_iter, generate_synthetic, read_corpus,
-                     split_corpus, write_corpus)
+from .corpus import (Corpus, CorpusError, LabelSource, batch_iter,
+                     generate_synthetic, read_corpus, split_corpus,
+                     write_corpus)
 from .encoder import ModelConfig, ModelError, forward
 from .evalkit import (EvalError, blob_detect, evaluate_predictions,
                       merge_reports, read_predictions)

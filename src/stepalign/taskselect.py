@@ -36,21 +36,31 @@ class TrigramEmbedder:
     """Character trigrams hashed into a fixed number of buckets, L2-normalized.
 
     No case folding or tokenization: the synthetic texts are already lowercase
-    and real caption preprocessing belongs upstream of this class.
+    and real caption preprocessing belongs upstream of this class. Each
+    distinct trigram is hashed once per instance; captions repeat a few
+    hundred trigrams many thousand times.
     """
 
     def __init__(self, dim: int = 256):
         if dim < 1:
             raise TaskSelectError(f"dim must be >= 1, got {dim}")
         self.dim = dim
+        self._buckets: dict[str, int] = {}  # trigram -> its bucket
+
+    def _bucket(self, trigram: str) -> int:
+        bucket = self._buckets.get(trigram)
+        if bucket is None:
+            bucket = _fnv1a64(trigram.encode("utf-8")) % self.dim
+            self._buckets[trigram] = bucket
+        return bucket
 
     def embed(self, text: str) -> np.ndarray:
-        vec = np.zeros(self.dim, dtype=np.float32)
         if len(text) < 3:
+            vec = np.zeros(self.dim, dtype=np.float32)
             vec[0] = 1.0  # too short for any trigram: reserved constant vector
             return vec
-        for i in range(len(text) - 2):
-            vec[_fnv1a64(text[i:i + 3].encode("utf-8")) % self.dim] += 1.0
+        buckets = [self._bucket(text[i:i + 3]) for i in range(len(text) - 2)]
+        vec = np.bincount(buckets, minlength=self.dim).astype(np.float32)
         return vec / np.linalg.norm(vec)
 
 

@@ -8,8 +8,7 @@ from scipy.special import erf, softmax as np_softmax
 from stepalign.autodiff import Tensor
 from stepalign.config import ConfigError, run_config_from_dict
 from stepalign.corpus import Corpus, Segment
-from stepalign.corpus.batching import batch_iter, LabelSource
-from stepalign.encoder import (COSINE_EPS, LAYERNORM_EPS, MASK_FILL,
+from stepalign.encoder import (COSINE_EPS, LAYERNORM_EPS,
                                RESIDUAL_INIT_SCALE, ModelConfig, ModelError,
                                cosine_alignment, detach_params, forward,
                                forward_batch, fuse,

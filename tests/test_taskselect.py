@@ -24,15 +24,20 @@ def fnv1a64(data: bytes) -> int:
     return h
 
 
-def test_trigram_buckets_match_reference_hash():
-    emb = TrigramEmbedder(dim=64)
-    text = "mix the batter"
-    vec = emb.embed(text)
-    expected = np.zeros(64, dtype=np.float32)
+def reference_embed(text: str, dim: int) -> np.ndarray:
+    """The trigram vector with every trigram hashed anew."""
+    vec = np.zeros(dim, dtype=np.float32)
+    if len(text) < 3:
+        vec[0] = 1.0
+        return vec
     for i in range(len(text) - 2):
-        expected[fnv1a64(text[i:i + 3].encode()) % 64] += 1.0
-    expected /= np.linalg.norm(expected)
-    assert np.array_equal(vec, expected)
+        vec[fnv1a64(text[i:i + 3].encode("utf-8")) % dim] += 1.0
+    return vec / np.linalg.norm(vec)
+
+
+def test_trigram_buckets_match_reference_hash():
+    assert np.array_equal(TrigramEmbedder(dim=64).embed("mix the batter"),
+                          reference_embed("mix the batter", 64))
 
 
 def test_trigram_unit_norm_and_determinism():
@@ -49,6 +54,18 @@ def test_short_text_reserved_vector():
     for text in ("", "a", "ab"):
         vec = emb.embed(text)
         assert vec[0] == 1.0 and np.all(vec[1:] == 0)
+
+
+@pytest.mark.parametrize("dim", [16, 256])
+def test_cached_trigram_vectors_match_the_uncached_hash(dim):
+    # one embedder, which hashes each distinct trigram once, reused across
+    # texts that share trigrams, repeat them, are too short for one, or are
+    # not ASCII, whose trigrams hash their UTF-8 bytes
+    emb = TrigramEmbedder(dim=dim)
+    texts = ["mix the batter", "ab", "", "mix the batter well", "aaaaaa",
+             "crème brûlée", "烤南瓜派", "mix the batter", "crème"]
+    for text in texts:
+        assert np.array_equal(emb.embed(text), reference_embed(text, dim))
 
 
 def test_dim_validation():
