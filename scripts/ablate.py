@@ -14,6 +14,11 @@ trained with a workdir in a temporary directory. Per seed it records, as
     step_r1_no_narrations  step R@1 of fused and direct_sv with the
                          narrations stripped, as `stepalign eval
                          --no-narrations` strips them
+    recall@1_iou0.5      segment recall of the same three pathways: true
+                         segments that the row's first blob_detect proposal
+                         overlaps at IoU >= 0.5, as `stepalign eval` prints it
+    recall@1_iou0.5_no_narrations  the same for fused and direct_sv with
+                         the narrations stripped
     narration_r1         narration R@1 on the held-out videos
     untrained_fused_no_narrations  fused step R@1 without narrations of
                          the untrained model, init_params(model, seed)
@@ -80,6 +85,9 @@ from stepalign.config import (_SECTIONS, ConfigError, RunConfig,  # noqa: E402
 from stepalign.trainer import evaluate_corpus  # noqa: E402
 
 IOU_HIT = 0.5
+SEGMENT_R1 = f"recall@1_iou{IOU_HIT:g}"
+PAIRED = ("step_r1", "step_r1_no_narrations", SEGMENT_R1,
+          f"{SEGMENT_R1}_no_narrations")
 BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 LABEL_COUNTS = ("rows", "kept", "kept_iou50", "kept_len_sum", "true_segments",
                 "true_len_sum")
@@ -219,13 +227,16 @@ def run_seed(seed: int, overrides: dict) -> dict:
     def scored(corpus, matrix, params=result.params):
         return evaluate_corpus(params, mc, corpus, 8, matrix=matrix)
     with_narr = {m: scored(held_out, m) for m in ("fused", "direct_sv", "indirect")}
+    no_narr = {m: scored(stripped, m) for m in ("fused", "direct_sv")}
     step_r1 = {m: _hits(pv, "step_r1") for m, pv in with_narr.items()}
     fused, direct, indirect = (_r1(step_r1[m]) for m in ("fused", "direct_sv", "indirect"))
     return {
         "seed": seed,
         "step_r1": step_r1,
-        "step_r1_no_narrations": {m: _hits(scored(stripped, m), "step_r1")
-                                  for m in ("fused", "direct_sv")},
+        "step_r1_no_narrations": {m: _hits(pv, "step_r1") for m, pv in no_narr.items()},
+        SEGMENT_R1: {m: _hits(pv, SEGMENT_R1) for m, pv in with_narr.items()},
+        f"{SEGMENT_R1}_no_narrations": {m: _hits(pv, SEGMENT_R1)
+                                        for m, pv in no_narr.items()},
         "narration_r1": _hits(with_narr["fused"], "narration_r1"),
         "untrained_fused_no_narrations": _hits(
             scored(stripped, "fused", init_params(mc, seed)), "step_r1"),
@@ -242,14 +253,12 @@ def run_seed(seed: int, overrides: dict) -> dict:
 def totals(runs: list[dict]) -> dict:
     def add(pairs):
         return [sum(p[0] for p in pairs), sum(p[1] for p in pairs)]
-    out = {
-        "step_r1": {m: add([r["step_r1"][m] for r in runs])
-                    for m in runs[0]["step_r1"]},
-        "step_r1_no_narrations": {m: add([r["step_r1_no_narrations"][m] for r in runs])
-                                  for m in runs[0]["step_r1_no_narrations"]},
+    out = {key: {m: add([r[key][m] for r in runs]) for m in runs[0][key]}
+           for key in PAIRED}
+    out.update({
         "narration_r1": add([r["narration_r1"] for r in runs]),
         "criterion_7": [sum(r["criterion_7"] for r in runs), len(runs)],
-    }
+    })
     labels = [r["last_labels"] for r in runs if r["last_labels"] is not None]
     if labels:
         out["last_labels"] = _with_means({k: sum(l[k] for l in labels)
@@ -265,15 +274,16 @@ def _table(runs: list[dict], total: dict) -> str:
     def mean(value):
         return "-" if value is None else f"{value:.2f}"
     lines = ["| seed | fused | direct | indirect | fused, no narr. | direct, no narr. "
-             "| narration | c7 | last labels: kept, IoU>=0.5 | kept len | true len |",
-             "|---|---|---|---|---|---|---|---|---|---|---|"]
+             "| narration | fused segments, IoU>=0.5 | c7 "
+             "| last labels: kept, IoU>=0.5 | kept len | true len |",
+             "|---|---|---|---|---|---|---|---|---|---|---|---|"]
     for r in runs + [dict(total, seed="total")]:
         labels = r.get("last_labels") or {}
         c7 = r["criterion_7"]
         lines.append(" | ".join([
             f"| {r['seed']}", *(frac(r["step_r1"][m]) for m in ("fused", "direct_sv", "indirect")),
             *(frac(r["step_r1_no_narrations"][m]) for m in ("fused", "direct_sv")),
-            frac(r["narration_r1"]),
+            frac(r["narration_r1"]), frac(r[SEGMENT_R1]["fused"]),
             frac(c7) if isinstance(c7, list) else ("yes" if c7 else "no"),
             f"{labels.get('kept', '-')}, {labels.get('kept_iou50', '-')}",
             mean(labels.get("kept_len_mean")), mean(labels.get("true_len_mean"))]) + " |")

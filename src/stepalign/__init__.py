@@ -12,7 +12,7 @@ from .evalkit import (MetricReport, alignability_auc, blob_detect,
                       merge_reports, read_predictions)
 from .objective import LossConfig, info_nce, total_loss
 from .pseudolabel import (PseudoConfig, PseudoLabel, PseudoLabelSet,
-                          extract_segment, generate_pseudolabels)
+                          generate_pseudolabels)
 from .taskselect import TrigramEmbedder, assign_articles, rank_tasks
 from .trainer import (OptimizerState, TrainConfig, adamw_step, cosine_lr,
                       label_corpus, train)

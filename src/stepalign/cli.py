@@ -23,8 +23,8 @@ from .corpus import (Corpus, CorpusError, LabelSource, batch_iter,
                      generate_synthetic, read_corpus, split_corpus,
                      write_corpus)
 from .encoder import ModelConfig, ModelError, forward
-from .evalkit import (EvalError, blob_detect, evaluate_predictions,
-                      merge_reports, read_predictions)
+from .evalkit import (MIN_SCORE, ZETA, EvalError, blob_detect,
+                      evaluate_predictions, merge_reports, read_predictions)
 from .pseudolabel import PseudoError
 from .taskselect import TaskSelectError, assign_articles
 from .tensorio import FormatError
@@ -227,6 +227,8 @@ def _write_pgm(path: Path, matrix: np.ndarray) -> None:
 def cmd_infer(args) -> int:
     if not 0.0 < args.zeta <= 1.0:
         raise ConfigError(f"--zeta must be in (0, 1], got {args.zeta}")
+    if np.isnan(args.min_score):
+        raise ConfigError("--min-score must be a number, got nan")
     corpus = _read_corpus(args.corpus)
     try:
         video = corpus.video_by_id(args.video)
@@ -325,8 +327,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--task", help="article to align against (default: metadata)")
     p.add_argument("--emit", action="append", choices=["csv", "pgm", "segments"])
-    p.add_argument("--min-score", type=float, default=0.0)
-    p.add_argument("--zeta", type=float, default=0.7)
+    p.add_argument("--min-score", type=float, default=MIN_SCORE)
+    p.add_argument("--zeta", type=float, default=ZETA)
     p.set_defaults(func=cmd_infer)
     return parser
 

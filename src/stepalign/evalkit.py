@@ -19,6 +19,12 @@ from .corpus.records import Segment, VideoRecord
 from .encoder import AlignmentSet
 
 
+# defaults of the segment rule, shared by labeling, scoring and `infer`:
+# a seed expands over frames >= ZETA * seed; local maxima >= MIN_SCORE seed
+ZETA = 0.7
+MIN_SCORE = 0.0
+
+
 class EvalError(ValueError):
     pass
 
@@ -111,8 +117,8 @@ def step_recall_at_1(matrix: np.ndarray,
 def step_recall_at_k_iou(matrix: np.ndarray,
                          gt: Mapping[int, tuple[Segment, ...]],
                          k: int, iou_threshold: float,
-                         min_score: float = 0.0,
-                         zeta: float = 0.7) -> MetricReport:
+                         min_score: float = MIN_SCORE,
+                         zeta: float = ZETA) -> MetricReport:
     """A true segment counts as recalled when any of the row's top-k proposals
     overlaps it at IoU >= threshold."""
     name = f"recall@{k}_iou{iou_threshold:g}"

@@ -1,9 +1,12 @@
 """Teacher-generated step segments.
 
 A frozen teacher scores each article step against every frame; the best frame
-seeds a segment that grows outward while scores stay above a fraction zeta of
-the peak. Low-peak rows are dropped entirely (gamma filter): a wrong label
-hurts more than a missing one, and most videos simply do not show every step.
+(the first on ties) seeds a segment that grows outward while scores stay above
+a fraction zeta of the peak. That segment is evalkit.blob_detect's first
+proposal with every local maximum a seed, the same rule that `stepalign eval`
+scores and `stepalign infer` prints. Low-peak rows are dropped entirely (gamma
+filter): a wrong label hurts more than a missing one, and most videos simply
+do not show every step.
 
 Training labels the corpus once, with the narration-trained teacher, and the
 student trains on those labels for every main epoch (see trainer).
@@ -21,6 +24,7 @@ import numpy as np
 
 from .corpus.records import Segment
 from .encoder import AlignmentSet
+from .evalkit import ZETA, blob_detect
 
 
 class PseudoError(ValueError):
@@ -29,7 +33,7 @@ class PseudoError(ValueError):
 
 @dataclass(frozen=True)
 class PseudoConfig:
-    zeta: float = 0.7            # expansion keeps frames >= zeta * peak
+    zeta: float = ZETA           # expansion keeps frames >= zeta * peak
     gamma: float = 0.65          # rows with peak below this are discarded
     source: str = "direct_sv"    # which matrix labels come from
 
@@ -54,30 +58,6 @@ class PseudoLabel:
     @property
     def kept(self) -> bool:
         return self.segment is not None
-
-
-def extract_segment(scores: np.ndarray, zeta: float) -> tuple[int, Segment]:
-    """Locate the peak frame and expand while scores stay >= zeta * peak.
-
-    Ties on the peak go to the lowest index; expansion is contiguous and
-    inclusive (>=) on both sides. A negative peak yields the single-frame
-    segment [p, p]: the threshold sits above every other score by definition
-    of the maximum.
-    """
-    scores = np.asarray(scores, dtype=np.float64)
-    if scores.ndim != 1 or scores.size == 0:
-        raise PseudoError(f"scores must be a non-empty vector, got shape {scores.shape}")
-    if not np.isfinite(scores).all():
-        raise PseudoError("scores contain non-finite values")
-    p = int(np.argmax(scores))
-    threshold = zeta * scores[p]
-    lo = p
-    while lo > 0 and scores[lo - 1] >= threshold:
-        lo -= 1
-    hi = p
-    while hi < scores.size - 1 and scores[hi + 1] >= threshold:
-        hi += 1
-    return p, Segment(lo, hi)
 
 
 class PseudoLabelSet:
@@ -164,8 +144,7 @@ def generate_pseudolabels(alignments: Iterable[AlignmentSet],
     for alignment in alignments:
         matrix = alignment.a_sv if config.source == "direct_sv" else alignment.a_fused
         for s in range(matrix.shape[0]):
-            peak_idx, segment = extract_segment(matrix[s], config.zeta)
-            peak = float(matrix[s, peak_idx])
+            segment, peak = blob_detect(matrix[s], -np.inf, config.zeta)[0]
             kept = peak > 0.0 and peak >= config.gamma
             out.add(PseudoLabel(video_id=alignment.video_id, step=s,
                                 segment=segment if kept else None, peak=peak))

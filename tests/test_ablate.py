@@ -16,7 +16,8 @@ SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "ablate.py"
 TOY = ["--set", "corpus.videos_per_task=3", "--set", "corpus.frames_range=[16,24]",
        "--set", "model.model_dim=8", "--set", "model.num_layers=1",
        "--set", "train.epochs=1", "--set", "train.teacher_pre_epochs=1"]
-PAIRS = ("step_r1", "step_r1_no_narrations")
+PAIRS = ("step_r1", "step_r1_no_narrations", "recall@1_iou0.5",
+         "recall@1_iou0.5_no_narrations")
 
 
 def test_ablate_writes_per_seed_hits_and_their_totals(tmp_path, monkeypatch, capsys):
@@ -32,6 +33,8 @@ def test_ablate_writes_per_seed_hits_and_their_totals(tmp_path, monkeypatch, cap
                         "digests"}
     assert set(run["step_r1"]) == {"fused", "direct_sv", "indirect"}
     assert set(run["step_r1_no_narrations"]) == {"fused", "direct_sv"}
+    assert set(run["recall@1_iou0.5"]) == {"fused", "direct_sv", "indirect"}
+    assert set(run["recall@1_iou0.5_no_narrations"]) == {"fused", "direct_sv"}
     assert set(run["last_labels"]) == {"epoch", *ablate.LABEL_COUNTS,
                                        "kept_len_mean", "true_len_mean"}
     assert run["last_labels"]["epoch"] == 0

@@ -20,12 +20,11 @@ from stepalign.corpus import (Batch, Segment, SynthConfig, generate_synthetic,
 from stepalign.encoder import (ModelConfig, forward_batch, fuse,
                                indirect_alignment, init_params,
                                load_checkpoint, save_checkpoint)
-from stepalign.evalkit import (alignability_auc, interval_iou,
+from stepalign.evalkit import (alignability_auc, blob_detect, interval_iou,
                                narration_recall_at_1, step_recall_at_1,
                                step_recall_at_k_iou)
 from stepalign.objective import LossConfig, gradients, info_nce, total_loss
-from stepalign.pseudolabel import PseudoConfig, extract_segment, \
-    generate_pseudolabels
+from stepalign.pseudolabel import PseudoConfig, generate_pseudolabels
 from stepalign.taskselect import TrigramEmbedder, assign_articles, rank_tasks
 from stepalign.trainer import TrainConfig, train
 
@@ -185,7 +184,9 @@ def test_criterion_3_pseudo_label_oracle_equivalence():
         if rng.random() < 0.2:
             scores[rng.integers(t)] = scores.max()
         zeta = float(rng.uniform(0.05, 1.0))
-        assert extract_segment(scores, zeta) == _oracle_segment(scores, zeta), \
+        # labels take blob_detect's first proposal with every local max a seed
+        p, seg = _oracle_segment(scores, zeta)
+        assert blob_detect(scores, -np.inf, zeta)[0] == (seg, scores[p]), \
             f"row {trial}"
 
     # keep flags on full matrices, gamma filter included

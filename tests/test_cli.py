@@ -585,6 +585,17 @@ def test_infer_zeta_outside_unit_interval_is_config_error(ws, tmp_path, capsys,
     assert not out.exists()
 
 
+def test_infer_min_score_nan_is_config_error(ws, tmp_path, capsys):
+    # nan seeded nothing: every step's segments were [] and infer exited 0
+    out = tmp_path / "o"
+    assert main(["infer", "--corpus", str(ws.corpus), "--checkpoint",
+                 str(ws.ckpt), "--video", first_video_id(ws), "--out",
+                 str(out), "--min-score", "nan"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--min-score" in captured.err
+    assert not out.exists()
+
+
 def test_infer_accepts_zeta_one(ws, tmp_path, capsys):
     out = tmp_path / "o"
     assert main(["infer", "--corpus", str(ws.corpus), "--checkpoint",

@@ -88,29 +88,59 @@ def test_seed_inside_claimed_territory_dropped():
     assert blobs == [(Segment(0, 3), 1.0)]
 
 
+# with no seed floor the first proposal is the pseudo-label segment: the first
+# argmax, grown while scores stay >= zeta * peak
+
+def test_first_proposal_worked_example():
+    blobs = blob_detect(np.array([0.1, 0.5, 0.9, 0.8, 0.6, 0.2]), -np.inf, 0.7)
+    assert blobs[0] == (Segment(2, 3), 0.9)
+
+
+def test_first_proposal_of_constant_row_spans_everything():
+    assert blob_detect(np.full(4, 0.5), -np.inf, 0.7) == [(Segment(0, 3), 0.5)]
+
+
+def test_first_proposal_of_single_frame():
+    assert blob_detect(np.array([0.4]), -np.inf, 0.7) == [(Segment(0, 0), 0.4)]
+
+
+def test_first_proposal_peak_tie_takes_lowest_index():
+    blobs = blob_detect(np.array([0.1, 0.8, 0.2, 0.8, 0.1]), -np.inf, 0.9)
+    assert blobs[0] == (Segment(1, 1), 0.8)
+
+
 def test_blob_invariants():
     rng = np.random.default_rng(31)
     for trial in range(300):
         t = int(rng.integers(1, 50))
         scores = rng.uniform(-1, 1, size=t)
-        min_score = float(rng.uniform(-1, 1))
+        drawn = float(rng.uniform(-1, 1))
         zeta = float(rng.uniform(0.1, 1.0))
-        blobs = blob_detect(scores, min_score, zeta)
-        seen = np.zeros(t, dtype=bool)
-        prev = np.inf
-        for seg, score in blobs:
-            assert score <= prev  # strongest first
-            prev = score
-            assert score >= min_score
-            span = np.arange(seg.start, seg.end + 1)
-            assert not seen[span].any()  # disjoint
-            seen[span] = True
-            assert score in scores[span]  # the seed sits inside its segment
-            if score > 0:
-                assert np.all(scores[span] >= zeta * score - 1e-12)
-            else:
-                # a nonpositive seed has its threshold above itself
-                assert len(seg) == 1
+        for min_score in (drawn, -np.inf):  # -inf: every local maximum seeds
+            blobs = blob_detect(scores, min_score, zeta)
+            if min_score == -np.inf:
+                # the strongest seed is the first argmax, as labeling assumes
+                assert blobs[0][0].start <= int(np.argmax(scores)) <= blobs[0][0].end
+                assert blobs[0][1] == scores.max()
+            seen = np.zeros(t, dtype=bool)
+            prev = np.inf
+            for seg, score in blobs:
+                assert score <= prev  # strongest first
+                prev = score
+                assert score >= min_score
+                span = np.arange(seg.start, seg.end + 1)
+                assert not seen[span].any()  # disjoint
+                # growth stops at a claimed frame or one below the threshold
+                for edge in (seg.start - 1, seg.end + 1):
+                    if 0 <= edge < t:
+                        assert seen[edge] or scores[edge] < zeta * score
+                seen[span] = True
+                assert score in scores[span]  # the seed sits inside its segment
+                if score > 0:
+                    assert np.all(scores[span] >= zeta * score - 1e-12)
+                else:
+                    # a nonpositive seed has its threshold above itself
+                    assert len(seg) == 1
 
 
 def test_blob_input_validation():
@@ -118,6 +148,8 @@ def test_blob_input_validation():
         blob_detect(np.array([]), 0.0, 0.7)
     with pytest.raises(EvalError):
         blob_detect(np.array([0.1, np.inf]), 0.0, 0.7)
+    with pytest.raises(EvalError):
+        blob_detect(np.zeros((2, 2)), 0.0, 0.7)
 
 
 # ---------------------------------------------------------------------------

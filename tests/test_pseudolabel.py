@@ -1,4 +1,6 @@
-"""Segment extraction, keep thresholds and serialization."""
+"""Labels from alignment matrices, keep thresholds and serialization.
+
+The segment rule itself is evalkit.blob_detect's, tested in test_evalkit."""
 
 import json
 
@@ -12,7 +14,6 @@ from stepalign.pseudolabel import (
     PseudoError,
     PseudoLabel,
     PseudoLabelSet,
-    extract_segment,
     generate_pseudolabels,
 )
 
@@ -29,70 +30,6 @@ def brute_force_segment(scores, zeta):
     while e < len(scores) - 1 and ok[e + 1]:
         e += 1
     return p, Segment(s, e)
-
-
-def test_worked_example():
-    peak, seg = extract_segment(np.array([0.1, 0.5, 0.9, 0.8, 0.6, 0.2]), 0.7)
-    assert peak == 2
-    assert (seg.start, seg.end) == (2, 3)
-
-
-def test_constant_row_spans_everything():
-    peak, seg = extract_segment(np.full(4, 0.5), 0.7)
-    assert peak == 0
-    assert (seg.start, seg.end) == (0, 3)
-
-
-def test_single_frame():
-    peak, seg = extract_segment(np.array([0.4]), 0.7)
-    assert peak == 0
-    assert (seg.start, seg.end) == (0, 0)
-
-
-def test_peak_tie_takes_lowest_index():
-    peak, seg = extract_segment(np.array([0.1, 0.8, 0.2, 0.8, 0.1]), 0.9)
-    assert peak == 1
-    assert (seg.start, seg.end) == (1, 1)
-
-
-def test_input_validation():
-    with pytest.raises(PseudoError):
-        extract_segment(np.array([]), 0.7)
-    with pytest.raises(PseudoError):
-        extract_segment(np.array([0.5, np.nan]), 0.7)
-    with pytest.raises(PseudoError):
-        extract_segment(np.zeros((2, 2)), 0.7)
-
-
-def test_matches_brute_force_oracle():
-    rng = np.random.default_rng(17)
-    for trial in range(1000):
-        t = int(rng.integers(1, 65))
-        scores = rng.uniform(-1, 1, size=t)
-        if rng.random() < 0.2:
-            scores[rng.integers(t)] = scores.max()  # force ties sometimes
-        zeta = float(rng.uniform(0.05, 1.0))
-        got_peak, got_seg = extract_segment(scores, zeta)
-        exp_peak, exp_seg = brute_force_segment(scores, zeta)
-        assert got_peak == exp_peak, f"trial {trial}"
-        assert got_seg == exp_seg, f"trial {trial}"
-
-
-def test_segment_invariants():
-    rng = np.random.default_rng(18)
-    for _ in range(200):
-        t = int(rng.integers(2, 40))
-        scores = rng.uniform(-1, 1, size=t)
-        zeta = float(rng.uniform(0.1, 1.0))
-        peak, seg = extract_segment(scores, zeta)
-        assert seg.start <= peak <= seg.end
-        cutoff = zeta * scores[peak]
-        if scores[peak] > 0:
-            assert np.all(scores[seg.start:seg.end + 1] >= cutoff)
-            if seg.start > 0:
-                assert scores[seg.start - 1] < cutoff
-            if seg.end < t - 1:
-                assert scores[seg.end + 1] < cutoff
 
 
 # ---------------------------------------------------------------------------
@@ -129,6 +66,16 @@ def test_generate_matches_per_row_oracle():
                 assert lab.kept and lab.segment == seg
             else:
                 assert not lab.kept and lab.segment is None
+
+
+def test_float32_rows_keep_their_peak_exactly():
+    rng = np.random.default_rng(24)
+    m = rng.uniform(-1, 1, size=(6, 30)).astype(np.float32)
+    al = AlignmentSet("v0", np.zeros((0, 30), np.float32), m,
+                      np.zeros((6, 0), np.float32), np.zeros_like(m), m, ())
+    labels = generate_pseudolabels([al], PseudoConfig(gamma=-1.0))
+    for k in range(6):
+        assert labels.get(("v0", k)).peak == float(m[k].max())
 
 
 def test_gamma_monotone_keep_sets():
