@@ -24,7 +24,7 @@ import numpy as np
 
 from .corpus.records import Segment
 from .encoder import AlignmentSet
-from .evalkit import ZETA, blob_detect
+from .evalkit import ZETA, EvalError, blob_detect
 
 
 class PseudoError(ValueError):
@@ -144,7 +144,10 @@ def generate_pseudolabels(alignments: Iterable[AlignmentSet],
     for alignment in alignments:
         matrix = alignment.a_sv if config.source == "direct_sv" else alignment.a_fused
         for s in range(matrix.shape[0]):
-            segment, peak = blob_detect(matrix[s], -np.inf, config.zeta)[0]
+            try:
+                segment, peak = blob_detect(matrix[s], -np.inf, config.zeta)[0]
+            except EvalError as e:
+                raise PseudoError(f"{alignment.video_id} step {s}: {e}") from e
             kept = peak > 0.0 and peak >= config.gamma
             out.add(PseudoLabel(video_id=alignment.video_id, step=s,
                                 segment=segment if kept else None, peak=peak))

@@ -68,6 +68,38 @@ def test_generate_matches_per_row_oracle():
                 assert not lab.kept and lab.segment is None
 
 
+def test_input_validation():
+    with pytest.raises(PseudoError):
+        generate_pseudolabels([alignment_for(np.zeros((1, 0)))], PseudoConfig())
+    with pytest.raises(PseudoError):
+        generate_pseudolabels([alignment_for([[0.5, np.nan]])], PseudoConfig())
+    m = np.zeros((2, 2, 2))
+    al = AlignmentSet("v0", np.zeros((0, 2)), m, np.zeros((2, 0)), m, m, ())
+    with pytest.raises(PseudoError):
+        generate_pseudolabels([al], PseudoConfig())
+
+
+def test_segment_invariants():
+    rng = np.random.default_rng(18)
+    for trial in range(200):
+        t = int(rng.integers(2, 40))
+        scores = rng.uniform(-1, 1, size=t)
+        cfg = PseudoConfig(zeta=float(rng.uniform(0.1, 1.0)), gamma=-2.0)
+        lab = generate_pseudolabels([alignment_for(scores[None])], cfg).get(("v0", 0))
+        assert lab.peak == scores.max()
+        assert lab.kept == (lab.peak > 0.0), f"trial {trial}"
+        if lab.kept:
+            seg = lab.segment
+            inside = scores[seg.start:seg.end + 1]
+            assert lab.peak in inside
+            cutoff = cfg.zeta * lab.peak
+            assert np.all(inside >= cutoff)
+            if seg.start > 0:
+                assert scores[seg.start - 1] < cutoff
+            if seg.end < t - 1:
+                assert scores[seg.end + 1] < cutoff
+
+
 def test_float32_rows_keep_their_peak_exactly():
     rng = np.random.default_rng(24)
     m = rng.uniform(-1, 1, size=(6, 30)).astype(np.float32)
