@@ -1,13 +1,13 @@
-"""Train the acceptance-gate configuration on several seeds and write the
+"""Train the package's default configs on several seeds and write the
 held-out hits of every alignment pathway, per seed and in total, to
 ABLATE_<tag>.json in the current directory.
 
-run_seed trains one seed of the acceptance recipe and returns its record;
-the curriculum_runs fixture of tests/test_acceptance.py calls it for
-criteria 6 and 7. The recipe is generate_synthetic(SynthConfig(seed=seed)),
-its 80/20 split, model_dim 64, 2 layers, 8 teacher and 12 main epochs,
-trained with a workdir in a temporary directory. Per seed it records, as
-[hits, rows]:
+run_seed trains one seed and returns its record; the curriculum_runs
+fixture of tests/test_acceptance.py calls it for criteria 6 and 7. A seed
+is generate_synthetic(SynthConfig(seed=seed)) and its 80/20 split, trained
+by train() with ModelConfig(feature_dims=corpus.dims), TrainConfig(seed=seed),
+LossConfig() and PseudoConfig(), the recipe `stepalign train` runs, with a
+workdir in a temporary directory. Per seed it records, as [hits, rows]:
 
     step_r1              step R@1 of fused, direct_sv and indirect on the
                          held-out videos with their narrations
@@ -20,6 +20,9 @@ trained with a workdir in a temporary directory. Per seed it records, as
     recall@1_iou0.5_no_narrations  the same for fused and direct_sv with
                          the narrations stripped
     narration_r1         narration R@1 on the held-out videos
+    narration_r1_timestamp  the same rows judged by the middle frame of each
+                         narration's ASR span, a baseline that reads no
+                         model output
     untrained_fused_no_narrations  fused step R@1 without narrations of
                          the untrained model, init_params(model, seed)
 
@@ -55,7 +58,7 @@ as a string when it is not JSON. The merged sections are checked as a
 It imports the stepalign under src/ next to this script, not an installed
 one. main() starts its worker processes with one BLAS thread unless the
 environment sets another count, and leaves os.environ as it found it; merely
-importing this module changes nothing. A seed takes about 30 s on one core;
+importing this module changes nothing. A seed takes about 15 s on one core;
 --jobs runs seeds in that many processes.
 """
 
@@ -89,6 +92,7 @@ SEGMENT_R1 = f"recall@1_iou{IOU_HIT:g}"
 PAIRED = ("step_r1", "step_r1_no_narrations", SEGMENT_R1,
           f"{SEGMENT_R1}_no_narrations")
 BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+NARRATION = ("narration_r1", "narration_r1_timestamp")
 LABEL_COUNTS = ("rows", "kept", "kept_iou50", "kept_len_sum", "true_segments",
                 "true_len_sum")
 
@@ -198,17 +202,12 @@ def mean_gt_coverage(corpus) -> float:
 
 
 def run_seed(seed: int, overrides: dict) -> dict:
-    """Train one seed of the acceptance recipe and return its record."""
+    """Train one seed of the package's default configs and return its record."""
     corpus = generate_synthetic(with_overrides(SynthConfig(seed=seed),
                                                "corpus", overrides))
     train_part, held_out = split_corpus(corpus, 0.2, seed)
-    mc = with_overrides(ModelConfig(feature_dims=corpus.dims, model_dim=64,
-                                    num_layers=2, num_heads=4, dropout=0.1),
-                        "model", overrides)
-    tc = with_overrides(TrainConfig(epochs=12, batch_size=8, base_lr=5e-3,
-                                    weight_decay=0.001, teacher_pre_epochs=8,
-                                    teacher_lr=2e-3, max_frames=128, seed=seed),
-                        "train", overrides)
+    mc = with_overrides(ModelConfig(feature_dims=corpus.dims), "model", overrides)
+    tc = with_overrides(TrainConfig(seed=seed), "train", overrides)
     loss = with_overrides(LossConfig(), "loss", overrides)
     pseudo = with_overrides(PseudoConfig(), "pseudo", overrides)
     digests = {"corpus/generated": corpus_digest(corpus)}
@@ -237,7 +236,7 @@ def run_seed(seed: int, overrides: dict) -> dict:
         SEGMENT_R1: {m: _hits(pv, SEGMENT_R1) for m, pv in with_narr.items()},
         f"{SEGMENT_R1}_no_narrations": {m: _hits(pv, SEGMENT_R1)
                                         for m, pv in no_narr.items()},
-        "narration_r1": _hits(with_narr["fused"], "narration_r1"),
+        **{key: _hits(with_narr["fused"], key) for key in NARRATION},
         "untrained_fused_no_narrations": _hits(
             scored(stripped, "fused", init_params(mc, seed)), "step_r1"),
         "held_out_gt_coverage": mean_gt_coverage(held_out),
@@ -256,7 +255,7 @@ def totals(runs: list[dict]) -> dict:
     out = {key: {m: add([r[key][m] for r in runs]) for m in runs[0][key]}
            for key in PAIRED}
     out.update({
-        "narration_r1": add([r["narration_r1"] for r in runs]),
+        **{key: add([r[key] for r in runs]) for key in NARRATION},
         "criterion_7": [sum(r["criterion_7"] for r in runs), len(runs)],
     })
     labels = [r["last_labels"] for r in runs if r["last_labels"] is not None]
@@ -274,16 +273,16 @@ def _table(runs: list[dict], total: dict) -> str:
     def mean(value):
         return "-" if value is None else f"{value:.2f}"
     lines = ["| seed | fused | direct | indirect | fused, no narr. | direct, no narr. "
-             "| narration | fused segments, IoU>=0.5 | c7 "
+             "| narration | narration, timestamp | fused segments, IoU>=0.5 | c7 "
              "| last labels: kept, IoU>=0.5 | kept len | true len |",
-             "|---|---|---|---|---|---|---|---|---|---|---|---|"]
+             "|---|---|---|---|---|---|---|---|---|---|---|---|---|"]
     for r in runs + [dict(total, seed="total")]:
         labels = r.get("last_labels") or {}
         c7 = r["criterion_7"]
         lines.append(" | ".join([
             f"| {r['seed']}", *(frac(r["step_r1"][m]) for m in ("fused", "direct_sv", "indirect")),
             *(frac(r["step_r1_no_narrations"][m]) for m in ("fused", "direct_sv")),
-            frac(r["narration_r1"]), frac(r[SEGMENT_R1]["fused"]),
+            *(frac(r[key]) for key in NARRATION), frac(r[SEGMENT_R1]["fused"]),
             frac(c7) if isinstance(c7, list) else ("yes" if c7 else "no"),
             f"{labels.get('kept', '-')}, {labels.get('kept_iou50', '-')}",
             mean(labels.get("kept_len_mean")), mean(labels.get("true_len_mean"))]) + " |")

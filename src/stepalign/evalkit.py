@@ -137,14 +137,22 @@ def narration_recall_at_1(a_nv: np.ndarray,
                           gt: Mapping[int, tuple[Segment, ...]]) -> MetricReport:
     """Like step recall but for narration rows, judged against the segment of
     the step each narration describes; unalignable narrations are excluded."""
+    return _narration_hits("narration_r1", [int(np.argmax(row)) for row in a_nv],
+                           narration_steps, gt)
+
+
+def _narration_hits(name: str, frames: Sequence[int],
+                    narration_steps: Sequence[Optional[int]],
+                    gt: Mapping[int, tuple[Segment, ...]]) -> MetricReport:
+    """Narration rows whose frame lies in a true segment of their step, over
+    the rows whose step has ground truth."""
     hits, total = 0, 0
-    for row, step in enumerate(narration_steps):
+    for frame, step in zip(frames, narration_steps, strict=True):
         if step is None or step not in gt:
             continue
         total += 1
-        best = int(np.argmax(a_nv[row]))
-        hits += any(seg.contains(best) for seg in gt[step])
-    return MetricReport("narration_r1", hits, total)
+        hits += any(seg.contains(frame) for seg in gt[step])
+    return MetricReport(name, hits, total)
 
 
 def alignability_auc(scores: Sequence[float], labels: Sequence[bool]) -> float:
@@ -191,6 +199,13 @@ def evaluate_video(alignment: AlignmentSet, video: VideoRecord, *,
         kept_steps = [video.gt_narration_steps[i] for i in alignment.narration_index]
         out["narration_r1"] = narration_recall_at_1(
             alignment.a_nv, kept_steps, video.gt_step_segments)
+        # the baseline that reads no model output: each narration points at
+        # the middle frame of its ASR span, clipped to the scored frames
+        t = alignment.a_nv.shape[1]
+        spans = [video.narration_spans[i].clipped(t) for i in alignment.narration_index]
+        out["narration_r1_timestamp"] = _narration_hits(
+            "narration_r1_timestamp", [(s.start + s.end) // 2 for s in spans],
+            kept_steps, video.gt_step_segments)
     return out
 
 

@@ -42,6 +42,10 @@ class TrainError(RuntimeError):
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """Optimizer and schedule of both stages. The defaults are the one
+    training recipe: `stepalign train`, scripts/ablate.py and the acceptance
+    gate's curriculum criteria train them. teacher_lr None means base_lr."""
+
     epochs: int = 12
     batch_size: int = 8
     base_lr: float = 2e-4

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import ablate
+from stepalign import LossConfig, ModelConfig, PseudoConfig, TrainConfig
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "ablate.py"
 
@@ -28,9 +29,9 @@ def test_ablate_writes_per_seed_hits_and_their_totals(tmp_path, monkeypatch, cap
     assert out["seeds"] == [4]
     assert out["overrides"]["train"] == {"epochs": 1, "teacher_pre_epochs": 1}
     [run] = out["runs"]
-    assert set(run) == {"seed", *PAIRS, "narration_r1", "criterion_7", "last_labels",
-                        "untrained_fused_no_narrations", "held_out_gt_coverage",
-                        "digests"}
+    assert set(run) == {"seed", *PAIRS, "narration_r1", "narration_r1_timestamp",
+                        "criterion_7", "last_labels", "untrained_fused_no_narrations",
+                        "held_out_gt_coverage", "digests"}
     assert set(run["step_r1"]) == {"fused", "direct_sv", "indirect"}
     assert set(run["step_r1_no_narrations"]) == {"fused", "direct_sv"}
     assert set(run["recall@1_iou0.5"]) == {"fused", "direct_sv", "indirect"}
@@ -39,20 +40,44 @@ def test_ablate_writes_per_seed_hits_and_their_totals(tmp_path, monkeypatch, cap
                                        "kept_len_mean", "true_len_mean"}
     assert run["last_labels"]["epoch"] == 0
     assert run["step_r1"]["fused"][1] > 0
+    assert run["narration_r1_timestamp"][1] == run["narration_r1"][1] > 0
     assert run["untrained_fused_no_narrations"][1] == run["step_r1"]["fused"][1]
     assert 0.0 < run["held_out_gt_coverage"] < 1.0
 
     total = out["totals"]
-    assert set(total) == {*PAIRS, "narration_r1", "criterion_7", "last_labels"}
+    assert set(total) == {*PAIRS, "narration_r1", "narration_r1_timestamp",
+                          "criterion_7", "last_labels"}
     runs = out["runs"]
     for key in PAIRS:
         for matrix, pair in total[key].items():
             assert pair == [sum(r[key][matrix][i] for r in runs) for i in (0, 1)]
-    assert total["narration_r1"] == [sum(r["narration_r1"][i] for r in runs)
-                                     for i in (0, 1)]
+    for key in ("narration_r1", "narration_r1_timestamp"):
+        assert total[key] == [sum(r[key][i] for r in runs) for i in (0, 1)]
     assert total["criterion_7"] == [sum(r["criterion_7"] for r in runs), len(runs)]
     for key in ablate.LABEL_COUNTS:
         assert total["last_labels"][key] == sum(r["last_labels"][key] for r in runs)
+
+
+def _record_train(monkeypatch):
+    """Replace ablate.train by a stub that records its arguments and raises."""
+    calls = []
+
+    def record(*args, **kwargs):
+        calls.append((args, kwargs))
+        raise RuntimeError("no training here")
+    monkeypatch.setattr(ablate, "train", record)
+    return calls
+
+
+def test_run_seed_trains_the_package_defaults(monkeypatch):
+    calls = _record_train(monkeypatch)
+    with pytest.raises(RuntimeError, match="no training"):
+        ablate.run_seed(6, {})
+    [(args, kwargs)] = calls
+    train_part, *configs = args
+    assert configs == [ModelConfig(feature_dims=train_part.dims), TrainConfig(seed=6),
+                       LossConfig(), PseudoConfig()]
+    assert set(kwargs) == {"workdir"}
 
 
 def test_ablate_refuses_a_removed_option_before_training(tmp_path, monkeypatch, capsys):
@@ -128,15 +153,18 @@ def test_ablate_main_pins_its_workers_to_one_blas_thread_and_restores_the_enviro
         def __exit__(self, *exc):
             return False
 
-        def map(self, *args):
+        def map(self, fn, *iterables):
             seen.update({var: os.environ.get(var) for var in ablate.BLAS_THREADS})
-            raise RuntimeError("no training here")
+            return list(map(fn, *iterables))  # in this process, up to the stub
 
     monkeypatch.setattr(ablate, "ProcessPoolExecutor", Pool)
+    calls = _record_train(monkeypatch)
     monkeypatch.chdir(tmp_path)
     before = dict(os.environ)
     with pytest.raises(RuntimeError, match="no training"):
-        ablate.main(["0"])
+        ablate.main(["0", "--set", "train.base_lr=0.001"])
     assert seen == {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "2",
                     "MKL_NUM_THREADS": "1"}
     assert dict(os.environ) == before
+    [(args, _)] = calls  # a --set override reaches train
+    assert args[2] == TrainConfig(seed=0, base_lr=0.001)

@@ -1,8 +1,9 @@
 """Acceptance gate: one test per shipped guarantee, each runnable standalone.
 
 Criteria 6 and 7 share a module-scoped fixture that trains the full
-curriculum on five seeds through scripts/ablate.py's run_seed and reads its
-records; everything else is oracle-checked in seconds.
+curriculum on five seeds through scripts/ablate.py's run_seed, which trains
+the package's default configs, and reads its records; everything else is
+oracle-checked in seconds.
 """
 
 import math
@@ -412,8 +413,8 @@ def test_criterion_9_determinism_and_round_trips(tmp_path):
     mc = ModelConfig(feature_dims=corpus.dims, model_dim=16, num_layers=1,
                      num_heads=2, mlp_hidden=16, ffn_dim=32, max_frames=32,
                      max_narrations=8, dropout=0.1)
-    tc = TrainConfig(epochs=3, batch_size=4, base_lr=5e-3,
-                     teacher_pre_epochs=1, max_frames=32, seed=9)
+    tc = TrainConfig(epochs=3, batch_size=4, teacher_pre_epochs=1,
+                     max_frames=32, seed=9)
     pc = PseudoConfig()
     for d in ("a", "b"):
         train(corpus, mc, tc, LossConfig(), pc, workdir=tmp_path / d)

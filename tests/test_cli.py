@@ -266,7 +266,8 @@ def test_eval_reports_metrics(ws, capsys):
     out = capsys.readouterr().out
     lines = [l for l in out.splitlines() if l]
     names = {l.split()[0] for l in lines}
-    assert {"step_r1", "recall@1_iou0.5", "narration_r1"} <= names
+    assert {"step_r1", "recall@1_iou0.5", "narration_r1",
+            "narration_r1_timestamp"} <= names
     for line in lines:
         name, value, ratio = line.split()
         assert 0.0 <= float(value) <= 1.0
@@ -297,7 +298,7 @@ def test_train_log_eval_matches_cli_eval(tmp_path, capsys):
     printed = {l.split()[0]: l.split()[1]
                for l in capsys.readouterr().out.splitlines() if l}
     logged = json.loads((workdir / "train_log.jsonl").read_text().splitlines()[-1])
-    assert "step_r1" in printed
+    assert {"step_r1", "narration_r1_timestamp"} <= set(printed)
     assert printed == {name: f"{logged['eval_' + name]:.6f}" for name in printed}
 
     # the loop train() logs with, given another matrix and k, prints what
@@ -795,4 +796,4 @@ def test_readme_config_example_loads():
     block = README.read_text().split("## Configuration", 1)[1]
     block = block.split("```json\n", 1)[1].split("```", 1)[0]
     config = run_config_from_dict(json.loads(block), where="README")
-    assert config.model.xi == 0.07 and config.loss.eta == 0.07
+    assert config == RunConfig()  # the README says it shows the defaults

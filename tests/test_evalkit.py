@@ -405,6 +405,24 @@ def test_evaluate_video_combines_metrics():
             out["narration_r1"].denominator) == (1, 2)
 
 
+def test_narration_timestamp_baseline_reads_span_middles():
+    # a model that points every narration at frame 0: the baseline ignores it
+    gt = {0: (Segment(0, 2),), 1: (Segment(4, 4),)}
+    spans = [Segment(0, 3),   # step 0, middle 1 in [0, 2] -> hit
+             Segment(2, 5),   # step 1, middle 3 outside [4, 4] -> miss
+             Segment(0, 5),   # distractor, excluded
+             Segment(4, 7)]   # step 1, cut to [4, 5] by the crop: middle 4 -> hit
+    video = make_video("v0", np.zeros((8, 4), np.float32), spans, gt=gt,
+                       gt_narr=(0, 1, None, 1))
+    a_nv = np.zeros((4, 6))
+    a_nv[:, 0] = 1.0
+    al = alignment_with(np.zeros((2, 6)), a_nv, narration_index=(0, 1, 2, 3))
+    out = evaluate_video(al, video)
+    timestamp = out["narration_r1_timestamp"]
+    assert (timestamp.numerator, timestamp.denominator) == (2, 3)
+    assert out["narration_r1"].denominator == 3
+
+
 def test_evaluate_video_matrix_selection_and_errors():
     video = make_video("v0", np.zeros((4, 4), np.float32), [Segment(0, 1)],
                        gt={0: (Segment(0, 1),)})
