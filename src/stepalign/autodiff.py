@@ -22,8 +22,10 @@ Kept deliberately small: broadcasting binary ops (subtraction is one, not an
 add of a negation), matmul, shape ops and the few pointwise functions the
 model needs. A chain of generic ops becomes one fused node only where the
 chain would keep more arrays in the graph than the node does; x @ w + b, for
-one, keeps x and w either way, so it stays two generic nodes. Four fused
-nodes stand in for chains of generic ones and keep less of them alive:
+one, keeps x and w either way, so alone it stays two generic nodes, and
+joins a fused node only where that node recomputes its output from x
+rather than keep it. Four fused nodes stand in for chains of generic ones
+and keep less of them alive:
 
     mlp(x, w1, b1, w2, b2) gelu(x @ w1 + b1) @ w2 + b2 with the exact GELU;
                           keeps x and the weights, not the hidden layer;
@@ -37,11 +39,15 @@ nodes stand in for chains of generic ones and keep less of them alive:
     layer_norm(x, g, b)   keeps x, g, the row means and 1 / sqrt(var + eps),
                           (..., 1), and recomputes the normalised x in
                           backward
-    attention(q, k, v, ..) softmax(q @ k^T * scale + bias) @ v with the heads
-                          merged; keeps only q, k and v and recomputes the
-                          scores and their exponentials in backward; both
-                          directions work one video (batch row) at a time,
-                          so no (B, H, n, n) array exists at any time
+    attention(x, wq, .., bo, heads, scale, bias)
+                          softmax(q @ k^T * scale + bias) @ v with the heads
+                          merged, @ wo + bo, q, k and v being x @ w + b;
+                          keeps x and the weights, not q, k, v or the
+                          output before wo; both directions work one video
+                          (batch row) at a time, so no (B, n, d) q, k or v
+                          and no (B, H, n, n) array exists at any time, and
+                          backward recomputes each row's projections, scores
+                          and probabilities
     dropout(x, keep, rate) x * keep / (1 - rate); keeps the bool mask and
                           rebuilds the scaled mask in backward
 
@@ -50,6 +56,9 @@ gradients in closed form, in its operands' dtype. Each is checked by finite
 differences and against a reference: the same chain of generic ops run in
 float64, at a stated tolerance, or, for mlp and dropout, whose closed forms
 are the chain's own arithmetic, that chain in the operands' dtype, exactly.
+attention is checked both ways: at a tolerance against generic ops in
+float64, and exactly against four generic x @ w + b maps around a node on
+q, k and v with the same closed-form softmax backward.
 
 One dtype policy: an op's result takes its operands' dtype, and a Python or
 NumPy scalar operand is weak, as NumPy's NEP 50 makes a Python scalar: it
@@ -569,74 +578,112 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     return Tensor._result(out, (x, w1, b1, w2, b2), back)
 
 
-def _softmax_exps(scores: np.ndarray, scale, bias):
-    """exp(scores * scale + bias - row max) in one buffer, and its row sums.
+def _softmax(scores: np.ndarray, scale, bias) -> np.ndarray:
+    """softmax(scores * scale + bias) over the last axis, in scores' buffer.
 
     attention passes a fresh product that nothing else reads, and a scale
-    of its dtype, so the buffer is scores itself.
+    of its dtype.
     """
     z = np.multiply(scores, scale, out=scores)
     z += bias
     z -= z.max(axis=-1, keepdims=True)
     np.exp(z, out=z)
-    return z, z.sum(axis=-1, keepdims=True)
+    z /= z.sum(axis=-1, keepdims=True)
+    return z
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, scale, bias) -> Tensor:
-    """Multi-head attention, softmax(q @ k^T * scale + bias) @ v, as one node.
+def attention(x: Tensor, wq: Tensor, bq: Tensor, wk: Tensor, bk: Tensor,
+              wv: Tensor, bv: Tensor, wo: Tensor, bo: Tensor, num_heads: int,
+              scale, bias) -> Tensor:
+    """Multi-head attention with its four projections, as one node:
+    softmax(q @ k^T * scale + bias) @ v with the heads merged, @ wo + bo,
+    where q, k and v are x @ w + b for wq, wk and wv, split into num_heads
+    heads.
 
-    q, k and v are (B, H, n, dh); bias is a 4-d constant broadcast against
-    the (B, H, n, n) scores, e.g. MASK_FILL on blocked keys, with a leading
-    dim of B or 1. The result has the heads merged, (B, n, H * dh).
-    Both directions work one batch row at a time, as FlashAttention (Dao et
-    al., 2022) works one tile at a time: a row's (H, n, n) scores are shifted,
-    exponentiated and normalised in their own buffer, so no (B, H, n, n)
-    array exists at any time. The node keeps only the arrays of q, k and v;
-    backward recomputes each row's probabilities p, forms the scores'
-    gradient in closed form, g_s = p * (g_p - sum(g_p * p)) * scale over
-    each row of keys, g_p being that of p, then q's as g_s @ k and k's as
-    g_s^T @ q. It fills full-size q, k and v gradients row by row and
-    accumulates each once, v then q then k. The forward products go through
-    Tensor.__matmul__ on constants, so they count as matmuls, two per row.
+    x is (B, n, d), the weights (d, d) and the biases (1, d); bias is a 4-d
+    constant broadcast against the (B, H, n, n) scores, e.g. MASK_FILL on
+    blocked keys, with a leading dim of B or 1. Both directions work one
+    video (batch row) at a time, as FlashAttention (Dao et al., 2022) works
+    one tile at a time: a row's (H, n, n) scores are shifted, exponentiated
+    and normalised in their own buffer, so neither a (B, H, n, n) array nor
+    a (B, n, d) q, k or v exists at any time. As mlp keeps x and its
+    weights, the node keeps x, the weights and biases but bo, whose gradient
+    is the output's, and the key bias; backward recomputes each row's q, k,
+    v, probabilities p and merged output, forms the scores' gradient
+    in closed form, g_s = p * (g_p - sum(g_p * p)) * scale over each row of
+    keys, g_p being that of p, then q's as g_s @ k and k's as g_s^T @ q.
+    x's gradient is filled row by row as (c_q + c_k) + c_v, each c a
+    projection's gradient times its weight transposed; each weight and bias
+    gradient is summed over the rows one after another, the order in which
+    numpy sums a batch axis. So both directions match the chain of four
+    x @ w + b maps around an attention node on q, k and v bit for bit. The
+    forward products go through Tensor.__matmul__ on constants, so they
+    count as matmuls, six per row.
     """
-    q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
-    b, h, n, dh = q.shape
-    dtype = np.result_type(q.dtype, k.dtype, v.dtype)
-    scale = np.asarray(scale, dtype)  # 0-d, so a NumPy float64 scale stays weak
+    x, wq, bq, wk, bk, wv, bv, wo, bo = (
+        as_tensor(t) for t in (x, wq, bq, wk, bk, wv, bv, wo, bo))
+    b, n, d = x.shape
+    dh = d // num_heads
+    x_data, wo_data = x.data, wo.data
+    projections = [(w.data, c.data) for w, c in ((wq, bq), (wk, bk), (wv, bv))]
+    scale = np.result_type(x_data, *projections[0]).type(scale)  # q's dtype
     bias = np.broadcast_to(bias, (b,) + np.shape(bias)[1:])  # a row per video
-    out = np.empty((b, n, h, dh), dtype)
+
+    def heads(t):
+        return t.reshape(n, num_heads, dh).swapaxes(0, 1)
+
+    def merged(t):
+        return t.swapaxes(0, 1).reshape(n, d)
+
+    out = None
     for i in range(b):
-        p, total = _softmax_exps(
-            (Tensor(q.data[i]) @ Tensor(k.data[i].swapaxes(-1, -2))).data,
-            scale, bias[i])
-        p /= total
-        out[i] = (Tensor(p) @ Tensor(v.data[i])).data.swapaxes(0, 1)
-        del p  # one row's block goes before the next row's is made
-    out = out.reshape(b, n, h * dh)
-    nq, nk, nv = q.node, k.node, v.node
-    q_data, k_data, v_data = q.data, k.data, v.data
+        q, k, v = (heads((Tensor(x_data[i]) @ Tensor(w)).data + c)
+                   for w, c in projections)
+        p = _softmax((Tensor(q) @ Tensor(k.swapaxes(-1, -2))).data, scale, bias[i])
+        y = (Tensor(merged((Tensor(p) @ Tensor(v)).data)) @ Tensor(wo_data)).data
+        if out is None:
+            out = np.empty((b,) + y.shape, np.result_type(y, bo.data))
+        np.add(y, bo.data, out=out[i])
+        del q, k, v, p, y  # one row's arrays go before the next row's are made
+    nx, nwo, nbo = x.node, wo.node, bo.node
+    nodes = [(w.node, c.node) for w, c in ((wq, bq), (wk, bk), (wv, bv))]
+    bo_shape = bo.shape
 
     def back(g):
-        g_o = g.reshape(b, n, h, dh).swapaxes(1, 2)
-        # full-size gradients, filled row by row
-        g_q, g_k, g_v = (np.empty(t.shape, t.dtype) for t in (q_data, k_data, v_data))
+        _accum(nbo, _unbroadcast(g, bo_shape))
+        g_x = np.empty(x_data.shape, x_data.dtype) if nx is not None else None
+        g_wo = np.zeros_like(wo_data)
+        g_w = [np.zeros_like(w) for w, _ in projections]
+        g_b = [np.zeros((n, d), c.dtype) for _, c in projections]
         for i in range(b):
-            p, total = _softmax_exps(q_data[i] @ k_data[i].swapaxes(-1, -2),
-                                     scale, bias[i])
-            p /= total
-            np.matmul(p.swapaxes(-1, -2), g_o[i], out=g_v[i])
-            g_s = g_o[i] @ v_data[i].swapaxes(-1, -2)  # p's gradient
+            x_i = x_data[i]
+            q, k, v = (heads(x_i @ w + c) for w, c in projections)
+            p = _softmax(q @ k.swapaxes(-1, -2), scale, bias[i])
+            g_wo += merged(p @ v).swapaxes(-1, -2) @ g[i]
+            g_o = heads(g[i] @ wo_data.swapaxes(-1, -2))
+            g_v = p.swapaxes(-1, -2) @ g_o
+            g_s = g_o @ v.swapaxes(-1, -2)  # p's gradient
             g_s -= (g_s * p).sum(axis=-1, keepdims=True)
             g_s *= p
             g_s *= scale
-            del p
-            np.matmul(g_s, k_data[i], out=g_q[i])
-            np.matmul(g_s.swapaxes(-1, -2), q_data[i], out=g_k[i])
-            del g_s
-        _accum(nv, g_v)
-        _accum(nq, g_q)
-        _accum(nk, g_k)
-    return Tensor._result(out, (q, k, v), back)
+            del p, g_o, v
+            grads = [merged(g_s @ k), merged(g_s.swapaxes(-1, -2) @ q), merged(g_v)]
+            del g_s, q, k, g_v
+            for (w, _), gw, gb, grad in zip(projections, g_w, g_b, grads):
+                gb += grad
+                gw += x_i.swapaxes(-1, -2) @ grad
+            if g_x is not None:
+                c_q, c_k, c_v = (grad @ w.swapaxes(-1, -2)
+                                 for grad, (w, _) in zip(grads, projections))
+                np.add(c_q, c_k, out=g_x[i])
+                g_x[i] += c_v
+            del grads
+        _accum(nwo, g_wo)
+        for (nw, nb), gw, gb, (_, c) in zip(nodes, g_w, g_b, projections):
+            _accum(nw, gw)
+            _accum(nb, _unbroadcast(gb, c.shape))
+        _accum(nx, g_x)
+    return Tensor._result(out, (x, wq, bq, wk, bk, wv, bv, wo, bo), back)
 
 
 def dropout(x: Tensor, keep: np.ndarray, rate: float) -> Tensor:

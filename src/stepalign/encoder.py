@@ -140,10 +140,6 @@ def detach_params(params: Mapping[str, Tensor]) -> dict[str, Tensor]:
 # forward pieces
 
 
-def _linear(params, name: str, x: Tensor) -> Tensor:
-    return x @ params[f"{name}.w"] + params[f"{name}.b"]
-
-
 def _mlp(params, name: str, x: Tensor) -> Tensor:
     return mlp(x, params[f"{name}.l1.w"], params[f"{name}.l1.b"],
                params[f"{name}.l2.w"], params[f"{name}.l2.b"])
@@ -175,18 +171,11 @@ def unimodal_encode(params, x: Tensor, modality: str) -> Tensor:
 
 def _attention(params, name: str, x: Tensor, key_mask: np.ndarray,
                num_heads: int) -> Tensor:
-    b, n_tok, d = x.shape
-    dh = d // num_heads
-
-    def heads(t: Tensor) -> Tensor:
-        return t.reshape(b, n_tok, num_heads, dh).swapaxes(1, 2)
-
-    q = heads(_linear(params, f"{name}.wq", x))
-    k = heads(_linear(params, f"{name}.wk", x))
-    v = heads(_linear(params, f"{name}.wv", x))
     bias = np.where(key_mask, 0.0, MASK_FILL).astype(x.dtype)
-    out = attention(q, k, v, 1.0 / np.sqrt(dh), bias[:, None, None, :])
-    return _linear(params, f"{name}.wo", out)
+    return attention(x, *(params[f"{name}.{proj}.{part}"]
+                          for proj in ("wq", "wk", "wv", "wo") for part in ("w", "b")),
+                     num_heads, 1.0 / np.sqrt(x.shape[-1] // num_heads),
+                     bias[:, None, None, :])
 
 
 def _dropout(x: Tensor, rate: float, rng) -> Tensor:
@@ -196,10 +185,9 @@ def _dropout(x: Tensor, rate: float, rng) -> Tensor:
     return dropout(x, rng.random(x.shape) >= rate, rate)
 
 
-def multimodal_encode(params, config: ModelConfig, h_v: Tensor, h_n: Tensor,
-                      h_s: Tensor, token_mask: np.ndarray,
-                      dropout_rng=None) -> Tensor:
-    """Joint transformer over [video; narration; step] tokens.
+def multimodal_encode(params, config: ModelConfig, x: Tensor,
+                      token_mask: np.ndarray, dropout_rng=None) -> Tensor:
+    """Joint transformer over the [video; narration; step] tokens x, (B, T+N+S, d).
 
     token_mask is (B, T+N+S) bool; padding tokens are blocked as attention
     keys, so their values cannot leak into valid positions. With zero layers
@@ -207,9 +195,10 @@ def multimodal_encode(params, config: ModelConfig, h_v: Tensor, h_n: Tensor,
     Passing a dropout_rng enables train-mode dropout on the token embeddings
     and both residual branches; besides regularizing, this stops the token
     cloud from collapsing onto a few directions, which would saturate every
-    cosine score near 1 and blind the absolute pseudo-label filter.
+    cosine score near 1 and blind the absolute pseudo-label filter. No
+    sublayer output is held past its residual add, so at inference each
+    activation goes once the next op has read it.
     """
-    x = concat([h_v, h_n, h_s], axis=1)
     if x.shape[1] != token_mask.shape[1]:
         raise ModelError(
             f"token mask covers {token_mask.shape[1]} tokens, model has {x.shape[1]}")
@@ -217,13 +206,13 @@ def multimodal_encode(params, config: ModelConfig, h_v: Tensor, h_n: Tensor,
         raise ModelError("a batch row has no valid tokens")
     x = _dropout(x, config.dropout, dropout_rng)
     for i in range(config.num_layers):
-        attn = _attention(params, f"layers.{i}.attn",
-                          _layer_norm(params, f"layers.{i}.ln1", x),
-                          token_mask, config.num_heads)
-        x = x + _dropout(attn, config.dropout, dropout_rng)
-        ffn = _mlp(params, f"layers.{i}.ffn",
-                   _layer_norm(params, f"layers.{i}.ln2", x))
-        x = x + _dropout(ffn, config.dropout, dropout_rng)
+        x = x + _dropout(_attention(params, f"layers.{i}.attn",
+                                    _layer_norm(params, f"layers.{i}.ln1", x),
+                                    token_mask, config.num_heads),
+                         config.dropout, dropout_rng)
+        x = x + _dropout(_mlp(params, f"layers.{i}.ffn",
+                              _layer_norm(params, f"layers.{i}.ln2", x)),
+                         config.dropout, dropout_rng)
     if config.num_layers > 0:
         x = _layer_norm(params, "final_ln", x)
     return x
@@ -288,14 +277,14 @@ class AlignmentSet:
 def _encode(params, config: ModelConfig, batch: Batch,
             dropout_rng=None) -> tuple[Tensor, Tensor, Tensor]:
     """Frame, narration and step tokens out of the joint transformer."""
-    h_v = unimodal_encode(params, Tensor(batch.frames), "video")
-    h_n = unimodal_encode(params, Tensor(batch.narrations), "narration")
-    h_s = unimodal_encode(params, Tensor(batch.steps), "step")
-
     token_mask = np.concatenate(
         [batch.frame_mask, batch.narration_mask, batch.step_mask], axis=1)
-    z = multimodal_encode(params, config, h_v, h_n, h_s, token_mask,
-                          dropout_rng=dropout_rng)
+    z = multimodal_encode(
+        params, config,
+        concat([unimodal_encode(params, Tensor(batch.frames), "video"),
+                unimodal_encode(params, Tensor(batch.narrations), "narration"),
+                unimodal_encode(params, Tensor(batch.steps), "step")], axis=1),
+        token_mask, dropout_rng=dropout_rng)
     t, n = batch.frames.shape[1], batch.narrations.shape[1]
     return z[:, :t], z[:, t:t + n], z[:, t + n:]
 

@@ -57,13 +57,18 @@ def test_sum_of_squares_gradient_exact():
 _FD = np.random.default_rng(9)
 _X, _B = _FD.normal(size=(3, 4)), _FD.normal(size=(1, 4))
 _WEIGHTS = Tensor(_FD.normal(size=(3, 4)))  # so no output sum is constant
-# q, k, v of one batch row with 2 heads of 3 tokens x 2 dims; key 1 is blocked
-_QKV = [Tensor(a) for a in _FD.normal(size=(3, 1, 2, 3, 2))]
-_KEY_BIAS = np.array([0.0, MASK_FILL, 0.3])[None, None, None, :]
+# x, wq, bq, wk, bk, wv, bv, wo and bo of attention on 2 videos of 3 tokens
+# x 2 dims, 2 heads of 1 dim; in the first video key 1 is blocked, in the
+# second key 2 is padding; and how each is cut from a (3, 4) input
+_ATTN = [_FD.normal(size=s) for s in [(2, 3, 2)] + [(2, 2), (1, 2)] * 4]
+_KEY_BIAS = np.array([[0.0, MASK_FILL, 0.3],
+                      [0.2, -0.1, MASK_FILL]])[:, None, None, :]
+_ATTN_CUTS = ([lambda t: t.reshape(2, 3, 2)]
+              + [lambda t: t[1:, 2:], lambda t: t[2:, :2]] * 4)
 # x, w1, b1, w2, b2 of an MLP on 2 videos of 3 tokens x 2 dims, hidden width 4,
 # and how each is cut from a (3, 4) input
 _MLP = [_FD.normal(size=s) for s in [(2, 3, 2), (2, 4), (1, 4), (4, 2), (1, 2)]]
-_MLP_WEIGHTS = Tensor(_FD.normal(size=(2, 3, 2)))
+_TOKEN_WEIGHTS = Tensor(_FD.normal(size=(2, 3, 2)))  # of mlp's and attention's outputs
 _MLP_CUTS = [lambda t: t.reshape(2, 3, 2), lambda t: t[:2], lambda t: t[:1],
              lambda t: t.swapaxes(0, 1)[:, :2], lambda t: t[:1, :2]]
 # a_sn and a_nv of one video, 3 steps x 4 narrations x 3 frames, narration 1
@@ -76,15 +81,15 @@ _BLOCKED_PER_VIDEO = np.array([[True, True, False, True], [False, True, True, Fa
 
 
 def _attention_fd(t, operand):
-    qkv = list(_QKV)
-    qkv[operand] = t.reshape(1, 2, 3, 2)
-    return (attention(*qkv, 0.7, _KEY_BIAS) * _WEIGHTS).sum()
+    operands = [Tensor(a) for a in _ATTN]
+    operands[operand] = _ATTN_CUTS[operand](t)
+    return (attention(*operands, 2, 0.7, _KEY_BIAS) * _TOKEN_WEIGHTS).sum()
 
 
 def _mlp_fd(t, operand):
     operands = [Tensor(a) for a in _MLP]
     operands[operand] = _MLP_CUTS[operand](t)
-    return (mlp(*operands) * _MLP_WEIGHTS).sum()
+    return (mlp(*operands) * _TOKEN_WEIGHTS).sum()
 
 
 def _indirect_fd(a_sn, a_nv, mask, xi=0.5):
@@ -127,6 +132,12 @@ def _indirect_fd(a_sn, a_nv, mask, xi=0.5):
     lambda t: _mlp_fd(t, 3),
     lambda t: _mlp_fd(t, 4),
     lambda t: _mlp_fd(t, 2),
+    lambda t: _attention_fd(t, 3),
+    lambda t: _attention_fd(t, 4),
+    lambda t: _attention_fd(t, 5),
+    lambda t: _attention_fd(t, 6),
+    lambda t: _attention_fd(t, 7),
+    lambda t: _attention_fd(t, 8),
 ])
 def test_op_gradients_match_finite_differences(build):
     check_grad(build, (3, 4))
@@ -367,64 +378,114 @@ def test_mlp_on_constant_input_matches_composed_chain_bit_for_bit(dtype, calls):
         assert np.array_equal(fused_grad, composed_grad)
 
 
-def _composed_attention(q, k, v, scale, bias):
-    """Attention built from generic nodes, with the heads merged: run in
-    float64, the reference of the attention node."""
-    b, h, n, dh = q.shape
+def _heads(t, num_heads):
+    b, n, d = t.shape
+    return t.reshape(b, n, num_heads, d // num_heads).swapaxes(1, 2)
+
+
+def _composed_attention(x, wq, bq, wk, bk, wv, bv, wo, bo, num_heads, scale, bias):
+    """Attention and its projections built from generic nodes: run in
+    float64, the reference of the attention node within tolerance."""
+    q, k, v = (_heads(x @ w + c, num_heads) for w, c in ((wq, bq), (wk, bk), (wv, bv)))
     p = _composed_softmax(q @ k.swapaxes(-1, -2), scale, bias)
-    return (p @ v).swapaxes(1, 2).reshape(b, n, h * dh)
+    return (p @ v).swapaxes(1, 2).reshape(*x.shape) @ wo + bo
+
+
+def _qkv_attention(q, k, v, scale, bias):
+    """softmax(q @ k^T * scale + bias) @ v with the heads merged, as one node
+    on q, k and v, (B, H, n, dh), that forms the softmax gradient in closed
+    form per video, in the attention node's arithmetic."""
+    b, h, n, dh = q.shape
+    scale = np.asarray(scale, q.dtype)
+    bias = np.broadcast_to(bias, (b,) + np.shape(bias)[1:])
+    p = []
+    for i in range(b):
+        z = q.data[i] @ k.data[i].swapaxes(-1, -2) * scale + bias[i]
+        z = np.exp(z - z.max(axis=-1, keepdims=True))
+        p.append(z / z.sum(axis=-1, keepdims=True))
+    out = np.stack([p[i] @ v.data[i] for i in range(b)]).swapaxes(1, 2)
+    nq, nk, nv = q.node, k.node, v.node
+
+    def back(g):
+        g_o = g.reshape(b, n, h, dh).swapaxes(1, 2)
+        g_q, g_k, g_v = [], [], []
+        for i in range(b):
+            g_v.append(p[i].swapaxes(-1, -2) @ g_o[i])
+            g_s = g_o[i] @ v.data[i].swapaxes(-1, -2)
+            g_s = (g_s - (g_s * p[i]).sum(axis=-1, keepdims=True)) * p[i] * scale
+            g_q.append(g_s @ k.data[i])
+            g_k.append(g_s.swapaxes(-1, -2) @ q.data[i])
+        for node, grads in ((nv, g_v), (nq, g_q), (nk, g_k)):
+            if node is not None:
+                node._accum(np.stack(grads))
+    return Tensor._result(out.reshape(b, n, h * dh), (q, k, v), back)
+
+
+def _chained_attention(x, wq, bq, wk, bk, wv, bv, wo, bo, num_heads, scale, bias):
+    """Four x @ w + b maps around _qkv_attention: the chain whose bits the
+    attention node keeps, in both directions."""
+    q, k, v = (_heads(x @ w + c, num_heads) for w, c in ((wq, bq), (wk, bk), (wv, bv)))
+    return _qkv_attention(q, k, v, scale, bias) @ wo + bo
 
 
 @pytest.mark.parametrize("operands", ["qkv", "q", "k", "v", "projections",
                                       "shared_bias", "one_video"])
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 def test_attention_matches_composed_ops_bit_for_bit(dtype, operands):
-    # against the composed chain run in float64, within 1e-12 * max|want|
-    # for float64 operands and 1e-5 * max|want| for float32 ones.
-    # "projections" makes q, k and v head views of three projections of one
-    # x, as the encoder does, so x's gradient sums three terms in the order
-    # the graph walk gives them; "shared_bias" gives the three rows one
-    # (1, 1, 1, n) bias, which the node broadcasts instead of indexing, and
-    # zero-pads them to lengths 4, 5 and 6; "one_video" is a batch of one
-    # row. The other cases make only the named operands leaves that require
-    # a gradient
+    # against the chain of four x @ w + b maps around a q, k, v attention
+    # node, run in dtype, bit for bit; and against the same computation
+    # built from generic nodes in float64, within 1e-12 * max|want| for
+    # float64 operands and 1e-5 * max|want| for float32 ones. "projections"
+    # makes every operand a leaf that requires a gradient, as the encoder
+    # does, so x's gradient sums three terms in the order the chain's graph
+    # walk gives them; "qkv" makes every weight and bias a leaf but not x,
+    # and "q", "k" and "v" those of one projection and of the output;
+    # "shared_bias" gives the three videos one (1, 1, 1, n) bias, which the
+    # node broadcasts instead of indexing, and zero-pads them to lengths 4,
+    # 5 and 6; "one_video" is a batch of one video. The other cases pad the
+    # first video to 4 tokens and block two keys inside the second
     rng = np.random.default_rng(11)
     b, h, n, dh = (1 if operands == "one_video" else 3), 2, 6, 4
+    d = h * dh
     keys = np.ones((b, n), dtype=bool)
-    keys[0, 4:] = False  # a padded batch row
-    keys[1:2, 1] = keys[1:2, 3] = False  # blocked keys inside a row
+    keys[0, 4:] = False  # a padded video
+    keys[1:2, 1] = keys[1:2, 3] = False  # blocked keys inside a video
     bias = np.where(keys, 0.0, MASK_FILL).astype(dtype)[:, None, None, :]
     if operands == "shared_bias":
         bias = np.where(np.arange(n) < n - 1, 0.0, MASK_FILL).astype(dtype)
         bias = bias[None, None, None, :]
-    if operands == "projections":
-        shapes = [(b, n, h * dh)] + [(h * dh, h * dh)] * 3
-    else:
-        shapes = [(b, h, n, dh)] * 3
-    data = [rng.normal(size=shape).astype(dtype) for shape in shapes]
+    data = [rng.normal(size=shape).astype(dtype)
+            for shape in [(b, n, d)] + [(d, d), (1, d)] * 4]
     if operands == "shared_bias":
-        for d in data:
-            d[0, :, 4:] = d[1, :, 5:] = 0.0
-    seed = rng.normal(size=(b, n, h * dh)).astype(dtype)
-    needs_grad = "qkv" if operands in ("shared_bias", "one_video") else operands
+        data[0][0, 4:] = data[0][1, 5:] = 0.0
+    seed = rng.normal(size=(b, n, d)).astype(dtype)
+    names = ["x"] + [f"{proj}{part}" for proj in "qkvo" for part in "wb"]
+    needs_grad = {"qkv": "qkvo", "q": "qo", "k": "ko", "v": "vo"}.get(operands)
     outs, grads = [], []
-    for build, run_dtype in ((attention, dtype), (_composed_attention, np.float64)):
-        if operands == "projections":
-            leaves = [Tensor(d.astype(run_dtype), requires_grad=True) for d in data]
-            x, weights = leaves[0], leaves[1:]
-            qkv = [(x @ w).reshape(b, n, h, dh).swapaxes(1, 2) for w in weights]
-        else:
-            leaves = [Tensor(d.astype(run_dtype), requires_grad=name in needs_grad)
-                      for d, name in zip(data, "qkv")]
-            qkv = leaves
-        out = build(*qkv, 1.0 / np.sqrt(dh), bias)
+    for build, run_dtype in ((attention, dtype), (_chained_attention, dtype),
+                             (_composed_attention, np.float64)):
+        leaves = [Tensor(a.astype(run_dtype),
+                         requires_grad=needs_grad is None or name[0] in needs_grad)
+                  for a, name in zip(data, names)]
+        out = build(*leaves, h, 1.0 / np.sqrt(dh), bias)
         out.backward(seed)
         outs.append(out.data)
         grads.append([t.grad for t in leaves])
-    _assert_matches(*outs, dtype, exact=False)
-    for fused_grad, composed_grad, t in zip(*grads, leaves):
-        assert (fused_grad is None) == (composed_grad is None) == (not t.requires_grad)
-        if t.requires_grad:
+    _assert_matches(outs[0], outs[1], dtype, exact=True)
+    _assert_matches(outs[0], outs[2], dtype, exact=False)
+    for fused_grad, chained_grad, composed_grad, t, name in zip(*grads, leaves, names):
+        assert ((fused_grad is None) == (chained_grad is None) == (composed_grad is None)
+                == (not t.requires_grad))
+        if not t.requires_grad:
+            continue
+        _assert_matches(fused_grad, chained_grad, dtype, exact=True)
+        if name == "kb":
+            # q . bk adds the same to every key's score of a query, which the
+            # softmax ignores: bk's gradient is 0 up to rounding, judged at
+            # wk's scale
+            scale = np.abs(grads[2][names.index("kw")]).max()
+            assert np.abs(fused_grad).max() <= (1e-12 if dtype == np.float64 else 1e-5) * scale
+        else:
             _assert_matches(fused_grad, composed_grad, dtype, exact=False)
 
 
@@ -667,27 +728,65 @@ def test_attention_keeps_no_score_sized_array():
     assert _count(held, (b, mc.num_heads, n_tok, n_tok)) == 0
 
 
-def test_attention_never_allocates_a_score_sized_array():
-    # forward and backward work one video at a time: the peak above the
-    # inputs holds the output, the three gradients and a few (H, n, n)
-    # blocks. Multiplying the whole batch at once allocated q @ k^T and its
-    # scaled copy side by side, two (B, H, n, n) arrays
-    b, h, n, dh = 8, 4, 176, 16
-    rng = np.random.default_rng(13)
-    q, k, v = [Tensor(rng.normal(size=(b, h, n, dh)), requires_grad=True)
-               for _ in range(3)]
+def _attention_operands(b, n, d, seed):
+    """x, the weights and biases of attention, all requiring a gradient, key
+    biases that pad the videos to lengths from n / 2 to n, and an output
+    gradient."""
+    rng = np.random.default_rng(seed)
+    operands = [Tensor(rng.normal(size=shape) * scale, requires_grad=True)
+                for shape, scale in [((b, n, d), 1.0)] + [((d, d), 0.2), ((1, d), 1.0)] * 4]
     keys = np.arange(n) < np.linspace(n // 2, n, b)[:, None]
-    bias = np.where(keys, 0.0, MASK_FILL)[:, None, None, :]
-    seed = rng.normal(size=(b, n, h * dh))
+    bias = np.where(keys[:, None, None, :], 0.0, MASK_FILL)
+    return operands, bias, rng.normal(size=(b, n, d))
+
+
+def _attention_peaks(b, n, d, h):
+    """Peak traced bytes above the inputs of attention's forward, and of its
+    forward and backward."""
+    operands, bias, seed = _attention_operands(b, n, d, 13)
     tracemalloc.start()
     try:
         inputs = tracemalloc.get_traced_memory()[0]
-        attention(q, k, v, 1.0 / np.sqrt(dh), bias).backward(seed)
+        out = attention(*operands, h, 1.0 / np.sqrt(d // h), bias)
+        forward_peak = tracemalloc.get_traced_memory()[1] - inputs
+        out.backward(seed)
         peak = tracemalloc.get_traced_memory()[1] - inputs
     finally:
         tracemalloc.stop()
-    assert q.grad.shape == k.grad.shape == v.grad.shape == q.shape
+    assert all(t.grad.shape == t.shape for t in operands)
+    return forward_peak, peak
+
+
+def test_attention_never_allocates_a_score_sized_array():
+    # forward and backward work one video at a time: the peak above the
+    # inputs holds the output, x's gradient and a few (H, n, n) blocks.
+    # Multiplying the whole batch at once allocated q @ k^T and its scaled
+    # copy side by side, two (B, H, n, n) arrays
+    b, h, n, dh = 8, 4, 176, 16
+    _, peak = _attention_peaks(b, n, h * dh, h)
     assert peak < b * h * n * n * np.dtype(np.float64).itemsize
+
+
+def test_attention_never_allocates_a_token_sized_q_k_or_v():
+    # the projections run one video at a time too. Forward's peak above the
+    # inputs holds the output, (B, n, d), and one video's arrays: 1.4
+    # (B, n, d) arrays here, against 6.2 when x @ w + b nodes made q, k and
+    # v and kept them. Backward adds x's gradient and the weights': 3.4 in
+    # all, against 8.4 when q, k and v also got whole-batch gradients
+    b, n, d, h = 16, 48, 64, 2
+    forward_peak, peak = _attention_peaks(b, n, d, h)
+    token_sized = b * n * d * np.dtype(np.float64).itemsize
+    assert forward_peak < 2 * token_sized
+    assert peak < 5 * token_sized
+
+
+def test_attention_keeps_only_its_input_and_weights():
+    # what backward reads: x, the weights and biases the projections are
+    # recomputed from, and the key biases; no q, k, v, probabilities or
+    # output. bo's gradient is the output gradient's, so bo is not kept
+    operands, bias, _ = _attention_operands(2, 5, 4, 19)
+    held = _held_arrays(attention(*operands, 2, 0.5, bias))
+    assert sorted(map(id, held)) == sorted([id(t.data) for t in operands[:-1]] + [id(bias)])
 
 
 def test_fused_nodes_keep_the_token_sized_arrays_down():
@@ -696,9 +795,11 @@ def test_fused_nodes_keep_the_token_sized_arrays_down():
     # not the hidden layer or its GELU. 60 (B, n, model_dim) and 8
     # (B, n, ffn_dim) arrays when each was a chain of generic nodes, 30 and 4
     # while every node kept its output, 21 and 2 while the FFN's GELU node
-    # kept its input, the first FFN product's sum
+    # kept its input, the first FFN product's sum, and 15 once attention
+    # took its projections and kept only its input, not q, k, v and its
+    # output
     mc, b, n_tok, held = _curriculum_graph()
-    assert _count(held, (b, n_tok, mc.model_dim)) <= 21
+    assert _count(held, (b, n_tok, mc.model_dim)) <= 15
     assert _count(held, (b, n_tok, mc.ffn_dim)) == 0
 
 
@@ -708,10 +809,11 @@ def test_training_graph_bytes_stay_bounded():
     # dropout kept float64 masks, 28.5 MB with the attention node, 26.4 MB
     # with the dropout node's bool masks and 15.0 MB once nodes kept only
     # what their backward reads, 10.9 MB once the FFN's hidden layer was
-    # recomputed in backward, and 6.0 MB once Python and NumPy scalar
-    # constants stopped promoting float32 activations to float64
+    # recomputed in backward, 6.0 MB once Python and NumPy scalar
+    # constants stopped promoting float32 activations to float64, and
+    # 4.05 MB once attention recomputed its projections in backward
     *_, held = _curriculum_graph()
-    assert sum(a.nbytes for a in held) <= 6_026_652
+    assert sum(a.nbytes for a in held) <= 4_053_632
 
 
 def test_activations_stay_in_the_parameters_dtype():
@@ -729,14 +831,41 @@ def test_activations_stay_in_the_parameters_dtype():
             assert m.dtype == np.float32
 
 
+def test_inference_forward_frees_each_activation_once_read():
+    # a score-sized eval batch, 8 videos of 64-256 frames, 254 tokens: with
+    # no graph, an activation goes once the next op has read it, so forward's
+    # peak above the inputs holds a few (B, n, d) arrays, one video's FFN
+    # hidden layer and _erf's fixed scratch: 3.97 MB, 7.6 (B, n, d) float32
+    # arrays. While _encode held the three unimodal outputs beside their
+    # concatenation, the layer loop held each sublayer's output past its
+    # residual add and q, k and v were made for the whole batch, it was
+    # 5.81 MB, 11.2 arrays
+    corpus = generate_synthetic(SynthConfig(num_tasks=1, videos_per_task=8,
+                                            frames_range=(64, 256), seed=1))
+    mc = ModelConfig(feature_dims=corpus.dims)
+    params = init_params(mc, 0)
+    batch = next(batch_iter(corpus, 8, mc.max_frames, None))
+    n_tok = sum(m.shape[1] for m in (batch.frame_mask, batch.narration_mask,
+                                     batch.step_mask))
+    assert (len(batch.video_ids), n_tok) == (8, 254)
+    tracemalloc.start()
+    try:
+        inputs = tracemalloc.get_traced_memory()[0]
+        forward(params, mc, batch)
+        peak = tracemalloc.get_traced_memory()[1] - inputs
+    finally:
+        tracemalloc.stop()
+    assert peak < 9 * 8 * n_tok * mc.model_dim * np.dtype(np.float32).itemsize
+
+
 _KEEP = np.random.default_rng(16).random((2, 5, 6)) >= 0.1
 _PADDED_KEYS = np.where(np.arange(5) < np.array([[4], [5]]), 0.0, MASK_FILL)[:, None, None, :]
 _HOLDERS = {  # fused op, its composed reference, operand shapes
     "layer_norm": _FUSED["layer_norm"],
     "mlp": _FUSED["gelu"],
-    "attention": (lambda q, k, v: attention(q, k, v, 0.5, _PADDED_KEYS),
-                  lambda q, k, v: _composed_attention(q, k, v, 0.5, _PADDED_KEYS),
-                  [(2, 2, 5, 4)] * 3),
+    "attention": (lambda *operands: attention(*operands, 2, 0.5, _PADDED_KEYS),
+                  lambda *operands: _composed_attention(*operands, 2, 0.5, _PADDED_KEYS),
+                  [(2, 5, 8)] + [(8, 8), (1, 8)] * 4),
     "dropout": (lambda x: dropout(x, _KEEP, 0.1),
                 lambda x: x * Tensor(_KEEP.astype(x.dtype) / (1.0 - 0.1)),
                 [_KEEP.shape]),
@@ -767,18 +896,18 @@ def test_affine_map_keeps_only_what_a_fused_node_would():
 
 
 def test_graph_drops_the_outputs_no_backward_reads(monkeypatch):
-    # the wo and FFN outputs feed only dropout, and each residual branch's
-    # dropout output only an addition; no backward reads them, so their
-    # arrays go as soon as forward drops their tensors, long before backward
-    probes = {"wo": [], "ffn": [], "dropout": []}
-    linear_, mlp, dropout_ = encoder._linear, encoder._mlp, encoder._dropout
+    # the attention and FFN outputs feed only dropout, and each residual
+    # branch's dropout output only an addition; no backward reads them, so
+    # their arrays go as soon as forward drops their tensors, long before
+    # backward
+    probes = {"attention": [], "ffn": [], "dropout": []}
+    attention_, mlp, dropout_ = encoder._attention, encoder._mlp, encoder._dropout
 
     def probe(kind, out):
         probes[kind].append(weakref.ref(out.data))
         return out
-    monkeypatch.setattr(encoder, "_linear", lambda params, name, x: (
-        probe("wo", linear_(params, name, x)) if name.endswith(".wo")
-        else linear_(params, name, x)))
+    monkeypatch.setattr(encoder, "_attention", lambda *args: probe(
+        "attention", attention_(*args)))
     monkeypatch.setattr(encoder, "_mlp", lambda params, name, x: (
         probe("ffn", mlp(params, name, x)) if name.endswith(".ffn")
         else mlp(params, name, x)))
@@ -790,9 +919,9 @@ def test_graph_drops_the_outputs_no_backward_reads(monkeypatch):
     loss, _ = total_loss(alignments, batch, LossConfig())  # the graph lives on
     # the first dropout is the token embeddings', the residual stream itself
     residual = probes["dropout"][1:]
-    assert len(probes["wo"]) == len(probes["ffn"]) == mc.num_layers
+    assert len(probes["attention"]) == len(probes["ffn"]) == mc.num_layers
     assert len(residual) == 2 * mc.num_layers
-    assert all(ref() is None for ref in probes["wo"] + probes["ffn"] + residual)
+    assert all(ref() is None for ref in probes["attention"] + probes["ffn"] + residual)
     assert probes["dropout"][0]() is not None
 
 

@@ -82,11 +82,16 @@ def test_tracer_counts_every_autodiff_node():
 def test_tracer_counts_every_matmul_of_a_training_step():
     # every matmul of the model must stay a Tensor matmul, so that the
     # benchmark's FLOP count holds. The attention node multiplies one video
-    # at a time, q @ k^T and p @ v per row, so a layer counts 2 * B products,
-    # and so does each of the four MLP calls (mlp_v, mlp_n on narrations,
-    # mlp_n on steps and the FFN), x @ w1 and act @ w2 per row; q, k, v, o and the two cosine heads the
-    # loss reads (a_nv, a_sv) are one product each: 26 here at B = 2 and
-    # 1 layer.
+    # at a time: x @ wq, x @ wk, x @ wv, q @ k^T, p @ v and the merged heads
+    # @ wo per row, so a layer counts 6 * B products; each of the four MLP
+    # calls (mlp_v, mlp_n on narrations, mlp_n on steps and the FFN) counts
+    # 2 * B, x @ w1 and act @ w2 per row; and the two cosine heads the loss
+    # reads (a_nv, a_sv) are one product each: 30 here at B = 2 and 1 layer.
+    # While q, k, v and o were x @ w + b nodes on the whole batch, the step
+    # counted 26 products of the same 44,032 FLOP and 116 nodes: those four
+    # products, their four bias additions and the reshape and swapaxes of
+    # q, k and v into heads were 14 nodes, where the node's 4 * B more
+    # per-row products are 8.
     # The tracer counts every op result as a node, these constant products
     # too. The node count is pinned at this size, so a change that adds
     # nodes to a training step, such as a head the loss does not read,
@@ -104,5 +109,5 @@ def test_tracer_counts_every_matmul_of_a_training_step():
         alignments = forward_batch(params, mc, batch,
                                    dropout_rng=np.random.default_rng(1))
         gradients(total_loss(alignments, batch, LossConfig())[0], params)
-    assert (t.counts["matmuls"], t.counts["matmul_flop"]) == (26, 44032)
-    assert t.counts["nodes"] == 116
+    assert (t.counts["matmuls"], t.counts["matmul_flop"]) == (30, 44032)
+    assert t.counts["nodes"] == 110

@@ -154,32 +154,25 @@ def test_zero_layer_stack_is_identity():
     cfg = tiny_config(num_layers=0)
     params = init_params(cfg, seed=0)
     rng = np.random.default_rng(0)
-    h_v = Tensor(rng.normal(size=(2, 3, 8)))
-    h_n = Tensor(rng.normal(size=(2, 2, 8)))
-    h_s = Tensor(rng.normal(size=(2, 1, 8)))
+    tokens = Tensor(rng.normal(size=(2, 6, 8)))
     mask = np.ones((2, 6), dtype=bool)
-    z = multimodal_encode(params, cfg, h_v, h_n, h_s, mask)
-    expected = np.concatenate([h_v.data, h_n.data, h_s.data], axis=1)
-    assert np.array_equal(z.data, expected)
+    z = multimodal_encode(params, cfg, tokens, mask)
+    assert np.array_equal(z.data, tokens.data)
 
 
 def test_all_masked_row_rejected():
     cfg = tiny_config()
     params = init_params(cfg, seed=0)
-    h = Tensor(np.zeros((1, 2, 8)))
-    empty = Tensor(np.zeros((1, 0, 8)))
     with pytest.raises(ModelError, match="no valid tokens"):
-        multimodal_encode(params, cfg, h, empty, empty,
+        multimodal_encode(params, cfg, Tensor(np.zeros((1, 2, 8))),
                           np.zeros((1, 2), dtype=bool))
 
 
 def test_token_mask_shape_guard():
     cfg = tiny_config()
     params = init_params(cfg, seed=0)
-    h = Tensor(np.zeros((1, 2, 8)))
-    empty = Tensor(np.zeros((1, 0, 8)))
     with pytest.raises(ModelError, match="token mask"):
-        multimodal_encode(params, cfg, h, empty, empty,
+        multimodal_encode(params, cfg, Tensor(np.zeros((1, 2, 8))),
                           np.ones((1, 3), dtype=bool))
 
 
@@ -204,9 +197,7 @@ def test_one_layer_matches_hand_computation():
 
     x = rng.normal(size=(1, 2, d))
     mask = np.ones((1, 2), dtype=bool)
-    z = multimodal_encode(params, cfg, Tensor(x),
-                          Tensor(np.zeros((1, 0, d))),
-                          Tensor(np.zeros((1, 0, d))), mask).data
+    z = multimodal_encode(params, cfg, Tensor(x), mask).data
 
     def ln(v, name):
         mu = v.mean(axis=-1, keepdims=True)
