@@ -33,9 +33,9 @@ and keep less of them alive:
                           time, so no (B, n, hidden) array exists at any
                           time, and backward recomputes each row's hidden
                           layer and its normal CDF once, for both the GELU
-                          output and its slope; erf is _erf, this module's
-                          port of Cephes' erf, in float64, and the CDF is
-                          rounded to the hidden layer's dtype once
+                          output and its slope; the CDF is computed in the
+                          hidden layer's dtype: by the C library's erf in
+                          float64, by a rational erf in float32
     layer_norm(x, g, b)   keeps x, g, the row means and 1 / sqrt(var + eps),
                           (..., 1), and recomputes the normalised x in
                           backward
@@ -77,6 +77,7 @@ Anything fancier belongs in the calling code.
 
 from __future__ import annotations
 
+import math
 from typing import Optional, Sequence
 
 import numpy as np
@@ -427,87 +428,46 @@ def layer_norm(x: Tensor, g: Tensor, b: Tensor, eps: float) -> Tensor:
     return Tensor._result(out, (x, g, b), back)
 
 
-# Cephes' erf (ndtr.c; Moshier 1989): x T(x^2) / U(x^2) for |x| <= 1, and
-# 1 - exp(-x^2) P(|x|) / Q(|x|) above; U and Q have an implicit leading 1
-_ERF_T = (9.60497373987051638749E0, 9.00260197203842689217E1,
-          2.23200534594684319226E3, 7.00332514112805075473E3,
-          5.55923013010394962768E4)
-_ERF_U = (3.35617141647503099647E1, 5.21357949780152679795E2,
-          4.59432382970980127987E3, 2.26290000613890934246E4,
-          4.92673942608635921086E4)
-_ERF_P = (2.46196981473530512524E-10, 5.64189564831068821977E-1,
-          7.46321056442269912687E0, 4.86371970985681366614E1,
-          1.96520832956077098242E2, 5.26445194995477358631E2,
-          9.34528527171957607540E2, 1.02755188689515710272E3,
-          5.57535335369399327526E2)
-_ERF_Q = (1.32281951154744992508E1, 8.67072140885989742329E1,
-          3.54937778887819891062E2, 9.75708501743205489753E2,
-          1.82390916687909736289E3, 2.24633760818710981792E3,
-          1.65666309194161350182E3, 5.57535340817727675546E2)
-_ERF_BLOCK = 1 << 15  # elements per pass, so that every temporary stays cache-sized
+# erf(x) ~ x P(x^2) / Q(x^2) on x clamped to [-4, 4], beyond which float32
+# erf rounds to +-1: the odd degree-13 over even degree-8 rational of Eigen's
+# and XLA's float32 erf (generic_fast_erf_float), coefficients highest first
+_ERF_P = (-2.72614225801306e-10, 2.77068142495902e-08, -2.10102402082508e-06,
+          -5.69250639462346e-05, -7.34990630326855e-04, -2.95459980854025e-03,
+          -1.60960333262415e-02)
+_ERF_Q = (-1.45660718464996e-05, -2.13374055278905e-04, -1.68282697438203e-03,
+          -7.37332916720468e-03, -1.42647390514189e-02)
 
 
-def _polevl(x: np.ndarray, coef, out: np.ndarray, monic: bool = False) -> np.ndarray:
-    """Cephes' polevl (Horner from coef[0]) into out; with monic, its p1evl,
-    whose leading coefficient is an implicit 1. out must not be x."""
-    if monic:
-        np.add(x, coef[0], out=out)
-    else:
-        np.multiply(x, coef[0], out=out)
-        out += coef[1]
-    for c in coef[1 if monic else 2:]:
+def _horner(x: np.ndarray, coef, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """The polynomial with coefficients coef, highest first, at x, into out."""
+    out = np.multiply(x, coef[0], out=out)
+    out += coef[1]
+    for c in coef[2:]:
         out *= x
         out += c
     return out
 
 
-def _erf(x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """erf of a float64 array into out, a C-contiguous float64 array of x's
-    shape that may be x itself; returns out.
+def _normal_cdf(h: np.ndarray) -> np.ndarray:
+    """0.5 * (1 + erf(h / sqrt(2))) in a new array of h's dtype.
 
-    Cephes' erf, its floating-point operations in its order, so every result
-    equals scipy.special.erf's bit for bit (a NaN gives a NaN). Cephes
-    computes erf(-x) as -erf(x); here that is one copysign at the end, which
-    also keeps -0.0. For |x| >= 6, 1 - erfc(|x|) rounds to 1, so clamping
-    |x| to 6 gives Cephes' +-1 without its large-|x| branch. exp(-x^2) must
-    be the C library's exp: numpy's float64 exp is a SIMD kernel that differs
-    in the last bit, while its complex exp calls the C library's cexp, whose
-    real part at a zero imaginary part is exp. The work runs in blocks of
-    _ERF_BLOCK elements, each read whole before its part of out is written.
+    float64 takes the C library's erf (math.erf) per element: finite
+    differences of float64 models need an erf far closer than the float32
+    rational's. float32 takes the rational above in float32, in place in
+    three arrays of h's size, one of them the result: its CDF is within
+    2.3e-7 of the exact one, a few float32 ulps. Both give 0.5 at +-0, 1 and
+    0 at +-inf and NaN at NaN.
     """
-    src, dst = x.reshape(-1), out.reshape(-1)
-    n = min(src.size, _ERF_BLOCK)
-    work = np.empty((4, n))
-    cexp = np.zeros(n, np.complex128)  # only real parts are written: exp keeps 0 as 0
-    for i in range(0, src.size, _ERF_BLOCK):
-        s = src[i:i + _ERF_BLOCK]
-        a, m, z, y = work[:, :s.size]
-        np.abs(s, out=a)
-        np.minimum(a, 1.0, out=m)  # |x| > 1 is overwritten below; this keeps it finite
-        np.multiply(m, m, out=z)
-        _polevl(z, _ERF_T, y)
-        y *= m
-        y /= _polevl(z, _ERF_U, m, monic=True)
-        tail = np.flatnonzero(a > 1.0)
-        k = tail.size
-        if k:
-            t = np.minimum(np.take(a, tail, out=z[:k]), 6.0, out=z[:k])
-            e = cexp[:k]
-            np.negative(np.multiply(t, t, out=e.real), out=e.real)
-            np.exp(e, out=e)
-            r = _polevl(t, _ERF_P, m[:k])
-            r *= e.real
-            r /= _polevl(t, _ERF_Q, a[:k], monic=True)
-            y[tail] = np.subtract(1.0, r, out=r)
-        np.copysign(y, s, out=dst[i:i + _ERF_BLOCK])
-    return out
-
-
-def _normal_cdf(x: np.ndarray) -> np.ndarray:
-    """0.5 * (1 + erf(x / sqrt(2))) in one new float64 array, in place, in the
-    order and dtypes of that expression."""
-    c = x * _INV_SQRT2  # a NumPy float64 constant: float32 x is promoted
-    _erf(c, out=c)
+    x = h * h.dtype.type(_INV_SQRT2)
+    if x.dtype == np.float64:
+        c = np.fromiter(map(math.erf, x.flat), x.dtype, x.size)
+        c = c.reshape(x.shape)
+    else:
+        np.clip(x, -4.0, 4.0, out=x)
+        x2 = x * x
+        c = _horner(x2, _ERF_P)
+        c *= x
+        c /= _horner(x2, _ERF_Q, out=x)
     c += 1.0
     c *= 0.5
     return c
@@ -523,13 +483,12 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     the node keeps x and the weights, not h = x @ w1 + b1 nor its GELU.
     Backward recomputes each row's h, computes the normal CDF from it once
     and reads it twice: for the GELU output, h * cdf, which w2's gradient is
-    formed from, and for the GELU slope, cdf + h * pdf. The CDF is computed
-    in float64, by _erf, and rounded to h's dtype once; the GELU, its slope
-    and everything after them keep h's dtype. x's gradient is filled row by
-    row; the gradients of w1, w2 and b1 are summed over the rows one after
-    another, the order in which numpy sums a batch axis. So both directions
-    match the chain x @ w1 + b1, a GELU node that keeps h and its rounded
-    CDF, @ w2 + b2 bit for bit. The forward products go through
+    formed from, and for the GELU slope, cdf + h * pdf. The CDF, the GELU,
+    its slope and everything after them keep h's dtype (_normal_cdf). x's
+    gradient is filled row by row; the gradients of w1, w2 and b1 are summed
+    over the rows one after another, the order in which numpy sums a batch
+    axis. So both directions match the chain x @ w1 + b1, a GELU node that
+    keeps h and its CDF, @ w2 + b2 bit for bit. The forward products go through
     Tensor.__matmul__ on constants, so they count as matmuls, two per row.
     """
     x, w1, b1, w2, b2 = (as_tensor(t) for t in (x, w1, b1, w2, b2))
@@ -537,7 +496,7 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     out = None
     for i in range(x.shape[0]):
         h = (Tensor(x_data[i]) @ Tensor(w1_data)).data + b1_data
-        act = _normal_cdf(h).astype(h.dtype, copy=False)
+        act = _normal_cdf(h)
         act *= h
         y = (Tensor(act) @ Tensor(w2_data)).data
         if out is None:
@@ -554,7 +513,7 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
         g_b1 = np.zeros(x_data.shape[1:2] + w1_data.shape[1:], w1_data.dtype)
         for i in range(x_data.shape[0]):
             h = x_data[i] @ w1_data + b1_data
-            cdf = _normal_cdf(h).astype(h.dtype, copy=False)
+            cdf = _normal_cdf(h)
             act = h * cdf
             g_w2 += act.swapaxes(-1, -2) @ g[i]
             del act

@@ -33,72 +33,101 @@ from stepalign.trainer import TrainConfig, train
 # criterion 1: analytic gradients vs Richardson-extrapolated central differences
 
 
-def _random_batch(rng, t, n, s, dims):
-    def labels(rows):
-        y = np.zeros((1, rows, t))
-        for k in range(rows):
-            pos = rng.choice(t, size=int(rng.integers(1, t + 1)), replace=False)
-            y[0, k, pos] = 1.0
-        return y
-
+def _random_batch(rng, lengths, dims):
+    """A batch of one video per (frames, narrations, steps) in lengths, each
+    padded to the longest, with random features and labels on its own
+    frames."""
+    b = len(lengths)
+    t_max, n_max, s_max = (max(sizes) for sizes in zip(*lengths))
+    frames, narrations, steps = (
+        np.zeros((b, rows, dim)) for rows, dim in zip((t_max, n_max, s_max), dims))
+    masks = [np.zeros((b, rows), bool) for rows in (t_max, n_max, s_max)]
+    y_nv, y_sv = np.zeros((b, n_max, t_max)), np.zeros((b, s_max, t_max))
+    for i, (t, n, s) in enumerate(lengths):
+        for feats, mask, rows in zip((frames, narrations, steps), masks, (t, n, s)):
+            feats[i, :rows] = rng.normal(size=(rows, feats.shape[2]))
+            mask[i, :rows] = True
+        for y, rows in ((y_nv, n), (y_sv, s)):
+            for k in range(rows):
+                pos = rng.choice(t, size=int(rng.integers(1, t + 1)), replace=False)
+                y[i, k, pos] = 1.0
+    frame_mask, narration_mask, step_mask = masks
     return Batch(
-        video_ids=("g0",),
-        frames=rng.normal(size=(1, t, dims[0])),
-        narrations=rng.normal(size=(1, n, dims[1])),
-        steps=rng.normal(size=(1, s, dims[2])),
-        frame_mask=np.ones((1, t), bool),
-        narration_mask=np.ones((1, n), bool),
-        step_mask=np.ones((1, s), bool),
-        y_nv=labels(n), y_sv=labels(s),
-        sup_nv=np.ones((1, n), bool), sup_sv=np.ones((1, s), bool),
-        narration_index=(tuple(range(n)),))
+        video_ids=tuple(f"g{i}" for i in range(b)),
+        frames=frames, narrations=narrations, steps=steps,
+        frame_mask=frame_mask, narration_mask=narration_mask, step_mask=step_mask,
+        y_nv=y_nv, y_sv=y_sv, sup_nv=narration_mask, sup_sv=step_mask,
+        narration_index=tuple(tuple(range(n)) for _, n, _ in lengths))
+
+
+_FD_CONFIG = ModelConfig(feature_dims=(8, 8, 8), model_dim=8, num_layers=1,
+                         num_heads=2, mlp_hidden=8, ffn_dim=16, max_frames=8,
+                         max_narrations=4, dropout=0.0)
+
+
+def _check_gradients(params, batch, label):
+    """Every gradient of the loss above 1e-6 against finite differences, to
+    a relative 1e-4; returns how many were checked."""
+    out = forward_batch(params, _FD_CONFIG, batch)
+    total, _ = total_loss(out, batch, LossConfig())
+    grads = gradients(total, params)
+
+    def loss_value():
+        a = forward_batch(params, _FD_CONFIG, batch)
+        return float(total_loss(a, batch, LossConfig())[0].data)
+
+    def central(flat, i, h):
+        keep = flat[i]
+        flat[i] = keep + h
+        hi = loss_value()
+        flat[i] = keep - h
+        lo = loss_value()
+        flat[i] = keep
+        return (hi - lo) / (2.0 * h)
+
+    step = 1e-4
+    checked = 0
+    for name, p in params.items():
+        flat = p.data.reshape(-1)
+        gflat = grads[name].reshape(-1)
+        for i in range(flat.size):
+            if abs(gflat[i]) <= 1e-6:
+                continue
+            # a central difference errs by O(h^2); combining two step
+            # sizes cancels that term, leaving O(h^4)
+            fd = (4.0 * central(flat, i, step / 2) - central(flat, i, step)) / 3.0
+            rel = abs(gflat[i] - fd) / max(abs(gflat[i]), abs(fd))
+            assert rel < 1e-4, (
+                f"{label} {name}[{i}]: analytic {gflat[i]:.3e} "
+                f"vs finite-difference {fd:.3e} (rel {rel:.2e})")
+            checked += 1
+    return checked
 
 
 def test_criterion_1_gradient_fidelity():
     start = time.monotonic()
-    cfg = ModelConfig(feature_dims=(8, 8, 8), model_dim=8, num_layers=1,
-                      num_heads=2, mlp_hidden=8, ffn_dim=16, max_frames=8,
-                      max_narrations=4, dropout=0.0)
-    step = 1e-4
     for seed in range(5):
         rng = np.random.default_rng(100 + seed)
-        params = init_params(cfg, seed, dtype=np.float64)
-        batch = _random_batch(rng, t=6, n=2, s=2, dims=cfg.feature_dims)
-
-        out = forward_batch(params, cfg, batch)
-        total, _ = total_loss(out, batch, LossConfig())
-        grads = gradients(total, params)
-
-        def loss_value():
-            a = forward_batch(params, cfg, batch)
-            return float(total_loss(a, batch, LossConfig())[0].data)
-
-        def central(flat, i, h):
-            keep = flat[i]
-            flat[i] = keep + h
-            hi = loss_value()
-            flat[i] = keep - h
-            lo = loss_value()
-            flat[i] = keep
-            return (hi - lo) / (2.0 * h)
-
-        checked = 0
-        for name, p in params.items():
-            flat = p.data.reshape(-1)
-            gflat = grads[name].reshape(-1)
-            for i in range(flat.size):
-                if abs(gflat[i]) <= 1e-6:
-                    continue
-                # a central difference errs by O(h^2); combining two step
-                # sizes cancels that term, leaving O(h^4)
-                fd = (4.0 * central(flat, i, step / 2) - central(flat, i, step)) / 3.0
-                rel = abs(gflat[i] - fd) / max(abs(gflat[i]), abs(fd))
-                assert rel < 1e-4, (
-                    f"seed {seed} {name}[{i}]: analytic {gflat[i]:.3e} "
-                    f"vs finite-difference {fd:.3e} (rel {rel:.2e})")
-                checked += 1
-        assert checked > 200  # the filter must not have skipped everything
+        params = init_params(_FD_CONFIG, seed, dtype=np.float64)
+        batch = _random_batch(rng, [(6, 2, 2)], _FD_CONFIG.feature_dims)
+        # the filter must not have skipped everything
+        assert _check_gradients(params, batch, f"seed {seed}") > 200
     assert time.monotonic() - start < 60.0
+
+
+def test_criterion_1_holds_on_a_ragged_batch():
+    # three videos whose frame, narration and step counts all differ, so
+    # padded frames, narrations and steps, key masks and the per-video loops
+    # of mlp and attention are all inside the checked loss
+    start = time.monotonic()
+    rng = np.random.default_rng(105)
+    params = init_params(_FD_CONFIG, 5, dtype=np.float64)
+    batch = _random_batch(rng, [(6, 2, 2), (4, 3, 1), (5, 1, 3)],
+                          _FD_CONFIG.feature_dims)
+    assert not (batch.frame_mask.all() or batch.narration_mask.all()
+                or batch.step_mask.all())
+    assert _check_gradients(params, batch, "ragged") > 200
+    assert time.monotonic() - start < 10.0
 
 
 # ---------------------------------------------------------------------------
