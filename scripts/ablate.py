@@ -55,6 +55,12 @@ as a string when it is not JSON. The merged sections are checked as a
     python3 scripts/ablate.py 0 1 2 --tag zeta05 --set pseudo.zeta=0.5
     python3 scripts/ablate.py --jobs 2 --set pseudo.source='"fused"'
 
+--compare OLD.json NEW.json trains nothing: for each seed of either file,
+and for the totals, it prints every count that differs, as old -> new, and
+the names of the digests that differ:
+
+    python3 scripts/ablate.py --compare ABLATE_base.json ABLATE_mine.json
+
 It imports the stepalign under src/ next to this script, not an installed
 one. main() starts its worker processes with one BLAS thread unless the
 environment sets another count, and leaves os.environ as it found it; merely
@@ -289,9 +295,58 @@ def _table(runs: list[dict], total: dict) -> str:
     return "\n".join(lines)
 
 
+def _counts(record: dict, prefix: str = ""):
+    """(dotted name, value) of every count of a record but its seed and
+    digests; a [hits, rows] pair is one value."""
+    for key, value in record.items():
+        if key in ("seed", "digests"):
+            continue
+        if isinstance(value, dict):
+            yield from _counts(value, f"{prefix}{key}.")
+        else:
+            yield f"{prefix}{key}", value
+
+
+def _show(value) -> str:
+    if isinstance(value, list):
+        return "/".join(map(str, value))
+    return "-" if value is None else str(value)
+
+
+def _differences(old: dict, new: dict) -> str:
+    """The counts and the names of the digests that differ between two
+    records of one seed, or between two totals."""
+    a, b = dict(_counts(old)), dict(_counts(new))
+    parts = [f"{name} {_show(a.get(name))} -> {_show(b.get(name))}"
+             for name in dict.fromkeys([*a, *b]) if a.get(name) != b.get(name)]
+    parts = ["; ".join(parts) or "same counts"]
+    if "digests" in old or "digests" in new:
+        x, y = old.get("digests", {}), new.get("digests", {})
+        names = [n for n in dict.fromkeys([*x, *y]) if x.get(n) != y.get(n)]
+        parts.append("digests differ: " + ", ".join(names) if names else "same digests")
+    return "; ".join(parts)
+
+
+def compare(old: dict, new: dict) -> list[str]:
+    """One line per seed of either ABLATE record, in the old record's seed
+    order, then one for the totals."""
+    old_runs = {r["seed"]: r for r in old["runs"]}
+    new_runs = {r["seed"]: r for r in new["runs"]}
+    lines = []
+    for seed in dict.fromkeys([*old_runs, *new_runs]):
+        if seed not in new_runs or seed not in old_runs:
+            lines.append(f"seed {seed}: only in the "
+                         f"{'old' if seed in old_runs else 'new'} record")
+        else:
+            lines.append(f"seed {seed}: {_differences(old_runs[seed], new_runs[seed])}")
+    lines.append(f"totals: {_differences(old['totals'], new['totals'])}")
+    return lines
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("seeds", nargs="*", type=int, default=list(range(10)))
+    parser.add_argument("seeds", nargs="*", type=int,
+                        help="the seeds to train (default: 0-9)")
     parser.add_argument("--tag", default="run",
                         help="the output is ABLATE_<tag>.json in the current "
                              "directory (default: run)")
@@ -300,7 +355,16 @@ def main(argv=None) -> int:
                         help="override a config field; repeatable")
     parser.add_argument("--jobs", type=int, default=1,
                         help="seeds trained at once, one process each (default: 1)")
+    parser.add_argument("--compare", nargs=2, type=Path, metavar=("OLD.json", "NEW.json"),
+                        help="train nothing; print what differs between two "
+                             "ABLATE files, seed by seed")
     args = parser.parse_args(argv)
+    if args.compare:
+        if args.seeds or args.overrides:
+            parser.error("--compare trains nothing, so it takes no seeds and no --set")
+        old, new = (json.loads(path.read_text()) for path in args.compare)
+        print("\n".join(compare(old, new)))
+        return 0
     if args.jobs < 1:
         parser.error("--jobs must be >= 1")
     overrides: dict[str, dict] = {}
@@ -312,7 +376,7 @@ def main(argv=None) -> int:
     except ConfigError as e:
         parser.error(str(e))
 
-    seeds = list(dict.fromkeys(args.seeds))
+    seeds = list(dict.fromkeys(args.seeds or range(10)))
     # spawned workers read the BLAS thread count from the environment when
     # they import numpy; the caller's environment is restored afterwards
     unset = [var for var in BLAS_THREADS if var not in os.environ]

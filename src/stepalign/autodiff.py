@@ -27,11 +27,14 @@ joins a fused node only where that node recomputes its output from x
 rather than keep it. Four fused nodes stand in for chains of generic ones
 and keep less of them alive:
 
-    mlp(x, w1, b1, w2, b2) gelu(x @ w1 + b1) @ w2 + b2 with the exact GELU;
+    mlp(x, w1, b1, w2, b2[, bounds])
+                          gelu(x @ w1 + b1) @ w2 + b2 with the exact GELU;
                           keeps x and the weights, not the hidden layer;
-                          both directions work one video (batch row) at a
-                          time, so no (B, n, hidden) array exists at any
-                          time, and backward recomputes each row's hidden
+                          both directions work one video at a time, a batch
+                          row of a (B, n, d) x or, given row bounds, a
+                          video's rows of a packed (sum n_i, d) x, so no
+                          hidden layer of the whole batch exists at any
+                          time, and backward recomputes each video's hidden
                           layer and its normal CDF once, for both the GELU
                           output and its slope; the CDF is computed in the
                           hidden layer's dtype: by the C library's erf in
@@ -39,17 +42,23 @@ and keep less of them alive:
     layer_norm(x, g, b)   keeps x, g, the row means and 1 / sqrt(var + eps),
                           (..., 1), and recomputes the normalised x in
                           backward
-    attention(x, wq, .., bo, heads, scale, bias)
-                          softmax(q @ k^T * scale + bias) @ v with the heads
-                          merged, @ wo + bo, q, k and v being x @ w + b;
+    attention(x, wq, .., bo, heads, scale, bounds)
+                          softmax(q @ k^T * scale) @ v with the heads merged,
+                          @ wo + bo, q, k and v being x @ w + b, on packed
+                          (sum n_i, d) rows, video i's rows being
+                          bounds[i]:bounds[i + 1]; a video's tokens attend
+                          to its own tokens only, so no key mask exists;
                           keeps x and the weights, not q, k, v or the
                           output before wo; both directions work one video
-                          (batch row) at a time, so no (B, n, d) q, k or v
-                          and no (B, H, n, n) array exists at any time, and
-                          backward recomputes each row's projections, scores
-                          and probabilities
+                          at a time, so no q, k or v of the whole batch
+                          exists at any time, and backward recomputes each
+                          video's projections, scores and probabilities
     dropout(x, keep, rate) x * keep / (1 - rate); keeps the bool mask and
                           rebuilds the scaled mask in backward
+
+Two generic ops move tokens between the padded and the packed layout: x[mask]
+gathers the rows of a (B, n, d) x where a bool mask is true, and
+unpack(rows, mask) scatters them back into zeros of shape (B, n, d).
 
 One contract for them: each fused node computes its expression and its
 gradients in closed form, in its operands' dtype. Each is checked by finite
@@ -58,7 +67,11 @@ float64, at a stated tolerance, or, for mlp and dropout, whose closed forms
 are the chain's own arithmetic, that chain in the operands' dtype, exactly.
 attention is checked both ways: at a tolerance against generic ops in
 float64, and exactly against four generic x @ w + b maps around a node on
-q, k and v with the same closed-form softmax backward.
+q, k and v with the same closed-form softmax backward. On packed rows the
+chain runs on each video's rows alone, so each weight and bias gradient of
+mlp and attention is formed per video and summed over the videos in order:
+no product spans two videos, and no product's shape depends on the BLAS
+thread count.
 
 One dtype policy: an op's result takes its operands' dtype, and a Python or
 NumPy scalar operand is weak, as NumPy's NEP 50 makes a Python scalar: it
@@ -108,8 +121,11 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad.reshape(shape)
 
 
-def _is_basic(idx) -> bool:
-    """True for an index of ints, slices, Ellipsis and None only."""
+def _picks_once(idx) -> bool:
+    """True for an index that picks each element at most once: ints, slices,
+    Ellipsis and None only, or one bool mask."""
+    if isinstance(idx, np.ndarray) and idx.dtype == bool:
+        return True
     parts = idx if isinstance(idx, tuple) else (idx,)
     return all(isinstance(i, (int, np.integer, slice, type(Ellipsis), type(None)))
                for i in parts)
@@ -314,9 +330,9 @@ class Tensor:
 
         def back(g):
             buf = np.zeros(x.shape, x.dtype)
-            if _is_basic(idx):  # a view: each element is picked at most once
+            if _picks_once(idx):
                 buf[idx] = g
-            else:  # advanced indices may repeat an element
+            else:  # other advanced indices may repeat an element
                 np.add.at(buf, idx, g)
             x._accum(buf)
         return Tensor._result(self.data[idx], (self,), back)
@@ -390,6 +406,42 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
             _accum(node, piece)
     return Tensor._result(np.concatenate([t.data for t in tensors], axis=axis),
                           tensors, back)
+
+
+def unpack(rows: Tensor, mask: np.ndarray) -> Tensor:
+    """The inverse of x[mask] for a bool mask over x's leading axes: zeros of
+    shape mask.shape + rows.shape[1:] with rows placed where mask is true, in
+    order. Its gradient is the output gradient's rows at mask."""
+    rows = as_tensor(rows)
+    node = rows.node
+    out = np.zeros(mask.shape + rows.shape[1:], rows.dtype)
+    out[mask] = rows.data
+
+    def back(g):
+        node._accum(g[mask])
+    return Tensor._result(out, (rows,), back)
+
+
+def _videos(x: np.ndarray, bounds) -> list:
+    """The index of each video's rows in x: video i's rows are
+    x[bounds[i]:bounds[i + 1]] of a packed (sum n_i, d) x, or x[i] of a
+    (B, n, d) x when bounds is None."""
+    if bounds is None:
+        return list(range(x.shape[0]))
+    return [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+
+def _bias_grad(g: np.ndarray, videos: list, shape, packed: bool) -> np.ndarray:
+    """The gradient of a (1, d) bias added to every row of an output whose
+    gradient is g: summed over the batch axis, then over the rows, for a
+    (B, n, d) g; for a packed g, over each video's rows, then over the
+    videos one after another."""
+    if not packed:
+        return _unbroadcast(g, shape)
+    total = np.zeros(g.shape[-1:], g.dtype)
+    for r in videos:
+        total += g[r].sum(axis=0)
+    return total.reshape(shape)
 
 
 def layer_norm(x: Tensor, g: Tensor, b: Tensor, eps: float) -> Tensor:
@@ -473,62 +525,73 @@ def _normal_cdf(h: np.ndarray) -> np.ndarray:
     return c
 
 
-def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
+        bounds=None) -> Tensor:
     """gelu(x @ w1 + b1) @ w2 + b2 as one node, gelu being the exact GELU
-    0.5 h (1 + erf(h / sqrt(2))); x is (B, n, d), b1 and b2 are (1, hidden)
-    and (1, d_out).
+    0.5 h (1 + erf(h / sqrt(2))); b1 and b2 are (1, hidden) and (1, d_out).
+    x is (B, n, d), one video per batch row, or, with bounds, packed
+    (sum n_i, d) rows, video i's rows being bounds[i]:bounds[i + 1].
 
-    Both directions work one video (batch row) at a time, as attention
-    does, so the hidden layer exists only as one row's (n, hidden) arrays:
-    the node keeps x and the weights, not h = x @ w1 + b1 nor its GELU.
-    Backward recomputes each row's h, computes the normal CDF from it once
-    and reads it twice: for the GELU output, h * cdf, which w2's gradient is
+    Both directions work one video at a time, as attention does, so the
+    hidden layer exists only as one video's (n_i, hidden) arrays: the node
+    keeps x and the weights, not h = x @ w1 + b1 nor its GELU. Backward
+    recomputes each video's h, computes the normal CDF from it once and
+    reads it twice: for the GELU output, h * cdf, which w2's gradient is
     formed from, and for the GELU slope, cdf + h * pdf. The CDF, the GELU,
     its slope and everything after them keep h's dtype (_normal_cdf). x's
-    gradient is filled row by row; the gradients of w1, w2 and b1 are summed
-    over the rows one after another, the order in which numpy sums a batch
-    axis. So both directions match the chain x @ w1 + b1, a GELU node that
-    keeps h and its CDF, @ w2 + b2 bit for bit. The forward products go through
-    Tensor.__matmul__ on constants, so they count as matmuls, two per row.
+    gradient is filled video by video; each weight gradient is formed from
+    one video's rows and summed over the videos one after another, the order
+    in which numpy sums a batch axis. A bias's gradient is summed as the
+    chain sums it: for a (B, n, d) x over the batch axis, then over the
+    rows; packed, over each video's rows, then over the videos. So both
+    directions match, bit for bit, the chain x @ w1 + b1, a GELU node that
+    keeps h and its CDF, @ w2 + b2: run on the whole (B, n, d) x, or on each
+    video's packed rows alone with its outputs concatenated. The forward
+    products go through Tensor.__matmul__ on constants, so they count as
+    matmuls, two per video.
     """
     x, w1, b1, w2, b2 = (as_tensor(t) for t in (x, w1, b1, w2, b2))
     x_data, w1_data, b1_data, w2_data = x.data, w1.data, b1.data, w2.data
+    videos = _videos(x_data, bounds)
     out = None
-    for i in range(x.shape[0]):
-        h = (Tensor(x_data[i]) @ Tensor(w1_data)).data + b1_data
+    for r in videos:
+        h = (Tensor(x_data[r]) @ Tensor(w1_data)).data + b1_data
         act = _normal_cdf(h)
         act *= h
         y = (Tensor(act) @ Tensor(w2_data)).data
         if out is None:
-            out = np.empty(x.shape[:1] + y.shape, np.result_type(y, b2.data))
-        np.add(y, b2.data, out=out[i])
-        del h, act, y  # one row's arrays go before the next row's are made
+            out = np.empty(x.shape[:-1] + y.shape[-1:], np.result_type(y, b2.data))
+        np.add(y, b2.data, out=out[r])
+        del h, act, y  # one video's arrays go before the next one's are made
     nx, nw1, nb1, nw2, nb2 = x.node, w1.node, b1.node, w2.node, b2.node
     b1_shape, b2_shape = b1.shape, b2.shape
+    packed = bounds is not None
+    rows = 1 if packed else x_data.shape[1]  # those of g_b1
 
     def back(g):
-        _accum(nb2, _unbroadcast(g, b2_shape))
+        _accum(nb2, _bias_grad(g, videos, b2_shape, packed))
         g_x = np.empty(x_data.shape, x_data.dtype) if nx is not None else None
         g_w1, g_w2 = np.zeros_like(w1_data), np.zeros_like(w2_data)
-        g_b1 = np.zeros(x_data.shape[1:2] + w1_data.shape[1:], w1_data.dtype)
-        for i in range(x_data.shape[0]):
-            h = x_data[i] @ w1_data + b1_data
+        g_b1 = np.zeros((rows,) + w1_data.shape[1:], w1_data.dtype)
+        for r in videos:
+            h = x_data[r] @ w1_data + b1_data
             cdf = _normal_cdf(h)
             act = h * cdf
-            g_w2 += act.swapaxes(-1, -2) @ g[i]
+            g_w2 += act.swapaxes(-1, -2) @ g[r]
             del act
             d = h ** 2
             d *= -0.5
             np.exp(d, out=d)
-            d *= _INV_SQRT2PI
+            d *= d.dtype.type(_INV_SQRT2PI)  # a float64 scalar would loop in float64
             d *= h
             d += cdf
             del cdf, h
-            d *= g[i] @ w2_data.swapaxes(-1, -2)
-            g_b1 += d  # d is now h's gradient
+            d *= g[r] @ w2_data.swapaxes(-1, -2)
+            # d is now h's gradient
+            g_b1 += d.sum(axis=0, keepdims=True) if packed else d
             if g_x is not None:
-                np.matmul(d, w1_data.swapaxes(-1, -2), out=g_x[i])
-            g_w1 += x_data[i].swapaxes(-1, -2) @ d
+                np.matmul(d, w1_data.swapaxes(-1, -2), out=g_x[r])
+            g_w1 += x_data[r].swapaxes(-1, -2) @ d
             del d
         _accum(nw2, g_w2)
         _accum(nx, g_x)
@@ -537,14 +600,13 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     return Tensor._result(out, (x, w1, b1, w2, b2), back)
 
 
-def _softmax(scores: np.ndarray, scale, bias) -> np.ndarray:
-    """softmax(scores * scale + bias) over the last axis, in scores' buffer.
+def _softmax(scores: np.ndarray, scale) -> np.ndarray:
+    """softmax(scores * scale) over the last axis, in scores' buffer.
 
     attention passes a fresh product that nothing else reads, and a scale
     of its dtype.
     """
     z = np.multiply(scores, scale, out=scores)
-    z += bias
     z -= z.max(axis=-1, keepdims=True)
     np.exp(z, out=z)
     z /= z.sum(axis=-1, keepdims=True)
@@ -553,73 +615,73 @@ def _softmax(scores: np.ndarray, scale, bias) -> np.ndarray:
 
 def attention(x: Tensor, wq: Tensor, bq: Tensor, wk: Tensor, bk: Tensor,
               wv: Tensor, bv: Tensor, wo: Tensor, bo: Tensor, num_heads: int,
-              scale, bias) -> Tensor:
+              scale, bounds) -> Tensor:
     """Multi-head attention with its four projections, as one node:
-    softmax(q @ k^T * scale + bias) @ v with the heads merged, @ wo + bo,
-    where q, k and v are x @ w + b for wq, wk and wv, split into num_heads
-    heads.
+    softmax(q @ k^T * scale) @ v with the heads merged, @ wo + bo, where q,
+    k and v are x @ w + b for wq, wk and wv, split into num_heads heads, and
+    each video's tokens attend to that video's tokens only.
 
-    x is (B, n, d), the weights (d, d) and the biases (1, d); bias is a 4-d
-    constant broadcast against the (B, H, n, n) scores, e.g. MASK_FILL on
-    blocked keys, with a leading dim of B or 1. Both directions work one
-    video (batch row) at a time, as FlashAttention (Dao et al., 2022) works
-    one tile at a time: a row's (H, n, n) scores are shifted, exponentiated
-    and normalised in their own buffer, so neither a (B, H, n, n) array nor
-    a (B, n, d) q, k or v exists at any time. As mlp keeps x and its
-    weights, the node keeps x, the weights and biases but bo, whose gradient
-    is the output's, and the key bias; backward recomputes each row's q, k,
-    v, probabilities p and merged output, forms the scores' gradient
-    in closed form, g_s = p * (g_p - sum(g_p * p)) * scale over each row of
+    x is packed (sum n_i, d) rows, video i's rows being bounds[i]:bounds[i
+    + 1], the weights (d, d) and the biases (1, d). So no key is padding,
+    and no mask is needed (the variable-length layout of FlashAttention-2,
+    Dao, 2023). Both directions work one video at a time, as FlashAttention
+    (Dao et al., 2022) works one tile at a time: a video's (H, n_i, n_i)
+    scores are shifted, exponentiated and normalised in their own buffer,
+    so no q, k or v of the whole batch exists at any time. As mlp keeps x
+    and its weights, the node keeps x and the weights and biases but bo,
+    whose gradient is the output's; backward recomputes each video's q, k,
+    v, probabilities p and merged output, forms the scores' gradient in
+    closed form, g_s = p * (g_p - sum(g_p * p)) * scale over each row of
     keys, g_p being that of p, then q's as g_s @ k and k's as g_s^T @ q.
-    x's gradient is filled row by row as (c_q + c_k) + c_v, each c a
+    x's gradient is filled video by video as (c_q + c_k) + c_v, each c a
     projection's gradient times its weight transposed; each weight and bias
-    gradient is summed over the rows one after another, the order in which
-    numpy sums a batch axis. So both directions match the chain of four
-    x @ w + b maps around an attention node on q, k and v bit for bit. The
-    forward products go through Tensor.__matmul__ on constants, so they
-    count as matmuls, six per row.
+    gradient is formed from one video's rows, a bias's as the sum over those
+    rows, and summed over the videos one after another. So both directions
+    match, bit for bit, the chain of four x @ w + b maps around an attention
+    node on q, k and v run on each video's rows alone, its outputs
+    concatenated. The forward products go through Tensor.__matmul__ on
+    constants, so they count as matmuls, six per video.
     """
     x, wq, bq, wk, bk, wv, bv, wo, bo = (
         as_tensor(t) for t in (x, wq, bq, wk, bk, wv, bv, wo, bo))
-    b, n, d = x.shape
+    d = x.shape[-1]
     dh = d // num_heads
     x_data, wo_data = x.data, wo.data
     projections = [(w.data, c.data) for w, c in ((wq, bq), (wk, bk), (wv, bv))]
     scale = np.result_type(x_data, *projections[0]).type(scale)  # q's dtype
-    bias = np.broadcast_to(bias, (b,) + np.shape(bias)[1:])  # a row per video
+    videos = _videos(x_data, bounds)
 
     def heads(t):
-        return t.reshape(n, num_heads, dh).swapaxes(0, 1)
+        return t.reshape(len(t), num_heads, dh).swapaxes(0, 1)
 
     def merged(t):
-        return t.swapaxes(0, 1).reshape(n, d)
+        return t.swapaxes(0, 1).reshape(-1, d)
 
     out = None
-    for i in range(b):
-        q, k, v = (heads((Tensor(x_data[i]) @ Tensor(w)).data + c)
+    for r in videos:
+        q, k, v = (heads((Tensor(x_data[r]) @ Tensor(w)).data + c)
                    for w, c in projections)
-        p = _softmax((Tensor(q) @ Tensor(k.swapaxes(-1, -2))).data, scale, bias[i])
+        p = _softmax((Tensor(q) @ Tensor(k.swapaxes(-1, -2))).data, scale)
         y = (Tensor(merged((Tensor(p) @ Tensor(v)).data)) @ Tensor(wo_data)).data
         if out is None:
-            out = np.empty((b,) + y.shape, np.result_type(y, bo.data))
-        np.add(y, bo.data, out=out[i])
-        del q, k, v, p, y  # one row's arrays go before the next row's are made
+            out = np.empty(x.shape[:-1] + y.shape[-1:], np.result_type(y, bo.data))
+        np.add(y, bo.data, out=out[r])
+        del q, k, v, p, y  # one video's arrays go before the next one's are made
     nx, nwo, nbo = x.node, wo.node, bo.node
     nodes = [(w.node, c.node) for w, c in ((wq, bq), (wk, bk), (wv, bv))]
     bo_shape = bo.shape
 
     def back(g):
-        _accum(nbo, _unbroadcast(g, bo_shape))
         g_x = np.empty(x_data.shape, x_data.dtype) if nx is not None else None
         g_wo = np.zeros_like(wo_data)
         g_w = [np.zeros_like(w) for w, _ in projections]
-        g_b = [np.zeros((n, d), c.dtype) for _, c in projections]
-        for i in range(b):
-            x_i = x_data[i]
-            q, k, v = (heads(x_i @ w + c) for w, c in projections)
-            p = _softmax(q @ k.swapaxes(-1, -2), scale, bias[i])
-            g_wo += merged(p @ v).swapaxes(-1, -2) @ g[i]
-            g_o = heads(g[i] @ wo_data.swapaxes(-1, -2))
+        g_b = [np.zeros(w.shape[-1:], c.dtype) for w, c in projections]
+        for r in videos:
+            x_r, g_r = x_data[r], g[r]
+            q, k, v = (heads(x_r @ w + c) for w, c in projections)
+            p = _softmax(q @ k.swapaxes(-1, -2), scale)
+            g_wo += merged(p @ v).swapaxes(-1, -2) @ g_r
+            g_o = heads(g_r @ wo_data.swapaxes(-1, -2))
             g_v = p.swapaxes(-1, -2) @ g_o
             g_s = g_o @ v.swapaxes(-1, -2)  # p's gradient
             g_s -= (g_s * p).sum(axis=-1, keepdims=True)
@@ -629,18 +691,19 @@ def attention(x: Tensor, wq: Tensor, bq: Tensor, wk: Tensor, bk: Tensor,
             grads = [merged(g_s @ k), merged(g_s.swapaxes(-1, -2) @ q), merged(g_v)]
             del g_s, q, k, g_v
             for (w, _), gw, gb, grad in zip(projections, g_w, g_b, grads):
-                gb += grad
-                gw += x_i.swapaxes(-1, -2) @ grad
+                gb += grad.sum(axis=0)
+                gw += x_r.swapaxes(-1, -2) @ grad
             if g_x is not None:
                 c_q, c_k, c_v = (grad @ w.swapaxes(-1, -2)
                                  for grad, (w, _) in zip(grads, projections))
-                np.add(c_q, c_k, out=g_x[i])
-                g_x[i] += c_v
+                np.add(c_q, c_k, out=g_x[r])
+                g_x[r] += c_v
             del grads
+        _accum(nbo, _bias_grad(g, videos, bo_shape, True))
         _accum(nwo, g_wo)
         for (nw, nb), gw, gb, (_, c) in zip(nodes, g_w, g_b, projections):
             _accum(nw, gw)
-            _accum(nb, _unbroadcast(gb, c.shape))
+            _accum(nb, gb.reshape(c.shape))
         _accum(nx, g_x)
     return Tensor._result(out, (x, wq, bq, wk, bk, wv, bv, wo, bo), back)
 

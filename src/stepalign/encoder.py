@@ -4,9 +4,9 @@ Frames and texts are lifted into a shared space by two two-layer MLPs plus
 learned positional embeddings, one for frames and one for texts: article
 steps are sentences like narrations, so they take the narration MLP and
 positional table. The three modalities are concatenated into one token
-sequence and run through a pre-norm transformer so each can condition on the
-others. Alignment scores are cosine similarities between the contextualized
-tokens:
+sequence, whose valid tokens run through a pre-norm transformer so each can
+condition on the others. Alignment scores are cosine similarities between
+the contextualized tokens:
 
     a_nv  narration x frame        a_sv  step x frame
     a_sn  step x narration
@@ -28,12 +28,14 @@ from typing import Mapping, Optional
 import numpy as np
 
 from . import tensorio
-from .autodiff import Tensor, attention, concat, dropout, layer_norm, mlp
+from .autodiff import Tensor, attention, concat, dropout, layer_norm, mlp, unpack
 from .corpus.batching import Batch
 
 LAYERNORM_EPS = 1e-5
 COSINE_EPS = 1e-8
-MASK_FILL = -1e9  # drives masked attention logits to exp-underflow zero
+# drives the masked logits of info_nce's and indirect_alignment's softmaxes to
+# exp-underflow zero; attention runs on valid tokens and needs no mask
+MASK_FILL = -1e9
 RESIDUAL_INIT_SCALE = 0.1  # residual branch output projections start damped
 
 
@@ -140,9 +142,9 @@ def detach_params(params: Mapping[str, Tensor]) -> dict[str, Tensor]:
 # forward pieces
 
 
-def _mlp(params, name: str, x: Tensor) -> Tensor:
+def _mlp(params, name: str, x: Tensor, bounds=None) -> Tensor:
     return mlp(x, params[f"{name}.l1.w"], params[f"{name}.l1.b"],
-               params[f"{name}.l2.w"], params[f"{name}.l2.b"])
+               params[f"{name}.l2.w"], params[f"{name}.l2.b"], bounds)
 
 
 def _layer_norm(params, name: str, x: Tensor) -> Tensor:
@@ -169,29 +171,36 @@ def unimodal_encode(params, x: Tensor, modality: str) -> Tensor:
     return _mlp(params, mlp_name, x) + pos[:n]
 
 
-def _attention(params, name: str, x: Tensor, key_mask: np.ndarray,
+def _attention(params, name: str, x: Tensor, bounds: np.ndarray,
                num_heads: int) -> Tensor:
-    bias = np.where(key_mask, 0.0, MASK_FILL).astype(x.dtype)
     return attention(x, *(params[f"{name}.{proj}.{part}"]
                           for proj in ("wq", "wk", "wv", "wo") for part in ("w", "b")),
-                     num_heads, 1.0 / np.sqrt(x.shape[-1] // num_heads),
-                     bias[:, None, None, :])
+                     num_heads, 1.0 / np.sqrt(x.shape[-1] // num_heads), bounds)
 
 
-def _dropout(x: Tensor, rate: float, rng) -> Tensor:
-    """Inverted dropout; identity when no generator is supplied (inference)."""
+def _dropout(x: Tensor, token_mask: np.ndarray, rate: float, rng) -> Tensor:
+    """Inverted dropout on the packed rows x; identity when no generator is
+    supplied (inference). The uniforms are drawn over the padded
+    token_mask.shape + (d,) and the valid tokens' kept, so a token's mask
+    does not depend on how much padding its batch has."""
     if rng is None or rate <= 0.0:
         return x
-    return dropout(x, rng.random(x.shape) >= rate, rate)
+    keep = rng.random(token_mask.shape + x.shape[-1:]) >= rate
+    return dropout(x, keep[token_mask], rate)
 
 
 def multimodal_encode(params, config: ModelConfig, x: Tensor,
                       token_mask: np.ndarray, dropout_rng=None) -> Tensor:
     """Joint transformer over the [video; narration; step] tokens x, (B, T+N+S, d).
 
-    token_mask is (B, T+N+S) bool; padding tokens are blocked as attention
-    keys, so their values cannot leak into valid positions. With zero layers
-    this is the identity, which keeps the unimodal pathway testable on its own.
+    token_mask is (B, T+N+S) bool. The valid tokens are gathered once into
+    one packed (sum n_i, d) array, video by video, and every layer runs on
+    those rows alone: a video's tokens attend to its own valid tokens only,
+    so padding can neither leak into valid positions nor cost compute (the
+    variable-length layout of FlashAttention-2, Dao, 2023; packing without
+    cross-contamination, Krell et al., 2021). The result is scattered back
+    once into zeros of shape (B, T+N+S, d): padded positions come out 0.
+    With zero layers this is the identity on the valid tokens.
     Passing a dropout_rng enables train-mode dropout on the token embeddings
     and both residual branches; besides regularizing, this stops the token
     cloud from collapsing onto a few directions, which would saturate every
@@ -202,20 +211,24 @@ def multimodal_encode(params, config: ModelConfig, x: Tensor,
     if x.shape[1] != token_mask.shape[1]:
         raise ModelError(
             f"token mask covers {token_mask.shape[1]} tokens, model has {x.shape[1]}")
-    if not token_mask.any(axis=1).all():
+    counts = token_mask.sum(axis=1)
+    if not counts.all():
         raise ModelError("a batch row has no valid tokens")
-    x = _dropout(x, config.dropout, dropout_rng)
+    bounds = np.concatenate([[0], np.cumsum(counts)])
+    h = x[token_mask]
+    del x  # at inference nothing else holds the padded tokens, so they go now
+    h = _dropout(h, token_mask, config.dropout, dropout_rng)
     for i in range(config.num_layers):
-        x = x + _dropout(_attention(params, f"layers.{i}.attn",
-                                    _layer_norm(params, f"layers.{i}.ln1", x),
-                                    token_mask, config.num_heads),
-                         config.dropout, dropout_rng)
-        x = x + _dropout(_mlp(params, f"layers.{i}.ffn",
-                              _layer_norm(params, f"layers.{i}.ln2", x)),
-                         config.dropout, dropout_rng)
+        h = h + _dropout(_attention(params, f"layers.{i}.attn",
+                                    _layer_norm(params, f"layers.{i}.ln1", h),
+                                    bounds, config.num_heads),
+                         token_mask, config.dropout, dropout_rng)
+        h = h + _dropout(_mlp(params, f"layers.{i}.ffn",
+                              _layer_norm(params, f"layers.{i}.ln2", h), bounds),
+                         token_mask, config.dropout, dropout_rng)
     if config.num_layers > 0:
-        x = _layer_norm(params, "final_ln", x)
-    return x
+        h = _layer_norm(params, "final_ln", h)
+    return unpack(h, token_mask)
 
 
 def _unit_rows(x: Tensor) -> Tensor:

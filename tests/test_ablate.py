@@ -168,3 +168,41 @@ def test_ablate_main_pins_its_workers_to_one_blas_thread_and_restores_the_enviro
     assert dict(os.environ) == before
     [(args, _)] = calls  # a --set override reaches train
     assert args[2] == TrainConfig(seed=0, base_lr=0.001)
+
+
+def _record(seed, fused, c7, ckpt):
+    return {"seed": seed, "step_r1": {"fused": fused, "direct_sv": [5, 6]},
+            "criterion_7": c7, "last_labels": {"kept": 4, "kept_len_mean": 2.5},
+            "digests": {"corpus/generated": "c", "last.ckpt": ckpt}}
+
+
+def test_compare_prints_the_counts_and_digests_that_differ(tmp_path, monkeypatch, capsys):
+    # two hand-written records: seed 1 keeps its counts but not its
+    # checkpoint, seed 2 loses a fused hit and criterion 7, seed 3 is only in
+    # the new record; --compare trains nothing and writes no file
+    old = {"runs": [_record(1, [6, 6], True, "a"), _record(2, [6, 6], True, "b")],
+           "totals": {"step_r1": {"fused": [12, 12], "direct_sv": [10, 12]},
+                      "criterion_7": [2, 2]}}
+    new = {"runs": [_record(2, [5, 6], False, "b"), _record(1, [6, 6], True, "z"),
+                    _record(3, [6, 6], True, "c")],
+           "totals": {"step_r1": {"fused": [17, 18], "direct_sv": [15, 18]},
+                      "criterion_7": [2, 3]}}
+    paths = []
+    for name, record in (("old", old), ("new", new)):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps(record))
+    monkeypatch.setattr(ablate, "train", None)
+    monkeypatch.chdir(tmp_path)
+    assert ablate.main(["--compare", *map(str, paths)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "seed 1: same counts; digests differ: last.ckpt",
+        "seed 2: step_r1.fused 6/6 -> 5/6; criterion_7 True -> False; same digests",
+        "seed 3: only in the new record",
+        "totals: step_r1.fused 12/12 -> 17/18; step_r1.direct_sv 10/12 -> 15/18; "
+        "criterion_7 2/2 -> 2/3",
+    ]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["new.json", "old.json"]
+    with pytest.raises(SystemExit) as exc:
+        ablate.main(["0", "--compare", *map(str, paths)])
+    assert exc.value.code == 2
+    assert "takes no seeds" in capsys.readouterr().err

@@ -9,7 +9,8 @@ from scipy.special import erf
 
 from stepalign import encoder
 from stepalign.autodiff import (GradientError, Node, Tensor, _normal_cdf,
-                                attention, concat, dropout, layer_norm, mlp)
+                                attention, concat, dropout, layer_norm, mlp,
+                                unpack)
 from stepalign.corpus import SynthConfig, generate_synthetic
 from stepalign.corpus.batching import LabelSource, batch_iter
 from stepalign.encoder import (MASK_FILL, ModelConfig, forward, forward_batch,
@@ -57,18 +58,18 @@ def test_sum_of_squares_gradient_exact():
 _FD = np.random.default_rng(9)
 _X, _B = _FD.normal(size=(3, 4)), _FD.normal(size=(1, 4))
 _WEIGHTS = Tensor(_FD.normal(size=(3, 4)))  # so no output sum is constant
-# x, wq, bq, wk, bk, wv, bv, wo and bo of attention on 2 videos of 3 tokens
-# x 2 dims, 2 heads of 1 dim; in the first video key 1 is blocked, in the
-# second key 2 is padding; and how each is cut from a (3, 4) input
-_ATTN = [_FD.normal(size=s) for s in [(2, 3, 2)] + [(2, 2), (1, 2)] * 4]
-_KEY_BIAS = np.array([[0.0, MASK_FILL, 0.3],
-                      [0.2, -0.1, MASK_FILL]])[:, None, None, :]
-_ATTN_CUTS = ([lambda t: t.reshape(2, 3, 2)]
+# x, wq, bq, wk, bk, wv, bv, wo and bo of attention on 2 videos of 2 and 4
+# tokens, packed into 6 rows x 2 dims, 2 heads of 1 dim; and how each is cut
+# from a (3, 4) input
+_ATTN = [_FD.normal(size=s) for s in [(6, 2)] + [(2, 2), (1, 2)] * 4]
+_ATTN_BOUNDS = np.array([0, 2, 6])
+_ATTN_CUTS = ([lambda t: t.reshape(6, 2)]
               + [lambda t: t[1:, 2:], lambda t: t[2:, :2]] * 4)
 # x, w1, b1, w2, b2 of an MLP on 2 videos of 3 tokens x 2 dims, hidden width 4,
 # and how each is cut from a (3, 4) input
 _MLP = [_FD.normal(size=s) for s in [(2, 3, 2), (2, 4), (1, 4), (4, 2), (1, 2)]]
 _TOKEN_WEIGHTS = Tensor(_FD.normal(size=(2, 3, 2)))  # of mlp's and attention's outputs
+_PACKED_WEIGHTS = Tensor(_TOKEN_WEIGHTS.data.reshape(6, 2))
 _MLP_CUTS = [lambda t: t.reshape(2, 3, 2), lambda t: t[:2], lambda t: t[:1],
              lambda t: t.swapaxes(0, 1)[:, :2], lambda t: t[:1, :2]]
 # a_sn and a_nv of one video, 3 steps x 4 narrations x 3 frames, narration 1
@@ -83,12 +84,16 @@ _BLOCKED_PER_VIDEO = np.array([[True, True, False, True], [False, True, True, Fa
 def _attention_fd(t, operand):
     operands = [Tensor(a) for a in _ATTN]
     operands[operand] = _ATTN_CUTS[operand](t)
-    return (attention(*operands, 2, 0.7, _KEY_BIAS) * _TOKEN_WEIGHTS).sum()
+    return (attention(*operands, 2, 0.7, _ATTN_BOUNDS) * _PACKED_WEIGHTS).sum()
 
 
-def _mlp_fd(t, operand):
+def _mlp_fd(t, operand, packed=False):
+    # packed: the same 12 input numbers as 6 rows of 2 videos, 2 and 4 long
     operands = [Tensor(a) for a in _MLP]
     operands[operand] = _MLP_CUTS[operand](t)
+    if packed:
+        operands[0] = operands[0].reshape(6, 2)
+        return (mlp(*operands, _ATTN_BOUNDS) * _PACKED_WEIGHTS).sum()
     return (mlp(*operands) * _TOKEN_WEIGHTS).sum()
 
 
@@ -138,6 +143,10 @@ def _indirect_fd(a_sn, a_nv, mask, xi=0.5):
     lambda t: _attention_fd(t, 6),
     lambda t: _attention_fd(t, 7),
     lambda t: _attention_fd(t, 8),
+    # mlp on packed rows, with respect to x, w1 and b1
+    lambda t: _mlp_fd(t, 0, packed=True),
+    lambda t: _mlp_fd(t, 1, packed=True),
+    lambda t: _mlp_fd(t, 2, packed=True),
 ])
 def test_op_gradients_match_finite_differences(build):
     check_grad(build, (3, 4))
@@ -245,20 +254,38 @@ def _cdf_gelu(x):
     """GELU as a node that keeps its input and CDF alive: between x @ w1 + b1
     and @ w2 + b2, the reference mlp, which recomputes the hidden layer and
     its CDF in backward, must match bit for bit. The CDF is the package's,
-    in x's dtype, and the pdf is rounded to it, so the GELU and its slope
-    keep x's dtype."""
+    in x's dtype, and so is the pdf, 1 / sqrt(2 pi) included, so the GELU
+    and its slope keep x's dtype."""
     data, node = x.data, x.node
     dtype = data.dtype
     cdf = _normal_cdf(data)
 
     def back(g):
-        pdf = (np.exp(-0.5 * data ** 2) * (1.0 / np.sqrt(2.0 * np.pi))).astype(dtype)
+        pdf = np.exp(-0.5 * data ** 2) * dtype.type(1.0 / np.sqrt(2.0 * np.pi))
+        assert pdf.dtype == dtype
         node._accum(g * (cdf + data * pdf))
     return Tensor._result(data * cdf, (x,), back)
 
 
 def _composed_mlp(x, w1, b1, w2, b2):
     return _cdf_gelu(x @ w1 + b1) @ w2 + b2
+
+
+def _per_video(op, x, bounds, *operands):
+    """op run on each video's rows of the packed (sum n_i, d) x alone, video
+    i's rows being x[bounds[i]:bounds[i + 1]], its outputs concatenated:
+    the chain whose bits mlp and attention keep on packed rows. Each weight
+    and bias gradient is formed from one video's rows and summed over the
+    videos in order."""
+    return concat([op(x[lo:hi], *operands) for lo, hi in zip(bounds[:-1], bounds[1:])],
+                  axis=0)
+
+
+def _per_video_mlp(x, w1, b1, w2, b2, bounds):
+    return _per_video(_composed_mlp, x, bounds, w1, b1, w2, b2)
+
+
+_BOUNDS = np.array([0, 3, 4, 12])  # 3 packed videos of 3, 1 and 8 rows
 
 
 def _assert_matches(got, want, dtype, exact):
@@ -279,9 +306,14 @@ _FUSED = {  # op, its reference, operand shapes
     "layer_norm": (lambda x, g, b: layer_norm(x, g, b, 1e-5),
                    lambda x, g, b: _composed_layer_norm(x, g, b, 1e-5),
                    [(2, 5, 6), (1, 6), (1, 6)]),
-    # the GELU MLP, with the affine maps on either side of the GELU; 3 rows, so
-    # the order in which the rows' weight gradients are summed shows
+    # the GELU MLP, with the affine maps on either side of the GELU; 3 videos,
+    # so the order in which their weight and bias gradients are summed shows:
+    # one per batch row, as the unimodal MLPs run, against the chain on the
+    # batch, and packed, as the FFN runs, against the chain on each video
     "gelu": (mlp, _composed_mlp, [(3, 5, 6), (6, 7), (1, 7), (7, 6), (1, 6)]),
+    "gelu_packed": (lambda x, *w: mlp(x, *w, _BOUNDS),
+                    lambda x, *w: _per_video_mlp(x, *w, _BOUNDS),
+                    [(12, 6), (6, 7), (1, 7), (7, 6), (1, 6)]),
 }
 
 
@@ -294,7 +326,7 @@ def test_fused_node_matches_composed_ops_bit_for_bit(name, dtype, residual):
     # x + op(x): its gradient then sums three or four terms, and for mlp
     # only the composed ops' order gives its bits
     fused, composed, shapes = _FUSED[name]
-    exact = name == "gelu"
+    exact = name.startswith("gelu")
     rng = np.random.default_rng(8)
     data = [rng.normal(size=shape).astype(dtype) for shape in shapes]
     data[1:] = [d * 0.5 + 1.0 for d in data[1:]]  # gains and biases off 0/1
@@ -315,7 +347,7 @@ def test_fused_node_matches_composed_ops_bit_for_bit(name, dtype, residual):
         _assert_matches(fused_grad, composed_grad, dtype, exact)
 
 
-@pytest.mark.parametrize("name", ["layer_norm", "gelu"])
+@pytest.mark.parametrize("name", ["layer_norm", "gelu", "gelu_packed"])
 def test_fused_nodes_skip_operands_without_gradient(name):
     # float64 operands: mlp matches its chain bit for bit, layer_norm within
     # 1e-12 * max|want|
@@ -335,7 +367,8 @@ def test_fused_nodes_skip_operands_without_gradient(name):
         for fused_grad, composed_grad, r in zip(*grads, needs):
             assert (fused_grad is None) == (composed_grad is None) == (not r)
             if r:
-                _assert_matches(fused_grad, composed_grad, np.float64, name == "gelu")
+                _assert_matches(fused_grad, composed_grad, np.float64,
+                                name.startswith("gelu"))
 
 
 def test_layer_norm_gradient_keeps_the_closed_form_invariants():
@@ -379,95 +412,91 @@ def test_mlp_on_constant_input_matches_composed_chain_bit_for_bit(dtype, calls):
 
 
 def _heads(t, num_heads):
-    b, n, d = t.shape
-    return t.reshape(b, n, num_heads, d // num_heads).swapaxes(1, 2)
+    """(..., n, d) -> (..., H, n, d / H)"""
+    *lead, n, d = t.shape
+    return t.reshape(*lead, n, num_heads, d // num_heads).swapaxes(-3, -2)
 
 
-def _composed_attention(x, wq, bq, wk, bk, wv, bv, wo, bo, num_heads, scale, bias):
+def _composed_attention(x, wq, bq, wk, bk, wv, bv, wo, bo, num_heads, scale,
+                        bias=0.0):
     """Attention and its projections built from generic nodes: run in
-    float64, the reference of the attention node within tolerance."""
+    float64 on one video's (n, d) rows, the reference of the attention node
+    within tolerance; or on padded (B, n, d) tokens with a key bias that
+    blocks the padding, the form the node had before it took packed rows."""
     q, k, v = (_heads(x @ w + c, num_heads) for w, c in ((wq, bq), (wk, bk), (wv, bv)))
     p = _composed_softmax(q @ k.swapaxes(-1, -2), scale, bias)
-    return (p @ v).swapaxes(1, 2).reshape(*x.shape) @ wo + bo
+    return (p @ v).swapaxes(-3, -2).reshape(*x.shape) @ wo + bo
 
 
-def _qkv_attention(q, k, v, scale, bias):
-    """softmax(q @ k^T * scale + bias) @ v with the heads merged, as one node
-    on q, k and v, (B, H, n, dh), that forms the softmax gradient in closed
-    form per video, in the attention node's arithmetic."""
-    b, h, n, dh = q.shape
+def _qkv_attention(q, k, v, scale):
+    """softmax(q @ k^T * scale) @ v with the heads merged, as one node on one
+    video's q, k and v, (H, n, dh), that forms the softmax gradient in closed
+    form, in the attention node's arithmetic."""
+    h, n, dh = q.shape
     scale = np.asarray(scale, q.dtype)
-    bias = np.broadcast_to(bias, (b,) + np.shape(bias)[1:])
-    p = []
-    for i in range(b):
-        z = q.data[i] @ k.data[i].swapaxes(-1, -2) * scale + bias[i]
-        z = np.exp(z - z.max(axis=-1, keepdims=True))
-        p.append(z / z.sum(axis=-1, keepdims=True))
-    out = np.stack([p[i] @ v.data[i] for i in range(b)]).swapaxes(1, 2)
+    z = q.data @ k.data.swapaxes(-1, -2) * scale
+    z = np.exp(z - z.max(axis=-1, keepdims=True))
+    p = z / z.sum(axis=-1, keepdims=True)
+    out = (p @ v.data).swapaxes(0, 1).reshape(n, h * dh)
     nq, nk, nv = q.node, k.node, v.node
 
     def back(g):
-        g_o = g.reshape(b, n, h, dh).swapaxes(1, 2)
-        g_q, g_k, g_v = [], [], []
-        for i in range(b):
-            g_v.append(p[i].swapaxes(-1, -2) @ g_o[i])
-            g_s = g_o[i] @ v.data[i].swapaxes(-1, -2)
-            g_s = (g_s - (g_s * p[i]).sum(axis=-1, keepdims=True)) * p[i] * scale
-            g_q.append(g_s @ k.data[i])
-            g_k.append(g_s.swapaxes(-1, -2) @ q.data[i])
-        for node, grads in ((nv, g_v), (nq, g_q), (nk, g_k)):
+        g_o = g.reshape(n, h, dh).swapaxes(0, 1)
+        g_s = g_o @ v.data.swapaxes(-1, -2)
+        g_s = (g_s - (g_s * p).sum(axis=-1, keepdims=True)) * p * scale
+        for node, grad in ((nv, p.swapaxes(-1, -2) @ g_o), (nq, g_s @ k.data),
+                           (nk, g_s.swapaxes(-1, -2) @ q.data)):
             if node is not None:
-                node._accum(np.stack(grads))
-    return Tensor._result(out.reshape(b, n, h * dh), (q, k, v), back)
+                node._accum(grad)
+    return Tensor._result(out, (q, k, v), back)
 
 
-def _chained_attention(x, wq, bq, wk, bk, wv, bv, wo, bo, num_heads, scale, bias):
-    """Four x @ w + b maps around _qkv_attention: the chain whose bits the
-    attention node keeps, in both directions."""
+def _chained_attention(x, wq, bq, wk, bk, wv, bv, wo, bo, num_heads, scale):
+    """Four x @ w + b maps around _qkv_attention on one video's rows: run on
+    each video (_per_video), the chain whose bits the attention node keeps,
+    in both directions."""
     q, k, v = (_heads(x @ w + c, num_heads) for w, c in ((wq, bq), (wk, bk), (wv, bv)))
-    return _qkv_attention(q, k, v, scale, bias) @ wo + bo
+    return _qkv_attention(q, k, v, scale) @ wo + bo
+
+
+def _bounds(lengths) -> np.ndarray:
+    return np.concatenate([[0], np.cumsum(lengths)])
 
 
 @pytest.mark.parametrize("operands", ["qkv", "q", "k", "v", "projections",
-                                      "shared_bias", "one_video"])
+                                      "one_token_video", "one_video"])
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 def test_attention_matches_composed_ops_bit_for_bit(dtype, operands):
     # against the chain of four x @ w + b maps around a q, k, v attention
-    # node, run in dtype, bit for bit; and against the same computation
-    # built from generic nodes in float64, within 1e-12 * max|want| for
-    # float64 operands and 1e-5 * max|want| for float32 ones. "projections"
-    # makes every operand a leaf that requires a gradient, as the encoder
-    # does, so x's gradient sums three terms in the order the chain's graph
-    # walk gives them; "qkv" makes every weight and bias a leaf but not x,
-    # and "q", "k" and "v" those of one projection and of the output;
-    # "shared_bias" gives the three videos one (1, 1, 1, n) bias, which the
-    # node broadcasts instead of indexing, and zero-pads them to lengths 4,
-    # 5 and 6; "one_video" is a batch of one video. The other cases pad the
-    # first video to 4 tokens and block two keys inside the second
+    # node, run on each video's rows alone, in dtype, bit for bit; and
+    # against the same computation built from generic nodes in float64,
+    # within 1e-12 * max|want| for float64 operands and 1e-5 * max|want| for
+    # float32 ones. "projections" makes every operand a leaf that requires a
+    # gradient, as the encoder does, so x's gradient sums three terms in the
+    # order the chain's graph walk gives them; "qkv" makes every weight and
+    # bias a leaf but not x, and "q", "k" and "v" those of one projection and
+    # of the output. x packs videos of 4, 6 and 5 tokens; "one_token_video"
+    # packs videos of 4, 1 and 6 tokens, and "one_video" one video of 6
     rng = np.random.default_rng(11)
-    b, h, n, dh = (1 if operands == "one_video" else 3), 2, 6, 4
-    d = h * dh
-    keys = np.ones((b, n), dtype=bool)
-    keys[0, 4:] = False  # a padded video
-    keys[1:2, 1] = keys[1:2, 3] = False  # blocked keys inside a video
-    bias = np.where(keys, 0.0, MASK_FILL).astype(dtype)[:, None, None, :]
-    if operands == "shared_bias":
-        bias = np.where(np.arange(n) < n - 1, 0.0, MASK_FILL).astype(dtype)
-        bias = bias[None, None, None, :]
+    lengths = {"one_video": [6], "one_token_video": [4, 1, 6]}.get(operands, [4, 6, 5])
+    bounds = _bounds(lengths)
+    h, dh = 2, 4
+    d, scale = h * dh, 1.0 / np.sqrt(dh)
     data = [rng.normal(size=shape).astype(dtype)
-            for shape in [(b, n, d)] + [(d, d), (1, d)] * 4]
-    if operands == "shared_bias":
-        data[0][0, 4:] = data[0][1, 5:] = 0.0
-    seed = rng.normal(size=(b, n, d)).astype(dtype)
+            for shape in [(bounds[-1], d)] + [(d, d), (1, d)] * 4]
+    seed = rng.normal(size=(bounds[-1], d)).astype(dtype)
     names = ["x"] + [f"{proj}{part}" for proj in "qkvo" for part in "wb"]
     needs_grad = {"qkv": "qkvo", "q": "qo", "k": "ko", "v": "vo"}.get(operands)
     outs, grads = [], []
-    for build, run_dtype in ((attention, dtype), (_chained_attention, dtype),
-                             (_composed_attention, np.float64)):
+    for build, run_dtype in (
+            (lambda *t: attention(*t, h, scale, bounds), dtype),
+            (lambda x, *w: _per_video(_chained_attention, x, bounds, *w, h, scale), dtype),
+            (lambda x, *w: _per_video(_composed_attention, x, bounds, *w, h, scale),
+             np.float64)):
         leaves = [Tensor(a.astype(run_dtype),
                          requires_grad=needs_grad is None or name[0] in needs_grad)
                   for a, name in zip(data, names)]
-        out = build(*leaves, h, 1.0 / np.sqrt(dh), bias)
+        out = build(*leaves)
         out.backward(seed)
         outs.append(out.data)
         grads.append([t.grad for t in leaves])
@@ -487,6 +516,36 @@ def test_attention_matches_composed_ops_bit_for_bit(dtype, operands):
             assert np.abs(fused_grad).max() <= (1e-12 if dtype == np.float64 else 1e-5) * scale
         else:
             _assert_matches(fused_grad, composed_grad, dtype, exact=False)
+
+
+def test_packed_attention_matches_the_padded_form_with_a_key_bias():
+    # before it took packed rows, the node ran on padded (B, n, d) tokens
+    # with MASK_FILL added to the padded keys' scores. On the valid rows the
+    # packed node gives that form's output and every gradient within
+    # 1e-12 * max|want| in float64; only summation orders differ, as the
+    # softmax now sums over a video's n_i keys, not n
+    rng = np.random.default_rng(20)
+    h, dh, n = 2, 4, 7
+    d = h * dh
+    mask = np.arange(n) < np.array([[4], [7], [2]])
+    bounds = _bounds(mask.sum(axis=1))
+    bias = np.where(mask, 0.0, MASK_FILL)[:, None, None, :]
+    data = [rng.normal(size=shape) for shape in [(bounds[-1], d)] + [(d, d), (1, d)] * 4]
+    seed = rng.normal(size=(bounds[-1], d))
+    outs, grads = [], []
+    for build in (lambda *t: attention(*t, h, 0.5, bounds),
+                  lambda x, *w: _composed_attention(unpack(x, mask), *w, h, 0.5, bias)[mask]):
+        leaves = [Tensor(a.copy(), requires_grad=True) for a in data]
+        out = build(*leaves)
+        out.backward(seed)
+        outs.append(out.data)
+        grads.append([t.grad for t in leaves])
+    _assert_matches(*outs, np.float64, exact=False)
+    for i, (packed, padded) in enumerate(zip(*grads)):
+        if i == 4:  # bk's gradient is 0 up to rounding, judged at wk's scale
+            assert np.abs(packed - padded).max() <= 1e-12 * np.abs(grads[1][3]).max()
+        else:
+            _assert_matches(packed, padded, np.float64, exact=False)
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -717,45 +776,46 @@ def _curriculum_graph():
     alignments = forward_batch(params, mc, batch,
                                dropout_rng=np.random.default_rng(7))
     loss, _ = total_loss(alignments, batch, LossConfig())
-    n_tok = sum(m.shape[1] for m in (batch.frame_mask, batch.narration_mask,
-                                     batch.step_mask))
-    return mc, len(batch.video_ids), n_tok, _held_arrays(loss)
+    masks = (batch.frame_mask, batch.narration_mask, batch.step_mask)
+    n_tok = sum(m.shape[1] for m in masks)
+    rows = sum(int(m.sum()) for m in masks)  # the valid tokens, packed
+    return mc, len(batch.video_ids), n_tok, rows, _held_arrays(loss)
 
 
 def test_attention_keeps_no_score_sized_array():
     # the attention node recomputes q @ k^T and the probabilities in
     # backward; as a chain it kept both, 2 (B, H, n, n) arrays per layer
-    mc, b, n_tok, held = _curriculum_graph()
+    mc, b, n_tok, _, held = _curriculum_graph()
     assert _count(held, (b, mc.num_heads, n_tok, n_tok)) == 0
 
 
 def _attention_operands(b, n, d, seed):
-    """x, the weights and biases of attention, all requiring a gradient, key
-    biases that pad the videos to lengths from n / 2 to n, and an output
-    gradient."""
+    """x, packing b videos of n / 2 to n tokens, the weights and biases of
+    attention, all requiring a gradient, the videos' row bounds, and an
+    output gradient."""
     rng = np.random.default_rng(seed)
+    bounds = _bounds(np.ceil(np.linspace(n // 2, n, b)).astype(int))
     operands = [Tensor(rng.normal(size=shape) * scale, requires_grad=True)
-                for shape, scale in [((b, n, d), 1.0)] + [((d, d), 0.2), ((1, d), 1.0)] * 4]
-    keys = np.arange(n) < np.linspace(n // 2, n, b)[:, None]
-    bias = np.where(keys[:, None, None, :], 0.0, MASK_FILL)
-    return operands, bias, rng.normal(size=(b, n, d))
+                for shape, scale in [((bounds[-1], d), 1.0)]
+                + [((d, d), 0.2), ((1, d), 1.0)] * 4]
+    return operands, bounds, rng.normal(size=(bounds[-1], d))
 
 
 def _attention_peaks(b, n, d, h):
     """Peak traced bytes above the inputs of attention's forward, and of its
-    forward and backward."""
-    operands, bias, seed = _attention_operands(b, n, d, 13)
+    forward and backward, and the bytes of its input x."""
+    operands, bounds, seed = _attention_operands(b, n, d, 13)
     tracemalloc.start()
     try:
         inputs = tracemalloc.get_traced_memory()[0]
-        out = attention(*operands, h, 1.0 / np.sqrt(d // h), bias)
+        out = attention(*operands, h, 1.0 / np.sqrt(d // h), bounds)
         forward_peak = tracemalloc.get_traced_memory()[1] - inputs
         out.backward(seed)
         peak = tracemalloc.get_traced_memory()[1] - inputs
     finally:
         tracemalloc.stop()
     assert all(t.grad.shape == t.shape for t in operands)
-    return forward_peak, peak
+    return forward_peak, peak, operands[0].data.nbytes
 
 
 def test_attention_never_allocates_a_score_sized_array():
@@ -764,30 +824,30 @@ def test_attention_never_allocates_a_score_sized_array():
     # Multiplying the whole batch at once allocated q @ k^T and its scaled
     # copy side by side, two (B, H, n, n) arrays
     b, h, n, dh = 8, 4, 176, 16
-    _, peak = _attention_peaks(b, n, h * dh, h)
+    _, peak, _ = _attention_peaks(b, n, h * dh, h)
     assert peak < b * h * n * n * np.dtype(np.float64).itemsize
 
 
 def test_attention_never_allocates_a_token_sized_q_k_or_v():
     # the projections run one video at a time too. Forward's peak above the
-    # inputs holds the output, (B, n, d), and one video's arrays: 1.4
-    # (B, n, d) arrays here, against 6.2 when x @ w + b nodes made q, k and
-    # v and kept them. Backward adds x's gradient and the weights': 3.4 in
-    # all, against 8.4 when q, k and v also got whole-batch gradients
+    # inputs holds the output, the size of the packed x, and one video's
+    # arrays: 1.6 x-sized arrays here, against 6.2 (B, n, d) arrays when
+    # x @ w + b nodes made q, k and v of the padded batch and kept them.
+    # Backward adds x's gradient and the weights': 3.6 in all, against 8.4
+    # when q, k and v also got whole-batch gradients
     b, n, d, h = 16, 48, 64, 2
-    forward_peak, peak = _attention_peaks(b, n, d, h)
-    token_sized = b * n * d * np.dtype(np.float64).itemsize
-    assert forward_peak < 2 * token_sized
-    assert peak < 5 * token_sized
+    forward_peak, peak, x_bytes = _attention_peaks(b, n, d, h)
+    assert forward_peak < 2 * x_bytes
+    assert peak < 5 * x_bytes
 
 
 def test_attention_keeps_only_its_input_and_weights():
-    # what backward reads: x, the weights and biases the projections are
-    # recomputed from, and the key biases; no q, k, v, probabilities or
-    # output. bo's gradient is the output gradient's, so bo is not kept
-    operands, bias, _ = _attention_operands(2, 5, 4, 19)
-    held = _held_arrays(attention(*operands, 2, 0.5, bias))
-    assert sorted(map(id, held)) == sorted([id(t.data) for t in operands[:-1]] + [id(bias)])
+    # what backward reads: x and the weights and biases the projections are
+    # recomputed from; no q, k, v, probabilities or output, and no key mask.
+    # bo's gradient is the output gradient's, so bo is not kept
+    operands, bounds, _ = _attention_operands(2, 5, 4, 19)
+    held = _held_arrays(attention(*operands, 2, 0.5, bounds))
+    assert sorted(map(id, held)) == sorted(id(t.data) for t in operands[:-1])
 
 
 def test_fused_nodes_keep_the_token_sized_arrays_down():
@@ -798,10 +858,14 @@ def test_fused_nodes_keep_the_token_sized_arrays_down():
     # while every node kept its output, 21 and 2 while the FFN's GELU node
     # kept its input, the first FFN product's sum, and 15 once attention
     # took its projections and kept only its input, not q, k, v and its
-    # output
-    mc, b, n_tok, held = _curriculum_graph()
-    assert _count(held, (b, n_tok, mc.model_dim)) <= 15
-    assert _count(held, (b, n_tok, mc.ffn_dim)) == 0
+    # output. Since the transformer runs on the packed valid tokens, 14 of
+    # them are (sum n_i, model_dim) rows, 780 of the batch's 952 token slots
+    # here, 5 of those the dropout masks; the one (B, n, model_dim) array
+    # left is the transformer's output, scattered back for the heads
+    mc, b, n_tok, rows, held = _curriculum_graph()
+    assert _count(held, (rows, mc.model_dim)) <= 14
+    assert _count(held, (b, n_tok, mc.model_dim)) <= 1
+    assert _count(held, (rows, mc.ffn_dim)) == _count(held, (b, n_tok, mc.ffn_dim)) == 0
 
 
 def test_training_graph_bytes_stay_bounded():
@@ -811,10 +875,11 @@ def test_training_graph_bytes_stay_bounded():
     # with the dropout node's bool masks and 15.0 MB once nodes kept only
     # what their backward reads, 10.9 MB once the FFN's hidden layer was
     # recomputed in backward, 6.0 MB once Python and NumPy scalar
-    # constants stopped promoting float32 activations to float64, and
-    # 4.05 MB once attention recomputed its projections in backward
+    # constants stopped promoting float32 activations to float64, 4.05 MB
+    # once attention recomputed its projections in backward, and 3.59 MB
+    # once the transformer ran on the packed valid tokens alone
     *_, held = _curriculum_graph()
-    assert sum(a.nbytes for a in held) <= 4_053_632
+    assert sum(a.nbytes for a in held) <= 3_588_760
 
 
 def test_activations_stay_in_the_parameters_dtype():
@@ -822,9 +887,9 @@ def test_activations_stay_in_the_parameters_dtype():
     # is float64, so float64 is left to the loss's (B, rows, T) arrays, and
     # forward scores in float32. While constants were 0-d float64 arrays,
     # every activation after the first unimodal product was promoted
-    mc, b, n_tok, held = _curriculum_graph()
-    token_sized = [a for a in held if a.shape[:2] == (b, n_tok)]
-    assert token_sized
+    mc, b, n_tok, rows, held = _curriculum_graph()
+    token_sized = [a for a in held if a.shape[:2] == (b, n_tok) or a.shape[:1] == (rows,)]
+    assert len(token_sized) > 10
     assert all(a.dtype != np.float64 for a in token_sized)
     _, params, batch = _curriculum_step()
     for al in forward(params, mc, batch):
@@ -836,12 +901,15 @@ def test_inference_forward_frees_each_activation_once_read():
     # a score-sized eval batch, 8 videos of 64-256 frames, 254 tokens: with
     # no graph, an activation goes once the next op has read it, so forward's
     # peak above the inputs holds a few (B, n, d) arrays and one video's FFN
-    # hidden layer and its CDF's temporaries, all float32: 2.94 MB, 5.7
-    # (B, n, d) float32 arrays. While _encode held the three unimodal outputs
-    # beside their concatenation, the layer loop held each sublayer's output
-    # past its residual add and q, k and v were made for the whole batch, it
-    # was 5.81 MB, 11.2 arrays; while the CDF was computed in float64 with a
-    # fixed 1.5 MB of scratch, 3.97 MB, 7.6 arrays
+    # hidden layer and its CDF's temporaries, all float32: 2.18 MB, 4.2
+    # (B, n, d) float32 arrays, since the transformer runs on the 1,084 valid
+    # tokens of the batch's 2,032 token slots. While _encode held the three
+    # unimodal outputs beside their concatenation, the layer loop held each
+    # sublayer's output past its residual add and q, k and v were made for
+    # the whole batch, it was 5.81 MB, 11.2 arrays; while the CDF was
+    # computed in float64 with a fixed 1.5 MB of scratch, 3.97 MB, 7.6
+    # arrays; and while the transformer ran on the padded tokens, 2.94 MB,
+    # 5.7 arrays
     corpus = generate_synthetic(SynthConfig(num_tasks=1, videos_per_task=8,
                                             frames_range=(64, 256), seed=1))
     mc = ModelConfig(feature_dims=corpus.dims)
@@ -857,17 +925,17 @@ def test_inference_forward_frees_each_activation_once_read():
         peak = tracemalloc.get_traced_memory()[1] - inputs
     finally:
         tracemalloc.stop()
-    assert peak < 6 * 8 * n_tok * mc.model_dim * np.dtype(np.float32).itemsize
+    assert peak < 4.5 * 8 * n_tok * mc.model_dim * np.dtype(np.float32).itemsize
 
 
 _KEEP = np.random.default_rng(16).random((2, 5, 6)) >= 0.1
-_PADDED_KEYS = np.where(np.arange(5) < np.array([[4], [5]]), 0.0, MASK_FILL)[:, None, None, :]
 _HOLDERS = {  # fused op, its composed reference, operand shapes
     "layer_norm": _FUSED["layer_norm"],
     "mlp": _FUSED["gelu"],
-    "attention": (lambda *operands: attention(*operands, 2, 0.5, _PADDED_KEYS),
-                  lambda *operands: _composed_attention(*operands, 2, 0.5, _PADDED_KEYS),
-                  [(2, 5, 8)] + [(8, 8), (1, 8)] * 4),
+    "attention": (lambda *operands: attention(*operands, 2, 0.5, _bounds([4, 5])),
+                  lambda x, *w: _per_video(_composed_attention, x, _bounds([4, 5]),
+                                           *w, 2, 0.5),
+                  [(9, 8)] + [(8, 8), (1, 8)] * 4),
     "dropout": (lambda x: dropout(x, _KEEP, 0.1),
                 lambda x: x * Tensor(_KEEP.astype(x.dtype) / (1.0 - 0.1)),
                 [_KEEP.shape]),
@@ -910,11 +978,11 @@ def test_graph_drops_the_outputs_no_backward_reads(monkeypatch):
         return out
     monkeypatch.setattr(encoder, "_attention", lambda *args: probe(
         "attention", attention_(*args)))
-    monkeypatch.setattr(encoder, "_mlp", lambda params, name, x: (
-        probe("ffn", mlp(params, name, x)) if name.endswith(".ffn")
-        else mlp(params, name, x)))
-    monkeypatch.setattr(encoder, "_dropout", lambda x, rate, rng: probe(
-        "dropout", dropout_(x, rate, rng)))
+    monkeypatch.setattr(encoder, "_mlp", lambda params, name, x, bounds=None: (
+        probe("ffn", mlp(params, name, x, bounds)) if name.endswith(".ffn")
+        else mlp(params, name, x, bounds)))
+    monkeypatch.setattr(encoder, "_dropout", lambda x, mask, rate, rng: probe(
+        "dropout", dropout_(x, mask, rate, rng)))
     mc, params, batch = _curriculum_step()
     alignments = forward_batch(params, mc, batch,
                                dropout_rng=np.random.default_rng(7))
@@ -972,9 +1040,11 @@ def test_training_with_the_mlp_node_matches_the_composed_chain(tmp_path, monkeyp
                       max_frames=40, seed=2)
     pseudo = PseudoConfig()
 
-    def composed(params, name, x):
-        return _composed_mlp(x, *(params[f"{name}.{k}"]
-                                  for k in ("l1.w", "l1.b", "l2.w", "l2.b")))
+    def composed(params, name, x, bounds=None):
+        weights = [params[f"{name}.{k}"] for k in ("l1.w", "l1.b", "l2.w", "l2.b")]
+        if bounds is None:  # a unimodal MLP
+            return _composed_mlp(x, *weights)
+        return _per_video_mlp(x, *weights, bounds)  # the FFN, on packed rows
     runs = []
     for patch in (False, True):
         if patch:

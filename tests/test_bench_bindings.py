@@ -88,10 +88,13 @@ def test_tracer_counts_every_matmul_of_a_training_step():
     # 2 * B, x @ w1 and act @ w2 per row; and the two cosine heads the loss
     # reads (a_nv, a_sv) are one product each: 30 here at B = 2 and 1 layer.
     # While q, k, v and o were x @ w + b nodes on the whole batch, the step
-    # counted 26 products of the same 44,032 FLOP and 116 nodes: those four
+    # counted 26 products of 44,032 FLOP and 116 nodes: those four
     # products, their four bias additions and the reshape and swapaxes of
     # q, k and v into heads were 14 nodes, where the node's 4 * B more
-    # per-row products are 8.
+    # per-row products are 8. The transformer runs on the 25 valid tokens
+    # of the batch's 26 token slots: the attention and the FFN products
+    # skip the padded frame, 44,032 -> 42,208 FLOP, and gathering the valid
+    # tokens and scattering them back are two more nodes, 110 -> 112.
     # The tracer counts every op result as a node, these constant products
     # too. The node count is pinned at this size, so a change that adds
     # nodes to a training step, such as a head the loss does not read,
@@ -109,5 +112,5 @@ def test_tracer_counts_every_matmul_of_a_training_step():
         alignments = forward_batch(params, mc, batch,
                                    dropout_rng=np.random.default_rng(1))
         gradients(total_loss(alignments, batch, LossConfig())[0], params)
-    assert (t.counts["matmuls"], t.counts["matmul_flop"]) == (30, 44032)
-    assert t.counts["nodes"] == 110
+    assert (t.counts["matmuls"], t.counts["matmul_flop"]) == (30, 42208)
+    assert t.counts["nodes"] == 112
