@@ -57,7 +57,9 @@ as a string when it is not JSON. The merged sections are checked as a
 
 --compare OLD.json NEW.json trains nothing: for each seed of either file,
 and for the totals, it prints every count that differs, as old -> new, and
-the names of the digests that differ:
+the names of the digests that differ. It exits with 0 when every seed is in
+both files with the same counts and digests and the totals are the same,
+and with 1 otherwise, so it is a one-command check of "same bits":
 
     python3 scripts/ablate.py --compare ABLATE_base.json ABLATE_mine.json
 
@@ -313,34 +315,37 @@ def _show(value) -> str:
     return "-" if value is None else str(value)
 
 
-def _differences(old: dict, new: dict) -> str:
+def _differences(old: dict, new: dict) -> tuple[str, bool]:
     """The counts and the names of the digests that differ between two
-    records of one seed, or between two totals."""
+    records of one seed, or between two totals, and whether any does."""
     a, b = dict(_counts(old)), dict(_counts(new))
-    parts = [f"{name} {_show(a.get(name))} -> {_show(b.get(name))}"
-             for name in dict.fromkeys([*a, *b]) if a.get(name) != b.get(name)]
-    parts = ["; ".join(parts) or "same counts"]
+    counts = [f"{name} {_show(a.get(name))} -> {_show(b.get(name))}"
+              for name in dict.fromkeys([*a, *b]) if a.get(name) != b.get(name)]
+    parts = ["; ".join(counts) or "same counts"]
+    names = []
     if "digests" in old or "digests" in new:
         x, y = old.get("digests", {}), new.get("digests", {})
         names = [n for n in dict.fromkeys([*x, *y]) if x.get(n) != y.get(n)]
         parts.append("digests differ: " + ", ".join(names) if names else "same digests")
-    return "; ".join(parts)
+    return "; ".join(parts), bool(counts or names)
 
 
-def compare(old: dict, new: dict) -> list[str]:
+def compare(old: dict, new: dict) -> tuple[list[str], bool]:
     """One line per seed of either ABLATE record, in the old record's seed
-    order, then one for the totals."""
+    order, then one for the totals; and whether anything differs, a seed in
+    one record only included."""
     old_runs = {r["seed"]: r for r in old["runs"]}
     new_runs = {r["seed"]: r for r in new["runs"]}
-    lines = []
+    found = []
     for seed in dict.fromkeys([*old_runs, *new_runs]):
         if seed not in new_runs or seed not in old_runs:
-            lines.append(f"seed {seed}: only in the "
-                         f"{'old' if seed in old_runs else 'new'} record")
+            side = "old" if seed in old_runs else "new"
+            found.append((f"seed {seed}", (f"only in the {side} record", True)))
         else:
-            lines.append(f"seed {seed}: {_differences(old_runs[seed], new_runs[seed])}")
-    lines.append(f"totals: {_differences(old['totals'], new['totals'])}")
-    return lines
+            found.append((f"seed {seed}", _differences(old_runs[seed], new_runs[seed])))
+    found.append(("totals", _differences(old["totals"], new["totals"])))
+    return ([f"{label}: {line}" for label, (line, _) in found],
+            any(differs for _, (_, differs) in found))
 
 
 def main(argv=None) -> int:
@@ -357,14 +362,16 @@ def main(argv=None) -> int:
                         help="seeds trained at once, one process each (default: 1)")
     parser.add_argument("--compare", nargs=2, type=Path, metavar=("OLD.json", "NEW.json"),
                         help="train nothing; print what differs between two "
-                             "ABLATE files, seed by seed")
+                             "ABLATE files, seed by seed, and exit with 1 if "
+                             "anything does")
     args = parser.parse_args(argv)
     if args.compare:
         if args.seeds or args.overrides:
             parser.error("--compare trains nothing, so it takes no seeds and no --set")
         old, new = (json.loads(path.read_text()) for path in args.compare)
-        print("\n".join(compare(old, new)))
-        return 0
+        lines, differ = compare(old, new)
+        print("\n".join(lines))
+        return int(differ)
     if args.jobs < 1:
         parser.error("--jobs must be >= 1")
     overrides: dict[str, dict] = {}

@@ -24,10 +24,14 @@ model needs. A chain of generic ops becomes one fused node only where the
 chain would keep more arrays in the graph than the node does; x @ w + b, for
 one, keeps x and w either way, so alone it stays two generic nodes, and
 joins a fused node only where that node recomputes its output from x
-rather than keep it. Four fused nodes stand in for chains of generic ones
-and keep less of them alive:
+rather than keep it. By the same rule the layer norm in front of each
+attention and FFN is folded into that node: layer_norm followed by the node
+keeps the norm's input and the node's, the normalised copy of it; the node
+that takes the norm keeps only the former and the norm's (..., 1)
+statistics, and recomputes the copy (the trade of Chen et al., 2016). Four
+fused nodes stand in for chains of generic ones and keep less of them alive:
 
-    mlp(x, w1, b1, w2, b2[, bounds])
+    mlp(x, w1, b1, w2, b2[, bounds, norm])
                           gelu(x @ w1 + b1) @ w2 + b2 with the exact GELU;
                           keeps x and the weights, not the hidden layer;
                           both directions work one video at a time, a batch
@@ -38,23 +42,34 @@ and keep less of them alive:
                           layer and its normal CDF once, for both the GELU
                           output and its slope; the CDF is computed in the
                           hidden layer's dtype: by the C library's erf in
-                          float64, by a rational erf in float32
+                          float64, by a rational erf in float32; given
+                          norm = (g, b, eps), it reads the layer norm of x
     layer_norm(x, g, b)   keeps x, g, the row means and 1 / sqrt(var + eps),
                           (..., 1), and recomputes the normalised x in
-                          backward
-    attention(x, wq, .., bo, heads, scale, bounds)
+                          backward; the model's one layer_norm is its final
+                          norm
+    attention(x, wq, .., bo, heads, scale, bounds, norm)
                           softmax(q @ k^T * scale) @ v with the heads merged,
-                          @ wo + bo, q, k and v being x @ w + b, on packed
+                          @ wo + bo, q, k and v being x_n @ w + b, x_n the
+                          layer norm of x with norm = (g, b, eps), on packed
                           (sum n_i, d) rows, video i's rows being
                           bounds[i]:bounds[i + 1]; a video's tokens attend
                           to its own tokens only, so no key mask exists;
-                          keeps x and the weights, not q, k, v or the
-                          output before wo; both directions work one video
-                          at a time, so no q, k or v of the whole batch
-                          exists at any time, and backward recomputes each
-                          video's projections, scores and probabilities
+                          keeps x, the norm's operands and statistics and
+                          the weights, not x_n, q, k, v or the output before
+                          wo; both directions work one video at a time, so
+                          no x_n, q, k or v of the whole batch exists at any
+                          time, and backward recomputes each video's x_n,
+                          projections, scores and probabilities
     dropout(x, keep, rate) x * keep / (1 - rate); keeps the bool mask and
                           rebuilds the scaled mask in backward
+
+A node that takes a norm normalises each video's rows as it reads them and
+keeps their means and 1 / sqrt(var + eps); backward recomputes the rows from
+x and those, and maps the gradient of all of them into x, g and b with
+layer_norm's closed-form backward. Forward and backward share one
+implementation with layer_norm (_norm_forward, _norm_backward), whose row
+statistics come out the same on a video's rows as on the whole array.
 
 Two generic ops move tokens between the padded and the packed layout: x[mask]
 gathers the rows of a (B, n, d) x where a bool mask is true, and
@@ -67,11 +82,12 @@ float64, at a stated tolerance, or, for mlp and dropout, whose closed forms
 are the chain's own arithmetic, that chain in the operands' dtype, exactly.
 attention is checked both ways: at a tolerance against generic ops in
 float64, and exactly against four generic x @ w + b maps around a node on
-q, k and v with the same closed-form softmax backward. On packed rows the
-chain runs on each video's rows alone, so each weight and bias gradient of
-mlp and attention is formed per video and summed over the videos in order:
-no product spans two videos, and no product's shape depends on the BLAS
-thread count.
+q, k and v with the same closed-form softmax backward, after layer_norm. mlp
+with a norm is checked exactly against layer_norm followed by mlp without
+one. On packed rows the chain runs on each video's rows alone, so each
+weight and bias gradient of mlp and attention is formed per video and
+summed over the videos in order: no product spans two videos, and no
+product's shape depends on the BLAS thread count.
 
 One dtype policy: an op's result takes its operands' dtype, and a Python or
 NumPy scalar operand is weak, as NumPy's NEP 50 makes a Python scalar: it
@@ -444,40 +460,100 @@ def _bias_grad(g: np.ndarray, videos: list, shape, packed: bool) -> np.ndarray:
     return total.reshape(shape)
 
 
+def _norm_forward(x: np.ndarray, g: np.ndarray, b: np.ndarray, eps: float):
+    """(x - mean) / sqrt(var + eps) * g + b over the last axis, with the row
+    means and inv = 1 / sqrt(var + eps), (..., 1), it was made with."""
+    mu = x.mean(axis=-1, keepdims=True)
+    centered = x - mu
+    inv = 1.0 / np.sqrt(np.square(centered).mean(axis=-1, keepdims=True) + eps)
+    centered *= inv
+    return centered * g + b, mu, inv
+
+
+def _norm_backward(grad: np.ndarray, x: np.ndarray, mu: np.ndarray,
+                   inv: np.ndarray, g: np.ndarray, nx, ng, nb) -> None:
+    """Layer norm's closed-form backward (Ba et al., 2016), overwriting
+    grad, the output's gradient: accumulates x's, g's and b's gradients into
+    nx, ng and nb, each None for an operand that requires no gradient.
+
+    It forms x_hat = (x - mean) * inv from the kept statistics; with g_y the
+    output gradient times g, x's gradient is
+    inv * (g_y - mean(g_y) - x_hat * mean(g_y * x_hat)), the means over the
+    last axis, formed in grad's buffer.
+    """
+    if nb is not None:  # a copy, as grad is overwritten below
+        nb._accum(_unbroadcast(grad, nb.shape).copy())
+    x_hat = x - mu
+    x_hat *= inv
+    if ng is not None:
+        ng._accum(_unbroadcast(grad * x_hat, ng.shape))
+    if nx is not None:
+        grad *= g
+        x_hat *= (grad * x_hat).mean(axis=-1, keepdims=True)
+        grad -= grad.mean(axis=-1, keepdims=True)
+        grad -= x_hat
+        grad *= inv
+        nx._accum(grad)
+
+
 def layer_norm(x: Tensor, g: Tensor, b: Tensor, eps: float) -> Tensor:
     """(x - mean) / sqrt(var + eps) * g + b over the last axis, as one node.
 
     The node keeps x, g, the row means and inv = 1 / sqrt(var + eps), shape
-    (..., 1). Backward forms x_hat = (x - mean) * inv from them, and the
-    closed-form gradients of layer normalisation (Ba et al., 2016): with
-    g_y the output gradient times g, x's is
-    inv * (g_y - mean(g_y) - x_hat * mean(g_y * x_hat)), the means over the
-    last axis.
+    (..., 1), and backward recomputes the normalised x from them
+    (_norm_backward). The model's one layer_norm is its final norm: the norm
+    in front of each attention and FFN is folded into that node (norm=).
     """
     x, g, b = as_tensor(x), as_tensor(g), as_tensor(b)
-    mu = x.data.mean(axis=-1, keepdims=True)
-    centered = x.data - mu
-    inv = 1.0 / np.sqrt(np.square(centered).mean(axis=-1, keepdims=True) + eps)
-    centered *= inv
-    out = centered * g.data + b.data
-    del centered
-    nx, ng, nb = x.node, g.node, b.node
-    x_data, g_data, g_shape, b_shape = x.data, g.data, g.shape, b.shape
+    out, mu, inv = _norm_forward(x.data, g.data, b.data, eps)
+    x_data, g_data, nodes = x.data, g.data, (x.node, g.node, b.node)
 
     def back(grad):
-        _accum(nb, _unbroadcast(grad, b_shape))
-        x_hat = x_data - mu
-        x_hat *= inv
-        _accum(ng, _unbroadcast(grad * x_hat, g_shape))
-        if nx is not None:
-            g_y = grad * g_data
-            g_x = g_y - g_y.mean(axis=-1, keepdims=True)
-            g_y *= x_hat
-            x_hat *= g_y.mean(axis=-1, keepdims=True)
-            g_x -= x_hat
-            g_x *= inv
-            nx._accum(g_x)
+        _norm_backward(grad.copy(), x_data, mu, inv, g_data, *nodes)
     return Tensor._result(out, (x, g, b), back)
+
+
+def _pre_norm(x: Tensor, norm):
+    """What a fused node reads its rows through: x's own rows, or, given
+    norm = (g, b, eps), the layer norm of x's rows in front of the node.
+
+    The node never holds all the normalised rows: forward normalises one
+    video's rows at a time and keeps their (n_i, 1) statistics, and
+    backward recomputes them from x and those statistics, then maps the
+    gradient of all of them into x, g and b with _norm_backward. That is
+    layer_norm's arithmetic on the same operands, row by row, so the node
+    matches layer_norm followed by the node without a norm, bit for bit,
+    and keeps x, g, b and the statistics where that chain keeps x, g, the
+    statistics and the normalised rows.
+
+    Returns the tensors of these operands, which the node takes as parents;
+    read(r), rows r in forward; reread(r), the same rows again in backward;
+    whether backward must form the gradient of the rows read; and
+    push(grad), which accumulates that gradient, of all the rows, into the
+    operands' nodes and may overwrite grad.
+    """
+    x_data, nx = x.data, x.node
+    if norm is None:
+        def read(r):
+            return x_data[r]
+        return (x,), read, read, nx is not None, lambda grad: _accum(nx, grad)
+    g, b, eps = norm
+    g, b = as_tensor(g), as_tensor(b)
+    g_data, b_data, nodes = g.data, b.data, (nx, g.node, b.node)
+    mu, inv = (np.empty(x_data.shape[:-1] + (1,), x_data.dtype) for _ in range(2))
+
+    def read(r):
+        rows, mu[r], inv[r] = _norm_forward(x_data[r], g_data, b_data, eps)
+        return rows
+
+    def reread(r):
+        x_hat = x_data[r] - mu[r]
+        x_hat *= inv[r]
+        return x_hat * g_data + b_data
+
+    def push(grad):
+        _norm_backward(grad, x_data, mu, inv, g_data, *nodes)
+    return (x, g, b), read, reread, any(n is not None for n in nodes), push
 
 
 # erf(x) ~ x P(x^2) / Q(x^2) on x clamped to [-4, 4], beyond which float32
@@ -526,15 +602,19 @@ def _normal_cdf(h: np.ndarray) -> np.ndarray:
 
 
 def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
-        bounds=None) -> Tensor:
+        bounds=None, norm=None) -> Tensor:
     """gelu(x @ w1 + b1) @ w2 + b2 as one node, gelu being the exact GELU
     0.5 h (1 + erf(h / sqrt(2))); b1 and b2 are (1, hidden) and (1, d_out).
     x is (B, n, d), one video per batch row, or, with bounds, packed
-    (sum n_i, d) rows, video i's rows being bounds[i]:bounds[i + 1].
+    (sum n_i, d) rows, video i's rows being bounds[i]:bounds[i + 1]. Given
+    norm = (g, b, eps), the node reads the layer norm of x's rows, as the
+    FFN reads the residual stream, in place of x (_pre_norm); the unimodal
+    MLPs take none.
 
     Both directions work one video at a time, as attention does, so the
     hidden layer exists only as one video's (n_i, hidden) arrays: the node
-    keeps x and the weights, not h = x @ w1 + b1 nor its GELU. Backward
+    keeps x and the weights, not h = x @ w1 + b1 nor its GELU, and with a
+    norm not the normalised rows but the norm's g, b and statistics. Backward
     recomputes each video's h, computes the normal CDF from it once and
     reads it twice: for the GELU output, h * cdf, which w2's gradient is
     formed from, and for the GELU slope, cdf + h * pdf. The CDF, the GELU,
@@ -546,16 +626,18 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
     rows; packed, over each video's rows, then over the videos. So both
     directions match, bit for bit, the chain x @ w1 + b1, a GELU node that
     keeps h and its CDF, @ w2 + b2: run on the whole (B, n, d) x, or on each
-    video's packed rows alone with its outputs concatenated. The forward
+    video's packed rows alone with its outputs concatenated; with a norm,
+    after layer_norm. The forward
     products go through Tensor.__matmul__ on constants, so they count as
     matmuls, two per video.
     """
     x, w1, b1, w2, b2 = (as_tensor(t) for t in (x, w1, b1, w2, b2))
-    x_data, w1_data, b1_data, w2_data = x.data, w1.data, b1.data, w2.data
-    videos = _videos(x_data, bounds)
+    inputs, read, reread, x_grad, push = _pre_norm(x, norm)
+    w1_data, b1_data, w2_data = w1.data, b1.data, w2.data
+    videos = _videos(x.data, bounds)
     out = None
     for r in videos:
-        h = (Tensor(x_data[r]) @ Tensor(w1_data)).data + b1_data
+        h = (Tensor(read(r)) @ Tensor(w1_data)).data + b1_data
         act = _normal_cdf(h)
         act *= h
         y = (Tensor(act) @ Tensor(w2_data)).data
@@ -563,18 +645,20 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
             out = np.empty(x.shape[:-1] + y.shape[-1:], np.result_type(y, b2.data))
         np.add(y, b2.data, out=out[r])
         del h, act, y  # one video's arrays go before the next one's are made
-    nx, nw1, nb1, nw2, nb2 = x.node, w1.node, b1.node, w2.node, b2.node
-    b1_shape, b2_shape = b1.shape, b2.shape
+    nw1, nb1, nw2, nb2 = w1.node, b1.node, w2.node, b2.node
+    b1_shape, b2_shape, x_shape = b1.shape, b2.shape, x.shape
+    x_dtype = np.result_type(*(t.data for t in inputs))  # of the rows read
     packed = bounds is not None
-    rows = 1 if packed else x_data.shape[1]  # those of g_b1
+    rows = 1 if packed else x_shape[1]  # those of g_b1
 
     def back(g):
         _accum(nb2, _bias_grad(g, videos, b2_shape, packed))
-        g_x = np.empty(x_data.shape, x_data.dtype) if nx is not None else None
+        g_x = np.empty(x_shape, x_dtype) if x_grad else None
         g_w1, g_w2 = np.zeros_like(w1_data), np.zeros_like(w2_data)
         g_b1 = np.zeros((rows,) + w1_data.shape[1:], w1_data.dtype)
         for r in videos:
-            h = x_data[r] @ w1_data + b1_data
+            x_r = reread(r)
+            h = x_r @ w1_data + b1_data
             cdf = _normal_cdf(h)
             act = h * cdf
             g_w2 += act.swapaxes(-1, -2) @ g[r]
@@ -591,13 +675,14 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
             g_b1 += d.sum(axis=0, keepdims=True) if packed else d
             if g_x is not None:
                 np.matmul(d, w1_data.swapaxes(-1, -2), out=g_x[r])
-            g_w1 += x_data[r].swapaxes(-1, -2) @ d
-            del d
+            g_w1 += x_r.swapaxes(-1, -2) @ d
+            del d, x_r
         _accum(nw2, g_w2)
-        _accum(nx, g_x)
+        if g_x is not None:
+            push(g_x)
         _accum(nw1, g_w1)
         _accum(nb1, _unbroadcast(g_b1, b1_shape))
-    return Tensor._result(out, (x, w1, b1, w2, b2), back)
+    return Tensor._result(out, inputs + (w1, b1, w2, b2), back)
 
 
 def _softmax(scores: np.ndarray, scale) -> np.ndarray:
@@ -615,41 +700,47 @@ def _softmax(scores: np.ndarray, scale) -> np.ndarray:
 
 def attention(x: Tensor, wq: Tensor, bq: Tensor, wk: Tensor, bk: Tensor,
               wv: Tensor, bv: Tensor, wo: Tensor, bo: Tensor, num_heads: int,
-              scale, bounds) -> Tensor:
-    """Multi-head attention with its four projections, as one node:
-    softmax(q @ k^T * scale) @ v with the heads merged, @ wo + bo, where q,
-    k and v are x @ w + b for wq, wk and wv, split into num_heads heads, and
-    each video's tokens attend to that video's tokens only.
+              scale, bounds, norm) -> Tensor:
+    """Pre-norm multi-head attention with its four projections, as one
+    node: softmax(q @ k^T * scale) @ v with the heads merged, @ wo + bo,
+    where q, k and v are x_n @ w + b for wq, wk and wv, split into num_heads
+    heads, x_n is the layer norm of x with norm = (g, b, eps), and each
+    video's tokens attend to that video's tokens only.
 
     x is packed (sum n_i, d) rows, video i's rows being bounds[i]:bounds[i
     + 1], the weights (d, d) and the biases (1, d). So no key is padding,
     and no mask is needed (the variable-length layout of FlashAttention-2,
     Dao, 2023). Both directions work one video at a time, as FlashAttention
-    (Dao et al., 2022) works one tile at a time: a video's (H, n_i, n_i)
-    scores are shifted, exponentiated and normalised in their own buffer,
-    so no q, k or v of the whole batch exists at any time. As mlp keeps x
-    and its weights, the node keeps x and the weights and biases but bo,
-    whose gradient is the output's; backward recomputes each video's q, k,
-    v, probabilities p and merged output, forms the scores' gradient in
-    closed form, g_s = p * (g_p - sum(g_p * p)) * scale over each row of
-    keys, g_p being that of p, then q's as g_s @ k and k's as g_s^T @ q.
-    x's gradient is filled video by video as (c_q + c_k) + c_v, each c a
-    projection's gradient times its weight transposed; each weight and bias
-    gradient is formed from one video's rows, a bias's as the sum over those
-    rows, and summed over the videos one after another. So both directions
-    match, bit for bit, the chain of four x @ w + b maps around an attention
-    node on q, k and v run on each video's rows alone, its outputs
-    concatenated. The forward products go through Tensor.__matmul__ on
-    constants, so they count as matmuls, six per video.
+    (Dao et al., 2022) works one tile at a time: a video's rows are
+    normalised, and its (H, n_i, n_i) scores shifted, exponentiated and
+    normalised in their own buffer, so no x_n, q, k or v of the whole batch
+    exists at any time. As mlp keeps x and its weights, the node keeps x,
+    g, b, the norm's (sum n_i, 1) statistics and the weights and biases but
+    bo, whose gradient is the output's; backward recomputes each video's
+    x_n (_pre_norm), q, k, v, probabilities p and merged output, forms the
+    scores' gradient in closed form, g_s = p * (g_p - sum(g_p * p)) * scale
+    over each row of keys, g_p being that of p, then q's as g_s @ k and k's
+    as g_s^T @ q. x_n's gradient is filled video by video as
+    (c_q + c_k) + c_v, each c a projection's gradient times its weight
+    transposed, and mapped through layer norm's backward into x, g and b;
+    each weight and bias gradient is formed from one video's rows, a bias's
+    as the sum over those rows, and summed over the videos one after
+    another. So both directions match, bit for bit, layer_norm followed by
+    the chain of four x @ w + b maps around an attention node on q, k and v
+    run on each video's rows alone, its outputs concatenated. The forward
+    products go through Tensor.__matmul__ on constants, so they count as
+    matmuls, six per video.
     """
     x, wq, bq, wk, bk, wv, bv, wo, bo = (
         as_tensor(t) for t in (x, wq, bq, wk, bk, wv, bv, wo, bo))
     d = x.shape[-1]
     dh = d // num_heads
-    x_data, wo_data = x.data, wo.data
+    inputs, read, reread, x_grad, push = _pre_norm(x, norm)
+    wo_data = wo.data
     projections = [(w.data, c.data) for w, c in ((wq, bq), (wk, bk), (wv, bv))]
-    scale = np.result_type(x_data, *projections[0]).type(scale)  # q's dtype
-    videos = _videos(x_data, bounds)
+    videos = _videos(x.data, bounds)
+    x_dtype = np.result_type(*(t.data for t in inputs))  # of the rows read
+    scale = np.result_type(x_dtype, *projections[0]).type(scale)  # q's dtype
 
     def heads(t):
         return t.reshape(len(t), num_heads, dh).swapaxes(0, 1)
@@ -659,25 +750,26 @@ def attention(x: Tensor, wq: Tensor, bq: Tensor, wk: Tensor, bk: Tensor,
 
     out = None
     for r in videos:
-        q, k, v = (heads((Tensor(x_data[r]) @ Tensor(w)).data + c)
+        x_r = read(r)
+        q, k, v = (heads((Tensor(x_r) @ Tensor(w)).data + c)
                    for w, c in projections)
         p = _softmax((Tensor(q) @ Tensor(k.swapaxes(-1, -2))).data, scale)
         y = (Tensor(merged((Tensor(p) @ Tensor(v)).data)) @ Tensor(wo_data)).data
         if out is None:
             out = np.empty(x.shape[:-1] + y.shape[-1:], np.result_type(y, bo.data))
         np.add(y, bo.data, out=out[r])
-        del q, k, v, p, y  # one video's arrays go before the next one's are made
-    nx, nwo, nbo = x.node, wo.node, bo.node
+        del x_r, q, k, v, p, y  # one video's arrays go before the next one's are made
+    nwo, nbo = wo.node, bo.node
     nodes = [(w.node, c.node) for w, c in ((wq, bq), (wk, bk), (wv, bv))]
-    bo_shape = bo.shape
+    bo_shape, x_shape = bo.shape, x.shape
 
     def back(g):
-        g_x = np.empty(x_data.shape, x_data.dtype) if nx is not None else None
+        g_x = np.empty(x_shape, x_dtype) if x_grad else None
         g_wo = np.zeros_like(wo_data)
         g_w = [np.zeros_like(w) for w, _ in projections]
         g_b = [np.zeros(w.shape[-1:], c.dtype) for w, c in projections]
         for r in videos:
-            x_r, g_r = x_data[r], g[r]
+            x_r, g_r = reread(r), g[r]
             q, k, v = (heads(x_r @ w + c) for w, c in projections)
             p = _softmax(q @ k.swapaxes(-1, -2), scale)
             g_wo += merged(p @ v).swapaxes(-1, -2) @ g_r
@@ -698,14 +790,15 @@ def attention(x: Tensor, wq: Tensor, bq: Tensor, wk: Tensor, bk: Tensor,
                                  for grad, (w, _) in zip(grads, projections))
                 np.add(c_q, c_k, out=g_x[r])
                 g_x[r] += c_v
-            del grads
+            del grads, x_r
         _accum(nbo, _bias_grad(g, videos, bo_shape, True))
         _accum(nwo, g_wo)
         for (nw, nb), gw, gb, (_, c) in zip(nodes, g_w, g_b, projections):
             _accum(nw, gw)
             _accum(nb, gb.reshape(c.shape))
-        _accum(nx, g_x)
-    return Tensor._result(out, (x, wq, bq, wk, bk, wv, bv, wo, bo), back)
+        if g_x is not None:
+            push(g_x)
+    return Tensor._result(out, inputs + (wq, bq, wk, bk, wv, bv, wo, bo), back)
 
 
 def dropout(x: Tensor, keep: np.ndarray, rate: float) -> Tensor:

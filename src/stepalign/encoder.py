@@ -142,13 +142,14 @@ def detach_params(params: Mapping[str, Tensor]) -> dict[str, Tensor]:
 # forward pieces
 
 
-def _mlp(params, name: str, x: Tensor, bounds=None) -> Tensor:
+def _mlp(params, name: str, x: Tensor, bounds=None, norm=None) -> Tensor:
     return mlp(x, params[f"{name}.l1.w"], params[f"{name}.l1.b"],
-               params[f"{name}.l2.w"], params[f"{name}.l2.b"], bounds)
+               params[f"{name}.l2.w"], params[f"{name}.l2.b"], bounds, norm)
 
 
-def _layer_norm(params, name: str, x: Tensor) -> Tensor:
-    return layer_norm(x, params[f"{name}.g"], params[f"{name}.b"], LAYERNORM_EPS)
+def _norm(params, name: str) -> tuple[Tensor, Tensor, float]:
+    """The gain, bias and eps of the layer norm called name."""
+    return params[f"{name}.g"], params[f"{name}.b"], LAYERNORM_EPS
 
 
 _UNIMODAL = {"video": ("mlp_v", "pos_v"), "narration": ("mlp_n", "pos_n"),
@@ -172,10 +173,10 @@ def unimodal_encode(params, x: Tensor, modality: str) -> Tensor:
 
 
 def _attention(params, name: str, x: Tensor, bounds: np.ndarray,
-               num_heads: int) -> Tensor:
+               num_heads: int, norm) -> Tensor:
     return attention(x, *(params[f"{name}.{proj}.{part}"]
                           for proj in ("wq", "wk", "wv", "wo") for part in ("w", "b")),
-                     num_heads, 1.0 / np.sqrt(x.shape[-1] // num_heads), bounds)
+                     num_heads, 1.0 / np.sqrt(x.shape[-1] // num_heads), bounds, norm)
 
 
 def _dropout(x: Tensor, token_mask: np.ndarray, rate: float, rng) -> Tensor:
@@ -201,6 +202,10 @@ def multimodal_encode(params, config: ModelConfig, x: Tensor,
     cross-contamination, Krell et al., 2021). The result is scattered back
     once into zeros of shape (B, T+N+S, d): padded positions come out 0.
     With zero layers this is the identity on the valid tokens.
+    Each layer is pre-norm: attention reads layers.{i}.ln1 of the residual
+    stream and the FFN layers.{i}.ln2 of it, each norm folded into its
+    node, which keeps the stream rather than its normalised copy; the
+    final norm is a layer_norm node of its own.
     Passing a dropout_rng enables train-mode dropout on the token embeddings
     and both residual branches; besides regularizing, this stops the token
     cloud from collapsing onto a few directions, which would saturate every
@@ -219,15 +224,14 @@ def multimodal_encode(params, config: ModelConfig, x: Tensor,
     del x  # at inference nothing else holds the padded tokens, so they go now
     h = _dropout(h, token_mask, config.dropout, dropout_rng)
     for i in range(config.num_layers):
-        h = h + _dropout(_attention(params, f"layers.{i}.attn",
-                                    _layer_norm(params, f"layers.{i}.ln1", h),
-                                    bounds, config.num_heads),
+        h = h + _dropout(_attention(params, f"layers.{i}.attn", h, bounds,
+                                    config.num_heads, _norm(params, f"layers.{i}.ln1")),
                          token_mask, config.dropout, dropout_rng)
-        h = h + _dropout(_mlp(params, f"layers.{i}.ffn",
-                              _layer_norm(params, f"layers.{i}.ln2", h), bounds),
+        h = h + _dropout(_mlp(params, f"layers.{i}.ffn", h, bounds,
+                              _norm(params, f"layers.{i}.ln2")),
                          token_mask, config.dropout, dropout_rng)
     if config.num_layers > 0:
-        h = _layer_norm(params, "final_ln", h)
+        h = layer_norm(h, *_norm(params, "final_ln"))
     return unpack(h, token_mask)
 
 

@@ -78,15 +78,17 @@ def blob_detect(scores: np.ndarray, min_score: float,
     if not np.isfinite(scores).all():
         raise EvalError("scores contain non-finite values")
     t = scores.size
-    seeds = [i for i in range(t)
-             if scores[i] >= min_score
-             and (i == 0 or scores[i] > scores[i - 1])
-             and (i == t - 1 or scores[i] >= scores[i + 1])]
-    seeds.sort(key=lambda i: (-scores[i], i))
+    # a seed rises from its left neighbour and does not fall to its right one
+    rises = np.ones(t, dtype=bool)
+    rises[1:] = scores[1:] > scores[:-1]
+    holds = np.ones(t, dtype=bool)
+    holds[:-1] = scores[:-1] >= scores[1:]
+    seeds = np.flatnonzero(rises & holds & (scores >= min_score))
+    seeds = seeds[np.lexsort((seeds, -scores[seeds]))]  # by (-score, index)
 
     claimed = np.zeros(t, dtype=bool)
     out: list[tuple[Segment, float]] = []
-    for p in seeds:
+    for p in seeds.tolist():
         if claimed[p]:
             continue
         threshold = zeta * scores[p]

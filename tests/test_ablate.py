@@ -179,7 +179,8 @@ def _record(seed, fused, c7, ckpt):
 def test_compare_prints_the_counts_and_digests_that_differ(tmp_path, monkeypatch, capsys):
     # two hand-written records: seed 1 keeps its counts but not its
     # checkpoint, seed 2 loses a fused hit and criterion 7, seed 3 is only in
-    # the new record; --compare trains nothing and writes no file
+    # the new record; --compare trains nothing, writes no file and exits
+    # with 1 when anything differs, with 0 when nothing does
     old = {"runs": [_record(1, [6, 6], True, "a"), _record(2, [6, 6], True, "b")],
            "totals": {"step_r1": {"fused": [12, 12], "direct_sv": [10, 12]},
                       "criterion_7": [2, 2]}}
@@ -193,7 +194,7 @@ def test_compare_prints_the_counts_and_digests_that_differ(tmp_path, monkeypatch
         paths[-1].write_text(json.dumps(record))
     monkeypatch.setattr(ablate, "train", None)
     monkeypatch.chdir(tmp_path)
-    assert ablate.main(["--compare", *map(str, paths)]) == 0
+    assert ablate.main(["--compare", *map(str, paths)]) == 1
     assert capsys.readouterr().out.splitlines() == [
         "seed 1: same counts; digests differ: last.ckpt",
         "seed 2: step_r1.fused 6/6 -> 5/6; criterion_7 True -> False; same digests",
@@ -202,6 +203,24 @@ def test_compare_prints_the_counts_and_digests_that_differ(tmp_path, monkeypatch
         "criterion_7 2/2 -> 2/3",
     ]
     assert sorted(p.name for p in tmp_path.iterdir()) == ["new.json", "old.json"]
+    # a record against itself: the same in everything, exit 0
+    assert ablate.main(["--compare", str(paths[0]), str(paths[0])]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "seed 1: same counts; same digests",
+        "seed 2: same counts; same digests",
+        "totals: same counts",
+    ]
+    # any one difference alone makes it exit 1: a count, a digest, a seed
+    # only in one record, a total
+    for change in (lambda r: r["runs"][0]["step_r1"].update(fused=[5, 6]),
+                   lambda r: r["runs"][1]["digests"].update({"last.ckpt": "x"}),
+                   lambda r: r["runs"].pop(),
+                   lambda r: r["totals"].update(criterion_7=[1, 2])):
+        changed = json.loads(paths[0].read_text())
+        change(changed)
+        paths[1].write_text(json.dumps(changed))
+        assert ablate.main(["--compare", *map(str, paths)]) == 1
+        capsys.readouterr()
     with pytest.raises(SystemExit) as exc:
         ablate.main(["0", "--compare", *map(str, paths)])
     assert exc.value.code == 2

@@ -79,21 +79,33 @@ _ONE_BLOCKED = np.array([[True, False, True, True]])
 _A_NV3 = Tensor(_FD.normal(size=(3, 4, 2)))
 _BLOCKED_PER_VIDEO = np.array([[True, True, False, True], [False, True, True, False],
                                [True] * 4])
+# g and b of the layer norm in front of attention and the packed mlp, over
+# their 2 dims, and how each is cut from a (3, 4) input; eps is large, so
+# that x's gradient through the norm of 2 numbers is not ~0
+_NORM = [_FD.normal(size=(1, 2)) * 0.5 + 1.0, _FD.normal(size=(1, 2))]
+_NORM_CUTS = [lambda t: t[:1, 1:3], lambda t: t[2:, 2:]]
+_NORM_EPS = 0.5
 
 
 def _attention_fd(t, operand):
-    operands = [Tensor(a) for a in _ATTN]
-    operands[operand] = _ATTN_CUTS[operand](t)
-    return (attention(*operands, 2, 0.7, _ATTN_BOUNDS) * _PACKED_WEIGHTS).sum()
+    # operands 0-8: x and the weights and biases; 9 and 10: the norm's g and b
+    operands = [Tensor(a) for a in _ATTN + _NORM]
+    operands[operand] = (_ATTN_CUTS + _NORM_CUTS)[operand](t)
+    *operands, g, b = operands
+    return (attention(*operands, 2, 0.7, _ATTN_BOUNDS, (g, b, _NORM_EPS))
+            * _PACKED_WEIGHTS).sum()
 
 
-def _mlp_fd(t, operand, packed=False):
-    # packed: the same 12 input numbers as 6 rows of 2 videos, 2 and 4 long
-    operands = [Tensor(a) for a in _MLP]
-    operands[operand] = _MLP_CUTS[operand](t)
+def _mlp_fd(t, operand, packed=False, normed=False):
+    # packed: the same 12 input numbers as 6 rows of 2 videos, 2 and 4 long;
+    # normed: with the layer norm folded in, operands 5 and 6 its g and b
+    operands = [Tensor(a) for a in _MLP + _NORM]
+    operands[operand] = (_MLP_CUTS + _NORM_CUTS)[operand](t)
+    *operands, g, b = operands
     if packed:
         operands[0] = operands[0].reshape(6, 2)
-        return (mlp(*operands, _ATTN_BOUNDS) * _PACKED_WEIGHTS).sum()
+        norm = (g, b, _NORM_EPS) if normed else None
+        return (mlp(*operands, _ATTN_BOUNDS, norm) * _PACKED_WEIGHTS).sum()
     return (mlp(*operands) * _TOKEN_WEIGHTS).sum()
 
 
@@ -147,6 +159,14 @@ def _indirect_fd(a_sn, a_nv, mask, xi=0.5):
     lambda t: _mlp_fd(t, 0, packed=True),
     lambda t: _mlp_fd(t, 1, packed=True),
     lambda t: _mlp_fd(t, 2, packed=True),
+    # the layer norm folded into attention and the packed mlp: with respect
+    # to its g and b, and, for mlp, to x through it (attention's x cases
+    # above go through it too)
+    lambda t: _attention_fd(t, 9),
+    lambda t: _attention_fd(t, 10),
+    lambda t: _mlp_fd(t, 0, packed=True, normed=True),
+    lambda t: _mlp_fd(t, 5, packed=True, normed=True),
+    lambda t: _mlp_fd(t, 6, packed=True, normed=True),
 ])
 def test_op_gradients_match_finite_differences(build):
     check_grad(build, (3, 4))
@@ -288,6 +308,21 @@ def _per_video_mlp(x, w1, b1, w2, b2, bounds):
 _BOUNDS = np.array([0, 3, 4, 12])  # 3 packed videos of 3, 1 and 8 rows
 
 
+def _with_norm(node, x, *operands, **kwargs):
+    """node on x with the layer norm in front of it folded in, g and b being
+    the last two operands, eps 1e-5: as the encoder runs attention and the
+    FFN"""
+    *operands, g, b = operands
+    return node(x, *operands, norm=(g, b, 1e-5), **kwargs)
+
+
+def _norm_then(chain, x, *operands, norm=layer_norm):
+    """chain on the layer norm of x, g and b being the last two operands,
+    eps 1e-5: what a node with the norm folded in stands for"""
+    *operands, g, b = operands
+    return chain(norm(x, g, b, 1e-5), *operands)
+
+
 def _assert_matches(got, want, dtype, exact):
     """An output or gradient of a fused node, from operands of dtype, against
     the same one from its composed chain: run in dtype and equal bit for bit
@@ -314,6 +349,19 @@ _FUSED = {  # op, its reference, operand shapes
     "gelu_packed": (lambda x, *w: mlp(x, *w, _BOUNDS),
                     lambda x, *w: _per_video_mlp(x, *w, _BOUNDS),
                     [(12, 6), (6, 7), (1, 7), (7, 6), (1, 6)]),
+    # the packed FFN and attention with the layer norm in front of them
+    # folded in, g and b last, against layer_norm followed by the node
+    # without a norm; attention always takes a norm, so for it layer_norm
+    # is followed by the chain the node stands for, its projections around
+    # a q, k, v node on each video
+    "gelu_normed": (lambda *t: _with_norm(mlp, *t, bounds=_BOUNDS),
+                    lambda *t: _norm_then(lambda z, *w: mlp(z, *w, _BOUNDS), *t),
+                    [(12, 6), (6, 7), (1, 7), (7, 6), (1, 6), (1, 6), (1, 6)]),
+    "attention_normed": (
+        lambda *t: _with_norm(attention, *t, num_heads=2, scale=0.05, bounds=_BOUNDS),
+        lambda *t: _norm_then(lambda z, *w: _per_video(_chained_attention, z, _BOUNDS,
+                                                       *w, 2, 0.05), *t),
+        [(12, 8)] + [(8, 8), (1, 8)] * 4 + [(1, 8)] * 2),
 }
 
 
@@ -321,12 +369,12 @@ _FUSED = {  # op, its reference, operand shapes
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 @pytest.mark.parametrize("name", list(_FUSED))
 def test_fused_node_matches_composed_ops_bit_for_bit(name, dtype, residual):
-    # mlp against its chain in dtype, bit for bit; layer_norm against its
-    # chain in float64, within tolerance. With the residual, x also feeds
-    # x + op(x): its gradient then sums three or four terms, and for mlp
-    # only the composed ops' order gives its bits
+    # mlp and attention against their chains in dtype, bit for bit;
+    # layer_norm against its chain in float64, within tolerance. With the
+    # residual, x also feeds x + op(x): its gradient then sums three or four
+    # terms, and for mlp only the composed ops' order gives its bits
     fused, composed, shapes = _FUSED[name]
-    exact = name.startswith("gelu")
+    exact = name != "layer_norm"
     rng = np.random.default_rng(8)
     data = [rng.normal(size=shape).astype(dtype) for shape in shapes]
     data[1:] = [d * 0.5 + 1.0 for d in data[1:]]  # gains and biases off 0/1
@@ -347,10 +395,10 @@ def test_fused_node_matches_composed_ops_bit_for_bit(name, dtype, residual):
         _assert_matches(fused_grad, composed_grad, dtype, exact)
 
 
-@pytest.mark.parametrize("name", ["layer_norm", "gelu", "gelu_packed"])
+@pytest.mark.parametrize("name", list(_FUSED))
 def test_fused_nodes_skip_operands_without_gradient(name):
-    # float64 operands: mlp matches its chain bit for bit, layer_norm within
-    # 1e-12 * max|want|
+    # float64 operands: mlp and attention match their chains bit for bit,
+    # layer_norm within 1e-12 * max|want|
     fused, composed, shapes = _FUSED[name]
     rng = np.random.default_rng(10)
     data = [rng.normal(size=shape) for shape in shapes]
@@ -368,7 +416,7 @@ def test_fused_nodes_skip_operands_without_gradient(name):
             assert (fused_grad is None) == (composed_grad is None) == (not r)
             if r:
                 _assert_matches(fused_grad, composed_grad, np.float64,
-                                name.startswith("gelu"))
+                                name != "layer_norm")
 
 
 def test_layer_norm_gradient_keeps_the_closed_form_invariants():
@@ -467,16 +515,18 @@ def _bounds(lengths) -> np.ndarray:
                                       "one_token_video", "one_video"])
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 def test_attention_matches_composed_ops_bit_for_bit(dtype, operands):
-    # against the chain of four x @ w + b maps around a q, k, v attention
-    # node, run on each video's rows alone, in dtype, bit for bit; and
-    # against the same computation built from generic nodes in float64,
-    # within 1e-12 * max|want| for float64 operands and 1e-5 * max|want| for
+    # the node takes the layer norm in front of it: against layer_norm and
+    # the chain of four x @ w + b maps around a q, k, v attention node, run
+    # on each video's rows alone, in dtype, bit for bit; and against the
+    # same computation built from generic nodes in float64, within
+    # 1e-12 * max|want| for float64 operands and 1e-5 * max|want| for
     # float32 ones. "projections" makes every operand a leaf that requires a
     # gradient, as the encoder does, so x's gradient sums three terms in the
-    # order the chain's graph walk gives them; "qkv" makes every weight and
-    # bias a leaf but not x, and "q", "k" and "v" those of one projection and
-    # of the output. x packs videos of 4, 6 and 5 tokens; "one_token_video"
-    # packs videos of 4, 1 and 6 tokens, and "one_video" one video of 6
+    # order the chain's graph walk gives them, and goes through the norm;
+    # "qkv" makes every weight and bias a leaf but not x and the norm's g
+    # and b, and "q", "k" and "v" those of one projection and of the output.
+    # x packs videos of 4, 6 and 5 tokens; "one_token_video" packs videos of
+    # 4, 1 and 6 tokens, and "one_video" one video of 6
     rng = np.random.default_rng(11)
     lengths = {"one_video": [6], "one_token_video": [4, 1, 6]}.get(operands, [4, 6, 5])
     bounds = _bounds(lengths)
@@ -485,14 +535,18 @@ def test_attention_matches_composed_ops_bit_for_bit(dtype, operands):
     data = [rng.normal(size=shape).astype(dtype)
             for shape in [(bounds[-1], d)] + [(d, d), (1, d)] * 4]
     seed = rng.normal(size=(bounds[-1], d)).astype(dtype)
-    names = ["x"] + [f"{proj}{part}" for proj in "qkvo" for part in "wb"]
+    data += [(rng.normal(size=(1, d)) * 0.5 + c).astype(dtype) for c in (1.0, 0.0)]
+    names = ["x"] + [f"{proj}{part}" for proj in "qkvo" for part in "wb"] + ["ng", "nb"]
     needs_grad = {"qkv": "qkvo", "q": "qo", "k": "ko", "v": "vo"}.get(operands)
     outs, grads = [], []
     for build, run_dtype in (
-            (lambda *t: attention(*t, h, scale, bounds), dtype),
-            (lambda x, *w: _per_video(_chained_attention, x, bounds, *w, h, scale), dtype),
-            (lambda x, *w: _per_video(_composed_attention, x, bounds, *w, h, scale),
-             np.float64)):
+            (lambda *t: _with_norm(attention, *t, num_heads=h, scale=scale,
+                                   bounds=bounds), dtype),
+            (lambda *t: _norm_then(lambda z, *w: _per_video(
+                _chained_attention, z, bounds, *w, h, scale), *t), dtype),
+            (lambda *t: _norm_then(lambda z, *w: _per_video(
+                _composed_attention, z, bounds, *w, h, scale), *t,
+                norm=_composed_layer_norm), np.float64)):
         leaves = [Tensor(a.astype(run_dtype),
                          requires_grad=needs_grad is None or name[0] in needs_grad)
                   for a, name in zip(data, names)]
@@ -523,7 +577,8 @@ def test_packed_attention_matches_the_padded_form_with_a_key_bias():
     # with MASK_FILL added to the padded keys' scores. On the valid rows the
     # packed node gives that form's output and every gradient within
     # 1e-12 * max|want| in float64; only summation orders differ, as the
-    # softmax now sums over a video's n_i keys, not n
+    # softmax now sums over a video's n_i keys, not n. The layer norm in
+    # front of it runs on the packed rows in both
     rng = np.random.default_rng(20)
     h, dh, n = 2, 4, 7
     d = h * dh
@@ -532,9 +587,12 @@ def test_packed_attention_matches_the_padded_form_with_a_key_bias():
     bias = np.where(mask, 0.0, MASK_FILL)[:, None, None, :]
     data = [rng.normal(size=shape) for shape in [(bounds[-1], d)] + [(d, d), (1, d)] * 4]
     seed = rng.normal(size=(bounds[-1], d))
+    data += [rng.normal(size=(1, d)) * 0.5 + c for c in (1.0, 0.0)]
     outs, grads = [], []
-    for build in (lambda *t: attention(*t, h, 0.5, bounds),
-                  lambda x, *w: _composed_attention(unpack(x, mask), *w, h, 0.5, bias)[mask]):
+    for build in (lambda *t: _with_norm(attention, *t, num_heads=h, scale=0.5,
+                                        bounds=bounds),
+                  lambda *t: _norm_then(lambda z, *w: _composed_attention(
+                      unpack(z, mask), *w, h, 0.5, bias)[mask], *t)):
         leaves = [Tensor(a.copy(), requires_grad=True) for a in data]
         out = build(*leaves)
         out.backward(seed)
@@ -791,14 +849,17 @@ def test_attention_keeps_no_score_sized_array():
 
 def _attention_operands(b, n, d, seed):
     """x, packing b videos of n / 2 to n tokens, the weights and biases of
-    attention, all requiring a gradient, the videos' row bounds, and an
-    output gradient."""
+    attention and the g and b of its norm, all requiring a gradient, the
+    videos' row bounds, and an output gradient."""
     rng = np.random.default_rng(seed)
     bounds = _bounds(np.ceil(np.linspace(n // 2, n, b)).astype(int))
     operands = [Tensor(rng.normal(size=shape) * scale, requires_grad=True)
                 for shape, scale in [((bounds[-1], d), 1.0)]
                 + [((d, d), 0.2), ((1, d), 1.0)] * 4]
-    return operands, bounds, rng.normal(size=(bounds[-1], d))
+    seed = rng.normal(size=(bounds[-1], d))
+    operands += [Tensor(rng.normal(size=(1, d)) * 0.5 + c, requires_grad=True)
+                 for c in (1.0, 0.0)]
+    return operands, bounds, seed
 
 
 def _attention_peaks(b, n, d, h):
@@ -808,7 +869,8 @@ def _attention_peaks(b, n, d, h):
     tracemalloc.start()
     try:
         inputs = tracemalloc.get_traced_memory()[0]
-        out = attention(*operands, h, 1.0 / np.sqrt(d // h), bounds)
+        out = _with_norm(attention, *operands, num_heads=h,
+                         scale=1.0 / np.sqrt(d // h), bounds=bounds)
         forward_peak = tracemalloc.get_traced_memory()[1] - inputs
         out.backward(seed)
         peak = tracemalloc.get_traced_memory()[1] - inputs
@@ -829,12 +891,15 @@ def test_attention_never_allocates_a_score_sized_array():
 
 
 def test_attention_never_allocates_a_token_sized_q_k_or_v():
-    # the projections run one video at a time too. Forward's peak above the
-    # inputs holds the output, the size of the packed x, and one video's
-    # arrays: 1.6 x-sized arrays here, against 6.2 (B, n, d) arrays when
-    # x @ w + b nodes made q, k and v of the padded batch and kept them.
-    # Backward adds x's gradient and the weights': 3.6 in all, against 8.4
-    # when q, k and v also got whole-batch gradients
+    # the projections run one video at a time too, and so does the norm in
+    # front of them. Forward's peak above the inputs holds the output, the
+    # size of the packed x, and one video's arrays: 1.7 x-sized arrays here
+    # (1.6 without the norm), against 6.2 (B, n, d) arrays when x @ w + b
+    # nodes made q, k and v of the padded batch and kept them. Backward adds
+    # the normalised rows' gradient, the weights' and the norm's backward,
+    # whose x_hat and one temporary come beside x's gradient, formed in the
+    # rows' gradient's buffer: 4.9 in all (3.6 without the norm), against
+    # 8.4 when q, k and v also got whole-batch gradients
     b, n, d, h = 16, 48, 64, 2
     forward_peak, peak, x_bytes = _attention_peaks(b, n, d, h)
     assert forward_peak < 2 * x_bytes
@@ -842,12 +907,18 @@ def test_attention_never_allocates_a_token_sized_q_k_or_v():
 
 
 def test_attention_keeps_only_its_input_and_weights():
-    # what backward reads: x and the weights and biases the projections are
-    # recomputed from; no q, k, v, probabilities or output, and no key mask.
-    # bo's gradient is the output gradient's, so bo is not kept
+    # what backward reads: x, the g and b of its norm and the norm's
+    # (sum n_i, 1) means and 1 / std, from which the normalised rows are
+    # recomputed, and the weights and biases the projections are recomputed
+    # from; no normalised rows, q, k, v, probabilities or output, and no
+    # key mask. bo's gradient is the output gradient's, so bo is not kept
     operands, bounds, _ = _attention_operands(2, 5, 4, 19)
-    held = _held_arrays(attention(*operands, 2, 0.5, bounds))
-    assert sorted(map(id, held)) == sorted(id(t.data) for t in operands[:-1])
+    held = _held_arrays(_with_norm(attention, *operands, num_heads=2, scale=0.5,
+                                   bounds=bounds))
+    stats = [a for a in held if a.shape == (bounds[-1], 1)]
+    assert len(stats) == 2
+    assert (sorted(id(a) for a in held if a.shape != (bounds[-1], 1))
+            == sorted(id(t.data) for i, t in enumerate(operands) if i != 8))
 
 
 def test_fused_nodes_keep_the_token_sized_arrays_down():
@@ -858,12 +929,20 @@ def test_fused_nodes_keep_the_token_sized_arrays_down():
     # while every node kept its output, 21 and 2 while the FFN's GELU node
     # kept its input, the first FFN product's sum, and 15 once attention
     # took its projections and kept only its input, not q, k, v and its
-    # output. Since the transformer runs on the packed valid tokens, 14 of
-    # them are (sum n_i, model_dim) rows, 780 of the batch's 952 token slots
-    # here, 5 of those the dropout masks; the one (B, n, model_dim) array
-    # left is the transformer's output, scattered back for the heads
+    # output. Since the transformer runs on the packed valid tokens, they
+    # are (sum n_i, model_dim) rows, 780 of the batch's 952 token slots
+    # here: 14 while the norm in front of each attention and FFN was a node
+    # of its own, whose output the next node kept; with the norm folded in,
+    # 2 * num_layers + 1 float32 arrays, the residual stream in front of
+    # each sublayer and of the final norm, and as many bool dropout masks,
+    # those of the token embeddings and of each residual branch. The one
+    # (B, n, model_dim) array left is the transformer's output, scattered
+    # back for the heads
     mc, b, n_tok, rows, held = _curriculum_graph()
-    assert _count(held, (rows, mc.model_dim)) <= 14
+    packed = [a.dtype for a in held if a.shape == (rows, mc.model_dim)]
+    assert packed.count(np.float32) == 2 * mc.num_layers + 1
+    assert packed.count(bool) == 2 * mc.num_layers + 1 == 5
+    assert len(packed) == 2 * (2 * mc.num_layers + 1)
     assert _count(held, (b, n_tok, mc.model_dim)) <= 1
     assert _count(held, (rows, mc.ffn_dim)) == _count(held, (b, n_tok, mc.ffn_dim)) == 0
 
@@ -876,10 +955,12 @@ def test_training_graph_bytes_stay_bounded():
     # what their backward reads, 10.9 MB once the FFN's hidden layer was
     # recomputed in backward, 6.0 MB once Python and NumPy scalar
     # constants stopped promoting float32 activations to float64, 4.05 MB
-    # once attention recomputed its projections in backward, and 3.59 MB
-    # once the transformer ran on the packed valid tokens alone
+    # once attention recomputed its projections in backward, 3.59 MB once
+    # the transformer ran on the packed valid tokens alone, and 2.79 MB once
+    # attention and the FFN took the norm in front of them and kept the
+    # residual stream, not its normalised copy
     *_, held = _curriculum_graph()
-    assert sum(a.nbytes for a in held) <= 3_588_760
+    assert sum(a.nbytes for a in held) <= 2_791_064
 
 
 def test_activations_stay_in_the_parameters_dtype():
@@ -901,15 +982,17 @@ def test_inference_forward_frees_each_activation_once_read():
     # a score-sized eval batch, 8 videos of 64-256 frames, 254 tokens: with
     # no graph, an activation goes once the next op has read it, so forward's
     # peak above the inputs holds a few (B, n, d) arrays and one video's FFN
-    # hidden layer and its CDF's temporaries, all float32: 2.18 MB, 4.2
-    # (B, n, d) float32 arrays, since the transformer runs on the 1,084 valid
-    # tokens of the batch's 2,032 token slots. While _encode held the three
-    # unimodal outputs beside their concatenation, the layer loop held each
-    # sublayer's output past its residual add and q, k and v were made for
-    # the whole batch, it was 5.81 MB, 11.2 arrays; while the CDF was
-    # computed in float64 with a fixed 1.5 MB of scratch, 3.97 MB, 7.6
-    # arrays; and while the transformer ran on the padded tokens, 2.94 MB,
-    # 5.7 arrays
+    # hidden layer and its CDF's temporaries, all float32: 1.98 MB, 3.8
+    # (B, n, d) float32 arrays, as the transformer runs on the 1,084 valid
+    # tokens of the batch's 2,032 token slots and the norm in front of each
+    # attention and FFN normalises one video's rows at a time. While _encode
+    # held the three unimodal outputs beside their concatenation, the layer
+    # loop held each sublayer's output past its residual add and q, k and v
+    # were made for the whole batch, it was 5.81 MB, 11.2 arrays; while the
+    # CDF was computed in float64 with a fixed 1.5 MB of scratch, 3.97 MB,
+    # 7.6 arrays; while the transformer ran on the padded tokens, 2.94 MB,
+    # 5.7 arrays; and while those norms normalised all the rows at once,
+    # 2.18 MB, 4.2 arrays
     corpus = generate_synthetic(SynthConfig(num_tasks=1, videos_per_task=8,
                                             frames_range=(64, 256), seed=1))
     mc = ModelConfig(feature_dims=corpus.dims)
@@ -925,17 +1008,24 @@ def test_inference_forward_frees_each_activation_once_read():
         peak = tracemalloc.get_traced_memory()[1] - inputs
     finally:
         tracemalloc.stop()
-    assert peak < 4.5 * 8 * n_tok * mc.model_dim * np.dtype(np.float32).itemsize
+    assert peak < 4 * 8 * n_tok * mc.model_dim * np.dtype(np.float32).itemsize
 
 
 _KEEP = np.random.default_rng(16).random((2, 5, 6)) >= 0.1
 _HOLDERS = {  # fused op, its composed reference, operand shapes
     "layer_norm": _FUSED["layer_norm"],
     "mlp": _FUSED["gelu"],
-    "attention": (lambda *operands: attention(*operands, 2, 0.5, _bounds([4, 5])),
-                  lambda x, *w: _per_video(_composed_attention, x, _bounds([4, 5]),
-                                           *w, 2, 0.5),
-                  [(9, 8)] + [(8, 8), (1, 8)] * 4),
+    # attention with its norm against the generic chain of both; the
+    # packed FFN with its norm against layer_norm followed by mlp
+    "attention": (lambda *t: _with_norm(attention, *t, num_heads=2, scale=0.5,
+                                        bounds=_bounds([4, 5])),
+                  lambda *t: _norm_then(lambda z, *w: _per_video(
+                      _composed_attention, z, _bounds([4, 5]), *w, 2, 0.5), *t,
+                      norm=_composed_layer_norm),
+                  [(9, 8)] + [(8, 8), (1, 8)] * 4 + [(1, 8)] * 2),
+    "mlp_normed": (lambda *t: _with_norm(mlp, *t, bounds=_bounds([4, 5])),
+                   lambda *t: _norm_then(lambda z, *w: mlp(z, *w, _bounds([4, 5])), *t),
+                   [(9, 8), (8, 16), (1, 16), (16, 8), (1, 8), (1, 8), (1, 8)]),
     "dropout": (lambda x: dropout(x, _KEEP, 0.1),
                 lambda x: x * Tensor(_KEEP.astype(x.dtype) / (1.0 - 0.1)),
                 [_KEEP.shape]),
@@ -978,9 +1068,9 @@ def test_graph_drops_the_outputs_no_backward_reads(monkeypatch):
         return out
     monkeypatch.setattr(encoder, "_attention", lambda *args: probe(
         "attention", attention_(*args)))
-    monkeypatch.setattr(encoder, "_mlp", lambda params, name, x, bounds=None: (
-        probe("ffn", mlp(params, name, x, bounds)) if name.endswith(".ffn")
-        else mlp(params, name, x, bounds)))
+    monkeypatch.setattr(encoder, "_mlp", lambda params, name, x, bounds=None, norm=None: (
+        probe("ffn", mlp(params, name, x, bounds, norm)) if name.endswith(".ffn")
+        else mlp(params, name, x, bounds, norm)))
     monkeypatch.setattr(encoder, "_dropout", lambda x, mask, rate, rng: probe(
         "dropout", dropout_(x, mask, rate, rng)))
     mc, params, batch = _curriculum_step()
@@ -1040,11 +1130,12 @@ def test_training_with_the_mlp_node_matches_the_composed_chain(tmp_path, monkeyp
                       max_frames=40, seed=2)
     pseudo = PseudoConfig()
 
-    def composed(params, name, x, bounds=None):
+    def composed(params, name, x, bounds=None, norm=None):
         weights = [params[f"{name}.{k}"] for k in ("l1.w", "l1.b", "l2.w", "l2.b")]
         if bounds is None:  # a unimodal MLP
             return _composed_mlp(x, *weights)
-        return _per_video_mlp(x, *weights, bounds)  # the FFN, on packed rows
+        # the FFN, on packed rows, after the layer norm folded into its node
+        return _per_video_mlp(layer_norm(x, *norm), *weights, bounds)
     runs = []
     for patch in (False, True):
         if patch:

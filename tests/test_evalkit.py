@@ -109,6 +109,53 @@ def test_first_proposal_peak_tie_takes_lowest_index():
     assert blobs[0] == (Segment(1, 1), 0.8)
 
 
+def _loop_blob_detect(scores, min_score, zeta):
+    """blob_detect with the per-frame Python loop that scanned for seeds
+    before the scan was vectorised: the oracle of its proposals."""
+    scores = np.asarray(scores, dtype=np.float64)
+    t = scores.size
+    seeds = [i for i in range(t)
+             if scores[i] >= min_score
+             and (i == 0 or scores[i] > scores[i - 1])
+             and (i == t - 1 or scores[i] >= scores[i + 1])]
+    seeds.sort(key=lambda i: (-scores[i], i))
+    claimed = np.zeros(t, dtype=bool)
+    out = []
+    for p in seeds:
+        if claimed[p]:
+            continue
+        threshold = zeta * scores[p]
+        lo = p
+        while lo > 0 and not claimed[lo - 1] and scores[lo - 1] >= threshold:
+            lo -= 1
+        hi = p
+        while hi < t - 1 and not claimed[hi + 1] and scores[hi + 1] >= threshold:
+            hi += 1
+        claimed[lo:hi + 1] = True
+        out.append((Segment(lo, hi), float(scores[p])))
+    return out
+
+
+def test_vectorised_seed_scan_gives_the_loops_proposals():
+    # random rows of 1, 2 and up to 40 frames: coarse values from 5 levels
+    # in [-1, 1], which give plateaus and tied peaks, and continuous ones;
+    # min_score -inf, 0 and above the row's maximum. Proposals must match
+    # the loop's exactly: segments of Python ints, in the same order
+    rng = np.random.default_rng(23)
+    for trial in range(600):
+        t = (1, 2, int(rng.integers(3, 41)))[trial % 3]
+        if trial % 2:
+            row = rng.integers(-2, 3, size=t) / 2.0
+        else:
+            row = rng.uniform(-1.0, 1.0, size=t)
+        zeta = float(rng.choice([0.3, 0.7, 0.9, 1.0]))
+        for min_score in (-np.inf, 0.0, row.max() + 0.5):
+            got = blob_detect(row, min_score, zeta)
+            assert got == _loop_blob_detect(row, min_score, zeta)
+            assert all(type(seg.start) is int and type(seg.end) is int
+                       for seg, _ in got)
+
+
 def test_blob_invariants():
     rng = np.random.default_rng(31)
     for trial in range(300):
